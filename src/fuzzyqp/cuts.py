@@ -6,22 +6,15 @@ collapse to the modal (crisp core) problem.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .fuzzy import check_alpha
 from .problem import CrispQP, FuzzyQP, ValidationError, validate
 
 
 def _endpoints(p: FuzzyQP, alpha: float, side: int):
-    """Stack the chosen cut endpoint (side 0 = lower, 1 = upper) of all coefficients."""
-    cut = lambda t: (
-        t.a1 + alpha * (t.a2 - t.a1) if side == 0 else t.a3 - alpha * (t.a3 - t.a2)
-    )
-    c = np.array([cut(t) for t in p.c])
-    Q = np.array([[cut(t) for t in row] for row in p.Q])
-    A = np.array([[cut(t) for t in row] for row in p.A])
-    b = np.array([cut(t) for t in p.b])
-    return c, Q, A, b
+    """The chosen cut endpoint (side 0 = lower, 1 = upper) of all coefficients."""
+    if side == 0:
+        return tuple(t[..., 0] + alpha * (t[..., 1] - t[..., 0]) for t in p._arrays)
+    return tuple(t[..., 2] - alpha * (t[..., 2] - t[..., 1]) for t in p._arrays)
 
 
 def _checked(p: FuzzyQP, alpha: float) -> float:

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fuzzy import TriangularFuzzyNumber
 
 SYMMETRY_TOL = 1e-12
+_KEYS = ("c", "Q", "A", "b")
 
 
 class ProblemError(Exception):
@@ -54,7 +56,10 @@ class FuzzyQP:
     """Minimization QP whose every coefficient is a triangular fuzzy number.
 
     c holds the n cost triples, Q the symmetric n x n quadratic triples,
-    A the m x n constraint triples and b the m right-hand sides.
+    A the m x n constraint triples and b the m right-hand sides.  The same
+    data are also kept, built once and read-only, as float arrays of
+    shape (n, 3), (n, n, 3), (m, n, 3) and (m, 3) with (a1, a2, a3) on
+    the last axis; validation, cut extraction and serialization read those.
     """
 
     c: TfnRow
@@ -69,6 +74,20 @@ class FuzzyQP:
         object.__setattr__(self, "A", tuple(tuple(row) for row in self.A))
         object.__setattr__(self, "b", tuple(self.b))
 
+    @classmethod
+    def _from_arrays(cls, c, Q, A, b, name=None) -> "FuzzyQP":
+        """Build from triple arrays, which become the cached view as they are."""
+        tfns = lambda rows: tuple(TriangularFuzzyNumber(*t) for t in rows)
+        p = cls(tfns(c.tolist()), tuple(map(tfns, Q.tolist())),
+                tuple(map(tfns, A.tolist())), tfns(b.tolist()), name)
+        object.__setattr__(p, "_arrays", _read_only(c, Q, A, b))
+        return p
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        as_triple = lambda t, label: (t.a1, t.a2, t.a3)
+        return _read_only(*_stack((self.c, self.Q, self.A, self.b), as_triple))
+
     @property
     def n(self) -> int:
         return len(self.c)
@@ -79,19 +98,18 @@ class FuzzyQP:
 
     def symmetrized(self) -> "FuzzyQP":
         """Replace Q by (Q + Q') / 2, averaged component-wise per triple."""
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                p, q = self.Q[i][j], self.Q[j][i]
-                row.append(
-                    TriangularFuzzyNumber(
-                        0.5 * (p.a1 + q.a1), 0.5 * (p.a2 + q.a2), 0.5 * (p.a3 + q.a3)
-                    )
-                )
-            rows.append(tuple(row))
-        return FuzzyQP(self.c, tuple(rows), self.A, self.b, self.name)
+        c, Q, A, b = self._arrays
+        return FuzzyQP._from_arrays(c, _symmetrize(Q), A, b, self.name)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _symmetrize(Q: np.ndarray) -> np.ndarray:
+    return 0.5 * (Q + Q.transpose(1, 0, 2))
 
 
 @dataclass(frozen=True)
@@ -130,30 +148,6 @@ class CrispQP:
         return self.A.shape[0]
 
 
-def _triple_fields(doc_or_problem):
-    """Yield (label, raw triple) for every coefficient of a problem or document."""
-    if isinstance(doc_or_problem, FuzzyQP):
-        p = doc_or_problem
-        as_triple = lambda t: (t.a1, t.a2, t.a3)
-        c = [as_triple(t) for t in p.c]
-        Q = [[as_triple(t) for t in row] for row in p.Q]
-        A = [[as_triple(t) for t in row] for row in p.A]
-        b = [as_triple(t) for t in p.b]
-    else:
-        doc = doc_or_problem
-        c, Q, A, b = doc["c"], doc["Q"], doc["A"], doc["b"]
-    for j, t in enumerate(c):
-        yield f"c[{j}]", t
-    for i, row in enumerate(Q):
-        for j, t in enumerate(row):
-            yield f"Q[{i}][{j}]", t
-    for i, row in enumerate(A):
-        for j, t in enumerate(row):
-            yield f"A[{i}][{j}]", t
-    for i, t in enumerate(b):
-        yield f"b[{i}]", t
-
-
 def validate(problem) -> list[str]:
     """Collect invariant violations; empty means the problem is valid.
 
@@ -161,44 +155,84 @@ def validate(problem) -> list[str]:
     n, m, c, Q, A, b), so that data a typed constructor would reject --
     e.g. a reversed triple -- can still be diagnosed by name.
     """
-    violations = []
     if isinstance(problem, FuzzyQP):
         n, m = problem.n, problem.m
-        Q = problem.Q
-        q_triple = lambda i, j: (Q[i][j].a1, Q[i][j].a2, Q[i][j].a3)
-        sizes = (len(problem.c), [len(r) for r in Q], [len(r) for r in problem.A], m)
+        c, Q, A, b = problem.c, problem.Q, problem.A, problem.b
     else:
-        doc = problem
-        n, m = doc["n"], doc["m"]
-        Q = doc["Q"]
-        q_triple = lambda i, j: tuple(Q[i][j])
-        sizes = (len(doc["c"]), [len(r) for r in Q], [len(r) for r in doc["A"]], len(doc["b"]))
+        n, m = problem["n"], problem["m"]
+        c, Q, A, b = (problem[key] for key in _KEYS)
+    violations = []
     if n < 1:
         violations.append(f"n must be >= 1, got {n}")
     if m < 1:
         violations.append(f"m must be >= 1, got {m}")
-    c_len, q_lens, a_lens, b_len = sizes
-    if c_len != n or len(q_lens) != n or any(l != n for l in q_lens):
+    if len(c) != n or len(Q) != n or any(len(row) != n for row in Q):
         violations.append("c/Q dimensions disagree with n")
-    if len(a_lens) != m or any(l != n for l in a_lens) or b_len != m:
+    if len(A) != m or any(len(row) != n for row in A) or len(b) != m:
         violations.append("A/b dimensions disagree with n and m")
     if violations:
         return violations
+    if isinstance(problem, FuzzyQP):
+        return _violations(problem._arrays)
+    # Entries that are not triples stack as NaN rows, which fail the order
+    # check and are reported from the raw entry.
+    triple_or_nan = lambda raw, label: raw if len(raw) == 3 else (np.nan,) * 3
+    return _violations(_stack((c, Q, A, b), triple_or_nan), (c, Q, A, b))
 
-    for label, t in _triple_fields(problem):
-        if len(t) != 3:
-            violations.append(f"{label} is not a triple: {t!r}")
-            continue
-        a1, a2, a3 = t
-        if not a1 <= a2 <= a3:
-            violations.append(f"{label} out of order: ({a1}, {a2}, {a3})")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if q_triple(i, j) != q_triple(j, i):
-                violations.append(
-                    f"Q[{i}][{j}] != Q[{j}][{i}]: {q_triple(i, j)} vs {q_triple(j, i)}"
-                )
+
+def _violations(arrays, raw=None) -> list[str]:
+    """Order and symmetry violations of (c, Q, A, b) triple arrays, in label order.
+
+    raw holds the entries as the document gave them, for the messages;
+    without it the messages show the arrays' floats.
+    """
+
+    def entry(k, idx):
+        if raw is None:
+            return tuple(arrays[k][tuple(idx)].tolist())
+        e = raw[k]
+        for i in idx:
+            e = e[i]
+        return e
+
+    violations = []
+    for k, (key, t) in enumerate(zip(_KEYS, arrays)):
+        ordered = (t[..., 0] <= t[..., 1]) & (t[..., 1] <= t[..., 2])
+        for idx in np.argwhere(~ordered):
+            label = key + "".join(f"[{i}]" for i in idx)
+            e = entry(k, idx)
+            if len(e) != 3:
+                violations.append(f"{label} is not a triple: {e!r}")
+            else:
+                a1, a2, a3 = e
+                violations.append(f"{label} out of order: ({a1}, {a2}, {a3})")
+    Q = arrays[1]
+    asymmetric = np.triu(np.any(Q != Q.transpose(1, 0, 2), axis=-1), 1)
+    for i, j in np.argwhere(asymmetric):
+        # NaN rows of non-triples always compare unequal; their raw entries decide.
+        p, q = tuple(entry(1, (i, j))), tuple(entry(1, (j, i)))
+        if p != q:
+            violations.append(f"Q[{i}][{j}] != Q[{j}][{i}]: {p} vs {q}")
     return violations
+
+
+def _stack(fields, triple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Float triple arrays of (c, Q, A, b), each entry mapped by triple(entry, label).
+
+    The entries are visited in label order: c, then Q and A row by row, then b.
+    """
+    c, Q, A, b = fields
+    n, m = len(c), len(b)
+    c = [triple(t, f"c[{j}]") for j, t in enumerate(c)]
+    Q = [triple(t, f"Q[{i}][{j}]") for i, row in enumerate(Q) for j, t in enumerate(row)]
+    A = [triple(t, f"A[{i}][{j}]") for i, row in enumerate(A) for j, t in enumerate(row)]
+    b = [triple(t, f"b[{i}]") for i, t in enumerate(b)]
+    return (
+        np.array(c, dtype=float).reshape(n, 3),
+        np.array(Q, dtype=float).reshape(n, n, 3),
+        np.array(A, dtype=float).reshape(m, n, 3),
+        np.array(b, dtype=float).reshape(m, 3),
+    )
 
 
 def _as_triple(raw, label: str) -> tuple[float, float, float]:
@@ -260,33 +294,13 @@ def parse_problem(text: str, symmetrize: bool = False) -> FuzzyQP:
     if len(doc["b"]) != m:
         raise StructureError(f"b has {len(doc['b'])} entries, expected m={m}")
 
-    triples = {label: _as_triple(raw, label) for label, raw in _triple_fields(doc)}
-    checked = dict(doc)
-    checked["c"] = [triples[f"c[{j}]"] for j in range(n)]
-    checked["Q"] = [[triples[f"Q[{i}][{j}]"] for j in range(n)] for i in range(n)]
-    checked["A"] = [[triples[f"A[{i}][{j}]"] for j in range(n)] for i in range(m)]
-    checked["b"] = [triples[f"b[{i}]"] for i in range(m)]
+    c, Q, A, b = _stack([doc[key] for key in _KEYS], _as_triple)
     if symmetrize:
-        Q = checked["Q"]
-        checked["Q"] = [
-            [
-                tuple(0.5 * (p + q) for p, q in zip(Q[i][j], Q[j][i]))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    violations = validate(checked)
+        Q = _symmetrize(Q)
+    violations = _violations((c, Q, A, b))
     if violations:
         raise ValidationError(violations)
-
-    tfn = TriangularFuzzyNumber
-    return FuzzyQP(
-        c=tuple(tfn(*t) for t in checked["c"]),
-        Q=tuple(tuple(tfn(*t) for t in row) for row in checked["Q"]),
-        A=tuple(tuple(tfn(*t) for t in row) for row in checked["A"]),
-        b=tuple(tfn(*t) for t in checked["b"]),
-        name=name if name else None,
-    )
+    return FuzzyQP._from_arrays(c, Q, A, b, name=name if name else None)
 
 
 def _reject_constant(token):
@@ -300,15 +314,8 @@ def serialize_problem(p: FuzzyQP) -> str:
     parse_problem(serialize_problem(p)) reconstructs p exactly; an empty
     or missing name is omitted.
     """
-    as_triple = lambda t: [t.a1, t.a2, t.a3]
-    doc = {
-        "n": p.n,
-        "m": p.m,
-        "c": [as_triple(t) for t in p.c],
-        "Q": [[as_triple(t) for t in row] for row in p.Q],
-        "A": [[as_triple(t) for t in row] for row in p.A],
-        "b": [as_triple(t) for t in p.b],
-    }
+    doc = {"n": p.n, "m": p.m}
+    doc.update(zip(_KEYS, (a.tolist() for a in p._arrays)))
     if p.name:
         doc["name"] = p.name
     items = sorted(doc.items())

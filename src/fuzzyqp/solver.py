@@ -2,6 +2,7 @@
 
 The main path (solve_pg) is fixed-step projected gradient with step 1/K,
 where K is the spectral norm of Q (the gradient's Lipschitz constant).
+One eigvalsh per crisp QP gives both K and whether Q is PSD.
 The feasible set {Ax <= b, x >= 0} is an intersection of halfspaces, so
 each projection runs Dykstra's alternating scheme with the closed-form
 single-halfspace projection as the inner primitive; Dykstra converges to
@@ -105,47 +106,41 @@ def gradient(q: CrispQP, x) -> np.ndarray:
 def lipschitz_constant(Q) -> float:
     """Spectral norm of a symmetric matrix; 1.0 for the zero matrix.
 
-    Solved directly for n <= 32, by power iteration on Q @ Q otherwise.
+    Computed by eigvalsh, not by power iteration: one decomposition per
+    crisp QP gives both K and convexity (see is_convex).
     """
-    Q = np.asarray(Q, dtype=float)
-    n = Q.shape[0]
-    if not Q.any():
-        return 1.0
-    if n <= 32:
-        return float(np.max(np.abs(np.linalg.eigvalsh(Q))))
-    return _power_spectral_norm(Q)
-
-
-def _power_spectral_norm(Q: np.ndarray, rel_tol: float = 1e-12, max_iter: int = 100_000) -> float:
-    # Iterating on Q @ Q keeps the dominant eigenvalue positive regardless
-    # of the sign of Q's extreme eigenvalue.
-    n = Q.shape[0]
-    v = 1.0 + np.arange(n) / (10.0 * n)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(max_iter):
-        w = Q @ (Q @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        new_est = float(np.sqrt(v @ (Q @ (Q @ v))))
-        if abs(new_est - est) <= rel_tol * max(new_est, 1e-300):
-            return new_est
-        est = new_est
-    return est
-
-
-def _psd_tolerance(Q: np.ndarray) -> float:
-    return 1e-10 * max(1.0, float(np.max(np.abs(Q))) if Q.size else 1.0)
+    return _spectrum(Q)[0]
 
 
 def is_convex(Q) -> bool:
     """Whether the symmetric matrix Q is PSD within a small relative tolerance."""
+    return _spectrum(Q)[1]
+
+
+def _spectrum(Q) -> tuple[float, bool]:
+    """(K, convex) from one eigvalsh: the spectral norm and PSD-ness of Q.
+
+    The zero matrix gets K = 1.0 and counts as convex.
+    """
     Q = np.asarray(Q, dtype=float)
     if not Q.any():
-        return True
-    return float(np.min(np.linalg.eigvalsh(Q))) >= -_psd_tolerance(Q)
+        return 1.0, True
+    eig = np.linalg.eigvalsh(Q)
+    psd_tol = 1e-10 * max(1.0, float(np.max(np.abs(Q))))
+    return float(np.max(np.abs(eig))), float(eig[0]) >= -psd_tol
+
+
+def _step_rule(q: CrispQP) -> tuple[float, bool]:
+    """(step, convex): step 1/K, or 1/max(||c||, 1) when Q = 0 (an LP)."""
+    K, convex = _spectrum(q.Q)
+    if not q.Q.any():
+        K = max(float(np.linalg.norm(q.c)), 1.0)
+    return 1.0 / K, convex
+
+
+def _stationarity(q: CrispQP, x: np.ndarray, step: float, opts: SolverOptions) -> float:
+    """Fixed-point residual ||x - P(x - step * grad)||_inf of the PG map."""
+    return float(np.max(np.abs(x - project(x - step * gradient(q, x), q.A, q.b, opts))))
 
 
 def project(x, A, b, opts: SolverOptions | None = None) -> np.ndarray:
@@ -277,11 +272,7 @@ def solve_pg(
     the converged flag, never hidden.
     """
     opts = opts or SolverOptions()
-    convex = is_convex(q.Q)
-    if q.Q.any():
-        step = 1.0 / lipschitz_constant(q.Q)
-    else:
-        step = 1.0 / max(float(np.linalg.norm(q.c)), 1.0)
+    step, convex = _step_rule(q)
 
     if opts.multistart is not None:
         starts = [np.asarray(p, dtype=float) for p in opts.multistart]
@@ -302,10 +293,9 @@ def solve_pg(
             best = run
 
     x, z, iters, converged = best
-    residual = float(np.max(np.abs(x - project(x - step * gradient(q, x), q.A, q.b, opts))))
     return QpSolution(
         x=x, z=z, iterations=iters, converged=converged,
-        stationarity=residual, convex=convex,
+        stationarity=_stationarity(q, x, step, opts), convex=convex,
     )
 
 
@@ -381,14 +371,8 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
         if z < best_z - 1e-12 or (abs(z - best_z) <= 1e-12 and tuple(x) < tuple(best_x)):
             best_x, best_z = x, z
 
-    if q.Q.any():
-        step = 1.0 / lipschitz_constant(q.Q)
-    else:
-        step = 1.0 / max(float(np.linalg.norm(q.c)), 1.0)
-    residual = float(
-        np.max(np.abs(best_x - project(best_x - step * gradient(q, best_x), q.A, q.b, opts)))
-    )
+    step, convex = _step_rule(q)
     return QpSolution(
         x=best_x, z=best_z, iterations=examined, converged=True,
-        stationarity=residual, convex=is_convex(q.Q),
+        stationarity=_stationarity(q, best_x, step, opts), convex=convex,
     )

@@ -81,16 +81,21 @@ class TestProperties:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.8])
     def test_agreement_with_cut_endpoints(self, alpha, example_problem):
-        p = example_problem
-        lo, up = lower_qp(p, alpha), upper_qp(p, alpha)
-        for i in range(p.m):
-            for j in range(p.n):
-                cut = p.A[i][j].alpha_cut(alpha)
-                assert lo.A[i, j] == cut.lo
-                assert up.A[i, j] == cut.hi
-        for j in range(p.n):
-            cut = p.c[j].alpha_cut(alpha)
-            assert lo.c[j] == cut.lo and up.c[j] == cut.hi
+        rng = np.random.default_rng(17)
+        for p in (example_problem, *(random_fuzzy_qp(rng, 4, 4) for _ in range(20))):
+            lo, up = lower_qp(p, alpha), upper_qp(p, alpha)
+            for i in range(p.n):
+                cut = p.c[i].alpha_cut(alpha)
+                assert lo.c[i] == cut.lo and up.c[i] == cut.hi
+                for j in range(p.n):
+                    cut = p.Q[i][j].alpha_cut(alpha)
+                    assert lo.Q[i, j] == cut.lo and up.Q[i, j] == cut.hi
+            for i in range(p.m):
+                cut = p.b[i].alpha_cut(alpha)
+                assert lo.b[i] == cut.lo and up.b[i] == cut.hi
+                for j in range(p.n):
+                    cut = p.A[i][j].alpha_cut(alpha)
+                    assert lo.A[i, j] == cut.lo and up.A[i, j] == cut.hi
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_crisp_problem_unchanged(self, alpha):

@@ -47,6 +47,19 @@ class TestValidate:
         assert len(violations) == 1
         assert "c[0]" in violations[0] and "order" in violations[0]
 
+    def test_asymmetry_same_for_problem_and_document(self):
+        p = small_problem(q21=T(-3, -2, -0.5))
+        violations = validate(p)
+        assert violations
+        assert validate(json.loads(serialize_problem(p))) == violations
+
+    def test_short_triple_reported_on_document(self, fixture_text):
+        doc = json.loads(fixture_text)
+        doc["A"][1][0] = [1, 2]
+        violations = validate(doc)
+        assert len(violations) == 1
+        assert "A[1][0]" in violations[0] and "not a triple" in violations[0]
+
     def test_dimension_violations(self):
         doc = json.loads(FIXTURE_PATH.read_text())
         doc["b"] = doc["b"][:1]
