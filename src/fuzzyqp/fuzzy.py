@@ -72,14 +72,14 @@ class TriangularFuzzyNumber:
             )
 
     def alpha_cut(self, alpha: float) -> Interval:
-        """Level set at alpha in [0, 1]: [a1 + alpha*(a2-a1), a3 - alpha*(a3-a2)]."""
+        """Level set at alpha in [0, 1]: [a1 + alpha*(a2-a1), a3 - alpha*(a3-a2)].
+
+        Rounding can carry an endpoint an ulp past the mode a2, which the
+        exact cut always contains; each endpoint is clamped to its side of a2.
+        """
         alpha = check_alpha(alpha)
-        lo = self.a1 + alpha * (self.a2 - self.a1)
-        hi = self.a3 - alpha * (self.a3 - self.a2)
-        if lo > hi:
-            # Rounding can cross the endpoints of a near-degenerate cut by
-            # an ulp; the exact cut is always ordered.
-            lo, hi = hi, lo
+        lo = min(self.a1 + alpha * (self.a2 - self.a1), self.a2)
+        hi = max(self.a3 - alpha * (self.a3 - self.a2), self.a2)
         return Interval(lo, hi)
 
     def membership(self, x: float) -> float:

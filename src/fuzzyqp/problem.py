@@ -88,6 +88,12 @@ class FuzzyQP:
         as_triple = lambda t, label: (t.a1, t.a2, t.a3)
         return _read_only(*_stack((self.c, self.Q, self.A, self.b), as_triple))
 
+    @cached_property
+    def _violation_list(self) -> tuple[str, ...]:
+        """validate(self), computed once: the instance is immutable."""
+        shape = _shape_violations(self.n, self.m, self.c, self.Q, self.A, self.b)
+        return tuple(shape or _violations(self._arrays))
+
     @property
     def n(self) -> int:
         return len(self.c)
@@ -153,14 +159,22 @@ def validate(problem) -> list[str]:
 
     Accepts either a FuzzyQP or a raw problem document (mapping with keys
     n, m, c, Q, A, b), so that data a typed constructor would reject --
-    e.g. a reversed triple -- can still be diagnosed by name.
+    e.g. a reversed triple -- can still be diagnosed by name.  A FuzzyQP is
+    checked once; later calls return a copy of the cached list.
     """
     if isinstance(problem, FuzzyQP):
-        n, m = problem.n, problem.m
-        c, Q, A, b = problem.c, problem.Q, problem.A, problem.b
-    else:
-        n, m = problem["n"], problem["m"]
-        c, Q, A, b = (problem[key] for key in _KEYS)
+        return list(problem._violation_list)
+    c, Q, A, b = (problem[key] for key in _KEYS)
+    violations = _shape_violations(problem["n"], problem["m"], c, Q, A, b)
+    if violations:
+        return violations
+    # Entries that are not triples stack as NaN rows, which fail the order
+    # check and are reported from the raw entry.
+    triple_or_nan = lambda raw, label: raw if len(raw) == 3 else (np.nan,) * 3
+    return _violations(_stack((c, Q, A, b), triple_or_nan), (c, Q, A, b))
+
+
+def _shape_violations(n, m, c, Q, A, b) -> list[str]:
     violations = []
     if n < 1:
         violations.append(f"n must be >= 1, got {n}")
@@ -170,14 +184,7 @@ def validate(problem) -> list[str]:
         violations.append("c/Q dimensions disagree with n")
     if len(A) != m or any(len(row) != n for row in A) or len(b) != m:
         violations.append("A/b dimensions disagree with n and m")
-    if violations:
-        return violations
-    if isinstance(problem, FuzzyQP):
-        return _violations(problem._arrays)
-    # Entries that are not triples stack as NaN rows, which fail the order
-    # check and are reported from the raw entry.
-    triple_or_nan = lambda raw, label: raw if len(raw) == 3 else (np.nan,) * 3
-    return _violations(_stack((c, Q, A, b), triple_or_nan), (c, Q, A, b))
+    return violations
 
 
 def _violations(arrays, raw=None) -> list[str]:
@@ -300,7 +307,9 @@ def parse_problem(text: str, symmetrize: bool = False) -> FuzzyQP:
     violations = _violations((c, Q, A, b))
     if violations:
         raise ValidationError(violations)
-    return FuzzyQP._from_arrays(c, Q, A, b, name=name if name else None)
+    p = FuzzyQP._from_arrays(c, Q, A, b, name=name if name else None)
+    object.__setattr__(p, "_violation_list", ())  # the check above, on the same arrays
+    return p
 
 
 def _reject_constant(token):

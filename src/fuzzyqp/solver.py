@@ -3,10 +3,9 @@
 The main path (solve_pg) is fixed-step projected gradient with step 1/K,
 where K is the spectral norm of Q (the gradient's Lipschitz constant).
 One eigvalsh per crisp QP gives both K and whether Q is PSD.
-The feasible set {Ax <= b, x >= 0} is an intersection of halfspaces, so
-each projection runs Dykstra's alternating scheme with the closed-form
-single-halfspace projection as the inner primitive; Dykstra converges to
-the exact Euclidean projection onto the intersection.
+Each step projects onto the feasible set {Ax <= b, x >= 0} exactly, by a
+dual active-set method (Goldfarb-Idnani) warm-started from the previous
+step's active set; an empty set is reported with a Farkas certificate.
 
 solve_oracle independently enumerates active-set candidates (stationarity
 systems over every subset of the m + n constraints), which yields the
@@ -15,8 +14,9 @@ verification route for solve_pg.
 """
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Callable
 
 import numpy as np
@@ -24,12 +24,20 @@ import numpy as np
 from .problem import CrispQP
 
 UNBOUNDED_LIMIT = 1e8
-FEAS_TOL = 1e-8
 ORACLE_MAX_N = 8
 
 
 class InfeasibleError(RuntimeError):
-    """The feasible polyhedron is empty (or was not reachable numerically)."""
+    """The feasible polyhedron is empty.
+
+    certificate, when known, is a Farkas vector mu >= 0 over the rows of
+    [A; -I] (the m rows of A, then the n bounds -x <= 0) with
+    A'mu_A - mu_I = 0 and b'mu_A < 0.
+    """
+
+    def __init__(self, message: str, certificate: np.ndarray | None = None):
+        super().__init__(message)
+        self.certificate = certificate
 
 
 class UnboundedError(RuntimeError):
@@ -45,6 +53,9 @@ class SolverOptions:
     from `seed` and projected onto the feasible set.  Convex instances
     always run a single start (the first multistart point if given, else
     the origin).
+
+    projection_tol and projection_max_sweeps are still validated but no
+    longer change any result: projections are exact and finite.
     """
 
     tol: float = 1e-9
@@ -138,21 +149,27 @@ def _step_rule(q: CrispQP) -> tuple[float, bool]:
     return 1.0 / K, convex
 
 
-def _stationarity(q: CrispQP, x: np.ndarray, step: float, opts: SolverOptions) -> float:
+def _stationarity(q: CrispQP, x: np.ndarray, step: float,
+                  warm: _Projector | None = None) -> float:
     """Fixed-point residual ||x - P(x - step * grad)||_inf of the PG map."""
-    return float(np.max(np.abs(x - project(x - step * gradient(q, x), q.A, q.b, opts))))
+    y = project(x - step * gradient(q, x), q.A, q.b, _warm=warm)
+    return float(np.max(np.abs(x - y)))
 
 
-def project(x, A, b, opts: SolverOptions | None = None) -> np.ndarray:
-    """Euclidean projection of x onto {y: Ay <= b, y >= 0} via Dykstra.
+def project(x, A, b, opts: SolverOptions | None = None,
+            _warm: _Projector | None = None) -> np.ndarray:
+    """Exact Euclidean projection of x onto {y: Ay <= b, y >= 0}.
 
-    Already-feasible points are returned unchanged.  If the sweep budget
-    runs out with the constraint violation no longer shrinking the
-    intersection is empty and InfeasibleError is raised; a violation that
-    is still shrinking signals a hard geometry instead and raises a plain
-    RuntimeError suggesting a larger budget.
+    Already-feasible points are returned unchanged.  Otherwise the
+    projection's dual is solved by a finite active-set method (see
+    _Projector), so the result satisfies the KKT conditions up to
+    rounding.  An empty polyhedron raises InfeasibleError carrying a
+    Farkas certificate.  opts is accepted for compatibility; no option
+    changes the result.  _warm is a _Projector built from the same A and
+    b, which carries the active set from one call to the next.
     """
-    opts = opts or SolverOptions()
+    if _warm is not None:
+        return x if _feasible(x, A, b) else _warm(x)
     x = np.asarray(x, dtype=float).copy()
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -161,73 +178,165 @@ def project(x, A, b, opts: SolverOptions | None = None) -> np.ndarray:
         A = A.reshape(0, n)
     if A.shape[1] != n or b.shape != (A.shape[0],):
         raise ValueError("A, b dimensions do not match x")
+    return x if _feasible(x, A, b) else _Projector(A, b)(x)
 
-    norms2 = np.einsum("ij,ij->i", A, A)
-    degenerate = norms2 == 0.0
-    if np.any(degenerate & (b < 0.0)):
-        raise InfeasibleError("constraint row with zero coefficients and negative bound")
-    keep = ~degenerate
-    A, b, norms2 = A[keep], b[keep], norms2[keep]
-    m = A.shape[0]
 
-    if (m == 0 or np.all(A @ x <= b)) and np.all(x >= 0.0):
-        return x
+def _feasible(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> bool:
+    """Ax <= b and x >= 0, exactly."""
+    return (A @ x - b).max(initial=0.0) <= 0.0 and x.min() >= 0.0
 
-    # Dykstra over the m halfspaces and the nonnegative orthant.  The stop
-    # criterion watches the corrections too: the iterate alone can stall
-    # transiently (pinned on a face while corrections accumulate), and for
-    # an empty intersection the iterate settles on the nearest-point cycle
-    # while corrections grow without bound.
-    def violation(pt):
-        return max(
-            float(np.max(A @ pt - b)) if m else 0.0,
-            float(np.max(-pt)),
-            0.0,
-        )
 
-    corrections = np.zeros((m + 1, n))
-    converged = False
-    mid_violation = None
-    midpoint = max(1, opts.projection_max_sweeps // 2)
-    for sweep in range(opts.projection_max_sweeps):
-        x_sweep = x.copy()
-        corr_sweep = corrections.copy()
-        for i in range(m):
-            w = x + corrections[i]
-            viol = A[i] @ w - b[i]
-            y = w - (viol / norms2[i]) * A[i] if viol > 0.0 else w
-            corrections[i] = w - y
-            x = y
-        w = x + corrections[m]
-        y = np.maximum(w, 0.0)
-        corrections[m] = w - y
-        x = y
-        delta = max(
-            float(np.max(np.abs(x - x_sweep))),
-            float(np.max(np.abs(corrections - corr_sweep))),
-        )
-        if delta <= opts.projection_tol:
-            converged = True
-            break
-        if sweep == midpoint:
-            mid_violation = violation(x)
+class _Projector:
+    """Projection onto {y: Ay <= b, y >= 0} for one (A, b), warm across calls.
 
-    if converged:
-        return x
-    residual = violation(x)
-    if residual <= FEAS_TOL:
-        return x
-    shrinking = mid_violation is not None and residual < 0.9 * mid_violation
-    if not shrinking:
+    With G = [A; -I] and h = [b; 0] (rows of A scaled to unit norm, zero
+    rows dropped) the projection of x is y = x - G'mu, where mu >= 0
+    minimises (1/2)||x - G'mu||^2 + h'mu.  That dual is solved by the
+    active-set method of Goldfarb and Idnani (1983) with identity Hessian:
+    starting from a set P of independent rows with y tight on them and
+    mu_P >= 0, the most violated row p is added; the step along the part
+    of p's normal orthogonal to the rows of P either makes p tight (p
+    joins P) or first drives some mu_j to zero (j leaves P).  If p's
+    normal lies in the span of P and no mu_j can shrink, the dual is
+    unbounded: mu = (1 on p, -r on P) is a Farkas certificate and
+    InfeasibleError is raised.
+
+    For a fixed P the multipliers are affine in x, mu_P = K x - k, and
+    y = x - G_P' mu_P; K and k are built once per set (by QR of G_P') and
+    cached.  Every call starts from the set the previous call ended on,
+    less any rows whose multipliers come out negative at the new x; once
+    projected gradient settles, a projection is one affine map plus a sign
+    and a feasibility check.
+    """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray):
+        m, n = A.shape
+        norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+        zero = norms == 0.0
+        unsatisfiable = np.flatnonzero(zero & (b < 0.0))
+        if unsatisfiable.size:
+            i = int(unsatisfiable[0])
+            certificate = np.zeros(m + n)
+            certificate[i] = 1.0
+            raise InfeasibleError(
+                f"row {i} of A is zero and b[{i}] = {float(b[i])!r} < 0", certificate
+            )
+        keep = np.flatnonzero(~zero)
+        self.first_bound = keep.size  # rows of G from here on are the bounds -y <= 0
+        self.G = np.vstack([A[keep] / norms[keep, None], -np.eye(n)])
+        self.h = np.concatenate([b[keep] / norms[keep], np.zeros(n)])
+        # Row i of G is row origin[i] of [A; -I] divided by scale[i].
+        self.origin = np.concatenate([keep, m + np.arange(n)])
+        self.scale = np.concatenate([norms[keep], np.ones(n)])
+        # A row counts as violated beyond tol + 1e-12 * ||x||_inf; below that
+        # the residual of a tight row is rounding.
+        self.tol = 1e-12 * (1.0 + float(np.max(np.abs(self.h), initial=0.0)))
+        self.active: tuple[int, ...] = ()
+        self._faces: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+
+    def _face(self, P: tuple[int, ...]) -> tuple:
+        """(K, k, G_P', pinned) for the active set P: mu_P = K x - k, and
+        pinned lists the variables that an active bound holds at zero."""
+        face = self._faces.get(P)
+        if face is None:
+            rows = list(P)
+            Gt = self.G[rows].T
+            Qr, R = np.linalg.qr(Gt)
+            R_inv = np.linalg.inv(R)  # R is invertible: the rows of P are independent
+            K = R_inv @ Qr.T
+            k = R_inv @ (R_inv.T @ self.h[rows])
+            pinned = [i - self.first_bound for i in P if i >= self.first_bound]
+            face = self._faces[P] = (K, k, Gt, pinned)
+        return face
+
+    @staticmethod
+    def _point(x, mu, Gt, pinned) -> np.ndarray:
+        """y = x - G_P' mu_P, with pinned variables exactly zero."""
+        y = x - Gt @ mu
+        if pinned:
+            y[pinned] = 0.0
+        return y
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        P = self.active
+        while True:
+            K, k, Gt, pinned = self._face(P)
+            mu = K @ x - k
+            if mu.min(initial=0.0) >= 0.0:
+                break
+            P = tuple(compress(P, (mu >= 0.0).tolist()))
+        y = self._point(x, mu, Gt, pinned)
+        s = self.G @ y - self.h
+        if s.max() <= self.tol:
+            self.active = P
+            return y
+        tol = self.tol + 1e-12 * float(np.abs(x).max())
+        # Each added row raises the dual objective, so no set repeats; the
+        # bound only stops a cycle that rounding might cause.
+        for _ in range(10 * len(self.h)):
+            s[list(P)] = -np.inf
+            p = int(np.argmax(s))
+            if s[p] <= tol:
+                break
+            P, mu, y = self._add(P, mu, y, p, float(s[p]))
+            s = self.G @ y - self.h
+        else:
+            raise RuntimeError("active-set projection is cycling")
+        self.active = P
+        K, k, Gt, pinned = self._face(P)
+        return self._point(x, K @ x - k, Gt, pinned)
+
+    def _add(self, P, mu, y, p, violation):
+        """Make row p tight, dropping rows whose multipliers reach zero on the way."""
+        g = self.G[p]
+        mu_p = 0.0
+        while True:
+            K, _, Gt, _ = self._face(P)
+            r = K @ g
+            z = g - Gt @ r
+            zz = float(z @ z)
+            step = violation / zz if zz > 1e-24 else np.inf
+            shrinking = np.flatnonzero(r > 0.0)
+            drop = None
+            if shrinking.size:
+                ratios = mu[shrinking] / r[shrinking]
+                j = int(np.argmin(ratios))
+                if ratios[j] < step:
+                    step, drop = float(ratios[j]), int(shrinking[j])
+            if step == np.inf:
+                self._raise_infeasible(P, r, p)
+            y = y - step * z
+            mu = mu - step * r
+            mu_p += step
+            violation -= step * zz
+            if drop is None:
+                at = bisect(P, p)
+                return P[:at] + (p,) + P[at:], np.concatenate((mu[:at], [mu_p], mu[at:])), y
+            P = P[:drop] + P[drop + 1:]
+            mu = np.concatenate((mu[:drop], mu[drop + 1:]))
+
+    def _raise_infeasible(self, P, r, p):
+        lam = np.zeros(len(self.h))
+        lam[list(P)] = -r
+        lam[p] = 1.0
+        certificate = np.zeros(len(self.origin))
+        certificate[self.origin] = lam / self.scale
         raise InfeasibleError(
-            f"projection did not converge in {opts.projection_max_sweeps} sweeps "
-            f"and the violation is not shrinking ({residual:.3e}); "
-            "the polyhedron looks empty"
+            "the polyhedron is empty: Farkas certificate mu >= 0 over the rows "
+            f"of [A; -I] with A'mu_A - mu_I = 0 and b'mu_A = {float(self.h @ lam):.3e} < 0",
+            certificate,
         )
-    raise RuntimeError(
-        f"projection still converging after {opts.projection_max_sweeps} sweeps "
-        f"(violation {residual:.3e}); raise projection_max_sweeps for this geometry"
-    )
+
+    def multipliers(self, x: np.ndarray) -> np.ndarray:
+        """KKT multipliers over the rows of [A; -I] for the set the last call ended on.
+
+        With y the projection of x: x - y = A'mu_A - mu_I.
+        """
+        K, k, _, _ = self._face(self.active)
+        full = np.zeros(len(self.origin))
+        rows = list(self.active)
+        full[self.origin[rows]] = (K @ x - k) / self.scale[rows]
+        return full
 
 
 def _default_starts(q: CrispQP, opts: SolverOptions) -> list[np.ndarray]:
@@ -237,21 +346,21 @@ def _default_starts(q: CrispQP, opts: SolverOptions) -> list[np.ndarray]:
     return [np.zeros(q.n), *random_pts]
 
 
-def _pg_run(q, x0, step, opts, callback):
+def _pg_run(q, x0, step, opts, callback, warm):
     x = x0
     if callback is not None:
         callback(x)
     for k in range(opts.max_iter):
         y = x - step * gradient(q, x)
-        x_new = project(y, q.A, q.b, opts)
+        x_new = project(y, q.A, q.b, _warm=warm)
         if callback is not None:
             callback(x_new)
-        if np.max(np.abs(x_new)) > UNBOUNDED_LIMIT:
+        if np.abs(x_new).max() > UNBOUNDED_LIMIT:
             raise UnboundedError(
                 f"iterate magnitude exceeded {UNBOUNDED_LIMIT:.0e}; "
                 "instance appears unbounded below"
             )
-        if np.max(np.abs(x_new - x)) <= opts.tol:
+        if np.abs(x_new - x).max() <= opts.tol:
             return x_new, k + 1, True
         x = x_new
     return x, opts.max_iter, False
@@ -281,12 +390,13 @@ def solve_pg(
     if convex:
         starts = starts[:1]
 
+    warm = _Projector(q.A, q.b)
     best = None
     for x0 in starts:
         if x0.shape != (q.n,):
             raise ValueError(f"start point must have shape ({q.n},), got {x0.shape}")
-        x0 = project(x0, q.A, q.b, opts)
-        x, iters, converged = _pg_run(q, x0, step, opts, callback)
+        x0 = project(x0, q.A, q.b, _warm=warm)
+        x, iters, converged = _pg_run(q, x0, step, opts, callback, warm)
         z = objective(q, x)
         run = (x, z, iters, converged)
         if best is None or _better_run(run, best):
@@ -295,7 +405,7 @@ def solve_pg(
     x, z, iters, converged = best
     return QpSolution(
         x=x, z=z, iterations=iters, converged=converged,
-        stationarity=_stationarity(q, x, step, opts), convex=convex,
+        stationarity=_stationarity(q, x, step, warm), convex=convex,
     )
 
 
@@ -322,9 +432,9 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     are kept (vertices arise as the |S| = n systems) and the one with the
     least objective wins.  For PSD Q this is the global optimum; for
     indefinite Q it is the best stationary/vertex point.  Singular
-    subsets are skipped.
+    subsets are skipped.  opts is accepted for symmetry with solve_pg; no
+    option changes the result.
     """
-    opts = opts or SolverOptions()
     n, m = q.n, q.m
     if n > ORACLE_MAX_N:
         raise ValueError(f"enumeration oracle supports n <= {ORACLE_MAX_N}, got n = {n}")
@@ -374,5 +484,5 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     step, convex = _step_rule(q)
     return QpSolution(
         x=best_x, z=best_z, iterations=examined, converged=True,
-        stationarity=_stationarity(q, best_x, step, opts), convex=convex,
+        stationarity=_stationarity(q, best_x, step), convex=convex,
     )

@@ -89,7 +89,8 @@ def solve_fqp(
                 sols[endpoint] = solve_pg(extract(p, alpha), opts)
             except InfeasibleError as e:
                 raise InfeasibleError(
-                    f"{endpoint} endpoint QP infeasible at alpha={alpha:g}: {e}"
+                    f"{endpoint} endpoint QP infeasible at alpha={alpha:g}: {e}",
+                    e.certificate,
                 ) from e
         lo, up = sols["lower"], sols["upper"]
         record = AlphaRecord(

@@ -1,6 +1,14 @@
+import os
+
 import pytest
 
-from helpers import FIXTURE_PATH
+from helpers import FIXTURE_PATH, REPO_ROOT
+
+# Tests that run `python -m fuzzyqp` in a subprocess import the package from
+# this checkout, installed or not, as the in-process tests do.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+)
 
 from fuzzyqp import parse_problem
 

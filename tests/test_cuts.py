@@ -4,7 +4,15 @@ import pytest
 
 from helpers import crisp_problem, random_fuzzy_qp
 
-from fuzzyqp import FuzzyQP, TriangularFuzzyNumber, ValidationError, lower_qp, upper_qp
+import fuzzyqp.problem as problem_module
+from fuzzyqp import (
+    FuzzyQP,
+    TriangularFuzzyNumber,
+    ValidationError,
+    lower_qp,
+    upper_qp,
+    validate,
+)
 
 T = TriangularFuzzyNumber
 
@@ -118,6 +126,26 @@ class TestErrors:
         )
         with pytest.raises(ValidationError):
             lower_qp(p, 0.5)
+
+    def test_validated_once_and_rejected_every_call(self, monkeypatch):
+        p = FuzzyQP(
+            c=(T(0, 0, 0), T(0, 0, 0)),
+            Q=((T(1, 1, 1), T(0, 0, 0)), (T(2, 2, 2), T(1, 1, 1))),  # asymmetric
+            A=((T(1, 1, 1), T(1, 1, 1)),),
+            b=(T(1, 1, 1),),
+        )
+        checks = []
+        real = problem_module._violations
+        monkeypatch.setattr(problem_module, "_violations",
+                            lambda *args: checks.append(1) or real(*args))
+        expected = validate(p)
+        for alpha in (0.0, 0.5, 1.0):
+            for extract in (lower_qp, upper_qp):
+                with pytest.raises(ValidationError) as err:
+                    extract(p, alpha)
+                assert err.value.violations == expected
+        assert validate(p) == expected
+        assert len(checks) == 1
 
     @pytest.mark.parametrize("alpha", [-0.01, 1.01])
     def test_alpha_range(self, alpha, example_problem):

@@ -34,6 +34,13 @@ class TestAlphaCut:
     def test_bottom_is_support(self):
         assert TriangularFuzzyNumber(-6, -5, -4).alpha_cut(0.0) == Interval(-6, -4)
 
+    def test_core_is_exactly_the_mode(self):
+        # 0 + 1.0 * (1e-6 - 0) rounds below 1e-6; the cut is clamped to the mode
+        t = TriangularFuzzyNumber(0.0, 1e-6, 9.0)
+        cut = t.alpha_cut(1.0)
+        assert cut == Interval(1e-6, 1e-6)
+        assert t.membership(cut.lo) == 1.0
+
     @pytest.mark.parametrize("alpha", [-0.1, 1.1, 2.0, -1e-9])
     def test_alpha_out_of_range(self, alpha):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Projected gradient solver, Dykstra projection, and the enumeration oracle."""
+"""Projected gradient solver, exact projection, and the enumeration oracle."""
 import numpy as np
 import pytest
 
@@ -28,6 +28,7 @@ from fuzzyqp import (
     solve_pg,
     upper_qp,
 )
+from fuzzyqp.solver import _Projector
 
 
 def modal_qp() -> CrispQP:
@@ -165,6 +166,121 @@ class TestProject:
     def test_zero_row_slack_ignored(self):
         out = project([2.0], [[0.0]], [1.0])
         np.testing.assert_array_equal(out, [2.0])
+
+
+def _kkt_violation(x, A, b):
+    """Project x, then the worst breach of the projection's KKT conditions:
+    y = x - G'mu, mu >= 0, Gy <= h and mu_i (Gy - h)_i = 0, with G = [A; -I]."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    proj = _Projector(A, b)
+    y = proj(x)
+    mu = proj.multipliers(x)
+    G = np.vstack([A, -np.eye(A.shape[1])])
+    slack = G @ y - np.concatenate([b, np.zeros(A.shape[1])])
+    np.testing.assert_array_equal(y, project(x, A, b))
+    return max(
+        float(np.max(np.abs(x - G.T @ mu - y))),
+        float(-mu.min()),
+        float(slack.max()),
+        float(np.max(np.abs(mu * slack))),
+    )
+
+
+def _random_polyhedron(rng):
+    """Nonempty {Ax <= b, x >= 0} (the origin is feasible), with some rows
+    duplicated up to a positive factor and some parallel to a bound."""
+    n = int(rng.integers(1, 6))
+    m = int(rng.integers(1, 6))
+    A = rng.normal(size=(m, n))
+    b = rng.uniform(0.1, 2.0, size=m)
+    extra_rows, extra_b = [], []
+    for _ in range(int(rng.integers(0, 3))):
+        i, k = int(rng.integers(m)), float(rng.uniform(0.5, 3.0))
+        extra_rows.append(k * A[i])
+        extra_b.append(k * b[i])
+    for _ in range(int(rng.integers(0, 2))):
+        j = int(rng.integers(n))
+        row = np.zeros(n)
+        row[j] = float(rng.choice([-1.0, 1.0])) * rng.uniform(0.5, 2.0)
+        extra_rows.append(row)
+        extra_b.append(0.0 if rng.uniform() < 0.5 else float(rng.uniform(0.1, 2.0)))
+    if extra_rows:
+        A = np.vstack([A, extra_rows])
+        b = np.concatenate([b, extra_b])
+    return A, b
+
+
+class TestExactProjection:
+    def test_kkt_certificate_on_random_polyhedra(self):
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        for _ in range(400):
+            A, b = _random_polyhedron(rng)
+            x = 3.0 * rng.normal(size=A.shape[1])
+            worst = max(worst, _kkt_violation(x, A, b))
+            # a point already on a face, and one pushed out along the face's normals
+            y = project(x, A, b)
+            worst = max(worst, _kkt_violation(y, A, b))
+            worst = max(worst, _kkt_violation(y + (x - y) * 2.0, A, b))
+        assert worst <= 1e-10
+
+    def test_farkas_certificate_for_empty_polyhedron(self):
+        A = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        b = np.array([1.0, -2.0])
+        with pytest.raises(InfeasibleError) as err:
+            project([0.0, 0.0], A, b)
+        mu = err.value.certificate
+        assert np.all(mu >= 0.0)
+        np.testing.assert_allclose(A.T @ mu[:2] - mu[2:], 0.0, atol=1e-12)
+        assert b @ mu[:2] < 0.0
+
+    def test_farkas_certificates_on_random_empty_polyhedra(self):
+        # the last row is a negative combination of the others with a bound
+        # below what that combination allows, so no point satisfies all rows
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            A = rng.normal(size=(m, n))
+            b = rng.uniform(-1.0, 2.0, size=m)
+            lam = rng.uniform(0.1, 2.0, size=m)
+            A = np.vstack([A, -lam @ A])
+            b = np.append(b, -lam @ b - rng.uniform(0.01, 1.0))
+            with pytest.raises(InfeasibleError) as err:
+                project(3.0 * rng.normal(size=n), A, b)
+            mu = err.value.certificate
+            assert mu.min() >= 0.0
+            scale = np.max(np.abs(mu))
+            assert np.max(np.abs(A.T @ mu[:m + 1] - mu[m + 1:])) <= 1e-9 * scale
+            assert b @ mu[:m + 1] < 0.0
+
+    @pytest.mark.parametrize("eps", [0.01, 0.003])
+    def test_thin_wedge(self, eps):
+        # The wedge eps*(x1 - 1) <= x2 - 1 <= 2*eps*(x1 - 1) has its apex at
+        # (1, 1), which is the projection of (0, 1).  Alternating projections
+        # between its nearly parallel sides need far more than 10 000 sweeps.
+        A = [[eps, -1.0], [-2.0 * eps, 1.0]]
+        b = [eps - 1.0, 1.0 - 2.0 * eps]
+        out = project([0.0, 1.0], A, b)
+        np.testing.assert_allclose(out, [1.0, 1.0], atol=1e-12)
+        budget = SolverOptions(projection_tol=1e-3, projection_max_sweeps=1)
+        np.testing.assert_array_equal(project([0.0, 1.0], A, b, budget), out)
+        assert _kkt_violation(np.array([0.0, 1.0]), np.array(A), np.array(b)) <= 1e-10
+
+    def test_warm_projections_in_pg_match_cold(self):
+        rng = np.random.default_rng(33)
+        checked = 0
+        for _ in range(30):
+            q = random_convex_qp(rng, n_max=5, m_max=6)
+            q = CrispQP(c=5.0 * q.c, Q=q.Q, A=q.A, b=q.b)
+            step = 1.0 / lipschitz_constant(q.Q)
+            trace = []
+            solve_pg(q, callback=lambda x: trace.append(x.copy()))
+            for x, x_next in zip(trace, trace[1:]):
+                y = x - step * gradient(q, x)
+                cold = project(y, q.A, q.b)
+                assert np.max(np.abs(cold - x_next)) <= 1e-10
+                checked += not np.array_equal(cold, y)
+        assert checked >= 100
 
 
 class TestSolvePg:
