@@ -11,22 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .problem import (
-    FuzzyQP,
-    ParseError,
-    ProblemError,
-    StructureError,
-    ValidationError,
-    parse_problem,
-)
+from .problem import FuzzyQP, ProblemError, ValidationError, parse_problem
 from .solver import InfeasibleError, SolverOptions, UnboundedError
-from .sweep import (
-    COINCIDENCE_TOL,
-    CurveShapeError,
-    MembershipCurve,
-    check_invertible,
-    solve_fqp,
-)
+from .sweep import CurveShapeError, MembershipCurve, check_invertible, solve_fqp
 
 
 def _fmt(v: float) -> str:
@@ -115,8 +102,7 @@ def polyline(curve: MembershipCurve) -> list[tuple[float, float]]:
     check_invertible(curve)
     up = [(r.z_lower, r.alpha) for r in curve.records]
     down = [(r.z_upper, r.alpha) for r in reversed(curve.records)]
-    top = curve.records[-1]
-    if abs(top.z_lower - top.z_upper) <= COINCIDENCE_TOL:
+    if curve.records[-1].coincides:
         down = down[1:]
     return up + down
 
@@ -142,11 +128,6 @@ def cmd_solve(args) -> int:
         r.lower_diag.converged and r.upper_diag.converged for r in curve.records
     )
     return 0 if all_converged else 1
-
-
-def cmd_plot_data(args) -> int:
-    args.format = "plot-data"
-    return cmd_solve(args)
 
 
 def cmd_validate(args) -> int:
@@ -198,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         "plot-data", help="emit the (z, alpha) membership polyline"
     )
     _add_common(plot, with_solver=True)
-    plot.set_defaults(func=cmd_plot_data)
+    plot.set_defaults(func=cmd_solve, format="plot-data")
 
     check = subparsers.add_parser("validate", help="check that a problem file is well-formed")
     _add_common(check, with_solver=False)
@@ -213,9 +194,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as e:
         print(f"error: no such file: {e.args[0]}", file=sys.stderr)
-        return 2
-    except (ParseError, StructureError) as e:
-        print(f"error: {e}", file=sys.stderr)
         return 2
     except ValidationError as e:
         for violation in e.violations:

@@ -17,6 +17,7 @@ level endpoint it reads  c'x + (1/2) x'Qx  with x >= 0 and Ax <= b.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +27,8 @@ from .fuzzy import TriangularFuzzyNumber
 
 SYMMETRY_TOL = 1e-12
 _KEYS = ("c", "Q", "A", "b")
+_FIELDS = ("n", "m", *_KEYS)
+_ARRAY = (list, tuple)  # a JSON array; json.dumps writes tuples as arrays too
 
 
 class ProblemError(Exception):
@@ -91,8 +94,9 @@ class FuzzyQP:
     @cached_property
     def _violation_list(self) -> tuple[str, ...]:
         """validate(self), computed once: the instance is immutable."""
-        shape = _shape_violations(self.n, self.m, self.c, self.Q, self.A, self.b)
-        return tuple(shape or _violations(self._arrays))
+        t3 = lambda row: [(t.a1, t.a2, t.a3) for t in row]  # nested as given, ragged or not
+        return tuple(_diagnose(dict(n=self.n, m=self.m, c=t3(self.c), Q=list(map(t3, self.Q)),
+                                    A=list(map(t3, self.A)), b=t3(self.b))))
 
     @property
     def n(self) -> int:
@@ -158,68 +162,43 @@ def validate(problem) -> list[str]:
     """Collect invariant violations; empty means the problem is valid.
 
     Accepts either a FuzzyQP or a raw problem document (mapping with keys
-    n, m, c, Q, A, b), so that data a typed constructor would reject --
-    e.g. a reversed triple -- can still be diagnosed by name.  A FuzzyQP is
-    checked once; later calls return a copy of the cached list.
+    n, m, c, Q, A, b) and runs exactly the checks of parse_problem: the
+    first malformed or mis-sized field on its own, otherwise every
+    out-of-order triple and asymmetric Q pair.  A FuzzyQP is checked once;
+    later calls return a copy of the cached list.
     """
     if isinstance(problem, FuzzyQP):
         return list(problem._violation_list)
-    c, Q, A, b = (problem[key] for key in _KEYS)
-    violations = _shape_violations(problem["n"], problem["m"], c, Q, A, b)
-    if violations:
-        return violations
-    # Entries that are not triples stack as NaN rows, which fail the order
-    # check and are reported from the raw entry.
-    triple_or_nan = lambda raw, label: raw if len(raw) == 3 else (np.nan,) * 3
-    return _violations(_stack((c, Q, A, b), triple_or_nan), (c, Q, A, b))
+    return _diagnose(problem)
 
 
-def _shape_violations(n, m, c, Q, A, b) -> list[str]:
+def _diagnose(doc) -> list[str]:
+    try:
+        _check_document(doc, symmetrize=False)
+    except ValidationError as e:
+        return e.violations
+    except (ParseError, StructureError) as e:
+        return [str(e)]
+    return []
+
+
+def _label(key: str, idx) -> str:
+    return key + "".join(f"[{i}]" for i in idx)
+
+
+def _violations(arrays) -> list[str]:
+    """Order and symmetry violations of (c, Q, A, b) triple arrays, in label order."""
     violations = []
-    if n < 1:
-        violations.append(f"n must be >= 1, got {n}")
-    if m < 1:
-        violations.append(f"m must be >= 1, got {m}")
-    if len(c) != n or len(Q) != n or any(len(row) != n for row in Q):
-        violations.append("c/Q dimensions disagree with n")
-    if len(A) != m or any(len(row) != n for row in A) or len(b) != m:
-        violations.append("A/b dimensions disagree with n and m")
-    return violations
-
-
-def _violations(arrays, raw=None) -> list[str]:
-    """Order and symmetry violations of (c, Q, A, b) triple arrays, in label order.
-
-    raw holds the entries as the document gave them, for the messages;
-    without it the messages show the arrays' floats.
-    """
-
-    def entry(k, idx):
-        if raw is None:
-            return tuple(arrays[k][tuple(idx)].tolist())
-        e = raw[k]
-        for i in idx:
-            e = e[i]
-        return e
-
-    violations = []
-    for k, (key, t) in enumerate(zip(_KEYS, arrays)):
+    for key, t in zip(_KEYS, arrays):
         ordered = (t[..., 0] <= t[..., 1]) & (t[..., 1] <= t[..., 2])
         for idx in np.argwhere(~ordered):
-            label = key + "".join(f"[{i}]" for i in idx)
-            e = entry(k, idx)
-            if len(e) != 3:
-                violations.append(f"{label} is not a triple: {e!r}")
-            else:
-                a1, a2, a3 = e
-                violations.append(f"{label} out of order: ({a1}, {a2}, {a3})")
+            a1, a2, a3 = t[tuple(idx)].tolist()
+            violations.append(f"{_label(key, idx)} out of order: ({a1}, {a2}, {a3})")
     Q = arrays[1]
     asymmetric = np.triu(np.any(Q != Q.transpose(1, 0, 2), axis=-1), 1)
     for i, j in np.argwhere(asymmetric):
-        # NaN rows of non-triples always compare unequal; their raw entries decide.
-        p, q = tuple(entry(1, (i, j))), tuple(entry(1, (j, i)))
-        if p != q:
-            violations.append(f"Q[{i}][{j}] != Q[{j}][{i}]: {p} vs {q}")
+        p, q = tuple(Q[i, j].tolist()), tuple(Q[j, i].tolist())
+        violations.append(f"Q[{i}][{j}] != Q[{j}][{i}]: {p} vs {q}")
     return violations
 
 
@@ -242,18 +221,75 @@ def _stack(fields, triple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     )
 
 
-def _as_triple(raw, label: str) -> tuple[float, float, float]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ParseError(f"{label}: expected a [a1, a2, a3] triple, got {raw!r}")
-    out = []
+def _as_triple(raw, label: str):
+    if not isinstance(raw, _ARRAY) or len(raw) != 3:
+        raise ParseError(f"{label} is not a triple: expected [a1, a2, a3], got {raw!r}")
     for v in raw:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ParseError(f"{label}: non-numeric entry {v!r}")
-        v = float(v)
-        if not np.isfinite(v):
-            raise ParseError(f"{label}: non-finite entry {v!r}")
-        out.append(v)
-    return tuple(out)
+    return raw
+
+
+def _float(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:  # non-finite, as 1e400 decodes
+        return math.inf if v > 0 else -math.inf
+
+
+def _check_document(doc, symmetrize: bool):
+    """Every check of a decoded problem document, as parse_problem documents
+    them; returns (c, Q, A, b, name) with an empty name as None."""
+    if not isinstance(doc, dict):
+        raise ParseError("top-level value must be an object")
+    for key in _FIELDS:
+        if key not in doc:
+            raise ParseError(f"missing required field {key!r}")
+    unknown = set(doc) - {"name", *_FIELDS}
+    if unknown:
+        raise ParseError(f"unknown fields: {sorted(unknown)}")
+    n, m = doc["n"], doc["m"]
+    for key, value in (("n", n), ("m", m)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParseError(f"{key} must be an integer, got {value!r}")
+    name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ParseError(f"name must be a string, got {name!r}")
+    fields = c, Q, A, b = [doc[key] for key in _KEYS]
+    for key, field in zip(_KEYS, fields):
+        if not isinstance(field, _ARRAY):
+            raise ParseError(f"{key} must be an array")
+        if key in ("Q", "A") and not all(isinstance(row, _ARRAY) for row in field):
+            raise ParseError(f"{key} must be an array of arrays")
+
+    cq, ab = "c/Q dimensions disagree with n: ", "A/b dimensions disagree with n and m: "
+    if n < 1 or m < 1:
+        raise StructureError(f"{cq if n < 1 else ab}n and m must be >= 1, got n={n}, m={m}")
+    if len(c) != n:
+        raise StructureError(f"{cq}c has {len(c)} entries, expected n={n}")
+    if len(Q) != n or any(len(row) != n for row in Q):
+        raise StructureError(f"{cq}Q must be {n}x{n} triples")
+    if len(A) != m or any(len(row) != n for row in A):
+        raise StructureError(f"{ab}A must be {m}x{n} triples")
+    if len(b) != m:
+        raise StructureError(f"{ab}b has {len(b)} entries, expected m={m}")
+
+    try:
+        arrays = _stack(fields, _as_triple)
+    except OverflowError:  # every entry passed _as_triple; an integer is beyond float range
+        arrays = _stack(fields, lambda raw, label: [_float(v) for v in raw])
+    for key, t in zip(_KEYS, arrays):
+        bad = np.argwhere(~np.isfinite(t).all(axis=-1))
+        if len(bad):
+            a1, a2, a3 = t[tuple(bad[0])].tolist()
+            raise ParseError(f"{_label(key, bad[0])}: non-finite entry in ({a1}, {a2}, {a3})")
+    c, Q, A, b = arrays
+    if symmetrize:
+        Q = _symmetrize(Q)
+    violations = _violations((c, Q, A, b))
+    if violations:
+        raise ValidationError(violations)
+    return c, Q, A, b, name or None
 
 
 def parse_problem(text: str, symmetrize: bool = False) -> FuzzyQP:
@@ -268,46 +304,8 @@ def parse_problem(text: str, symmetrize: bool = False) -> FuzzyQP:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise ParseError("top-level value must be an object")
-
-    for key in ("n", "m", "c", "Q", "A", "b"):
-        if key not in doc:
-            raise ParseError(f"missing required field {key!r}")
-    unknown = set(doc) - {"name", "n", "m", "c", "Q", "A", "b"}
-    if unknown:
-        raise ParseError(f"unknown fields: {sorted(unknown)}")
-    n, m = doc["n"], doc["m"]
-    for key, value in (("n", n), ("m", m)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(f"{key} must be an integer, got {value!r}")
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ParseError(f"name must be a string, got {name!r}")
-    for key, depth in (("c", 1), ("Q", 2), ("A", 2), ("b", 1)):
-        if not isinstance(doc[key], list):
-            raise ParseError(f"{key} must be an array")
-        if depth == 2 and not all(isinstance(row, list) for row in doc[key]):
-            raise ParseError(f"{key} must be an array of arrays")
-
-    if n < 1 or m < 1:
-        raise StructureError(f"n and m must be >= 1, got n={n}, m={m}")
-    if len(doc["c"]) != n:
-        raise StructureError(f"c has {len(doc['c'])} entries, expected n={n}")
-    if len(doc["Q"]) != n or any(len(row) != n for row in doc["Q"]):
-        raise StructureError(f"Q must be {n}x{n} triples")
-    if len(doc["A"]) != m or any(len(row) != n for row in doc["A"]):
-        raise StructureError(f"A must be {m}x{n} triples")
-    if len(doc["b"]) != m:
-        raise StructureError(f"b has {len(doc['b'])} entries, expected m={m}")
-
-    c, Q, A, b = _stack([doc[key] for key in _KEYS], _as_triple)
-    if symmetrize:
-        Q = _symmetrize(Q)
-    violations = _violations((c, Q, A, b))
-    if violations:
-        raise ValidationError(violations)
-    p = FuzzyQP._from_arrays(c, Q, A, b, name=name if name else None)
+    *arrays, name = _check_document(doc, symmetrize)
+    p = FuzzyQP._from_arrays(*arrays, name=name)
     object.__setattr__(p, "_violation_list", ())  # the check above, on the same arrays
     return p
 

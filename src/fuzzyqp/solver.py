@@ -385,6 +385,8 @@ def solve_pg(
 
     if opts.multistart is not None:
         starts = [np.asarray(p, dtype=float) for p in opts.multistart]
+    elif convex:
+        starts = [np.zeros(q.n)]  # the first default start; the random ones serve indefinite Q
     else:
         starts = _default_starts(q, opts)
     if convex:

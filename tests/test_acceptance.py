@@ -109,8 +109,8 @@ def test_criterion_4_nonconvex_handling(example_problem):
 
 def test_criterion_5_projection_properties():
     rng = np.random.default_rng(5150)
-    # thin-wedge geometries among the random polyhedra need a deeper sweep
-    # budget than the default to resolve the exact projection
+    # project() is exact, so projection_max_sweeps has no effect; it is still
+    # accepted, and thin wedges among the random polyhedra need no budget
     opts = SolverOptions(projection_max_sweeps=500_000)
     worst_idem = 0.0
     worst_expand = 0.0

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import FIXTURE_PATH, random_fuzzy_qp
 
@@ -64,6 +66,112 @@ class TestValidate:
         doc = json.loads(FIXTURE_PATH.read_text())
         doc["b"] = doc["b"][:1]
         assert any("A/b" in v for v in validate(doc))
+
+
+def _set(doc, path, value):
+    """Replace the item of doc at path (keys, then indices); return doc."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _fixture_doc():
+    return json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))
+
+
+def _mutated(path, value):
+    return json.dumps(_set(_fixture_doc(), path, value))
+
+
+def _without(key):
+    doc = _fixture_doc()
+    del doc[key]
+    return json.dumps(doc)
+
+
+# Problem texts, each malformed in one field.  1e400 decodes to inf.
+MALFORMED = {
+    "bool-entry": _mutated(["c", 0, 1], True),
+    "numeric-string-entry": _mutated(["c", 0, 0], "-6"),
+    "unknown-field": _mutated(["extra"], 1),
+    "float-n": _mutated(["n"], 2.0),
+    "overflowing-float-entry": FIXTURE_PATH.read_text().replace("-6.0", "1e400"),
+    "non-numeric-entry": _mutated(["Q", 1, 1, 2], "x"),
+    "missing-field": _without("Q"),
+    "scalar-for-triple": _mutated(["b", 1], 4.0),
+    "null-entry": _mutated(["A", 0, 1, 0], None),
+    "overflowing-integer-entry": _mutated(["A", 1, 0, 2], 10**400),
+    "short-triple": _mutated(["A", 1, 0], [1, 2]),
+    "ragged-row": _mutated(["Q", 1], [[2.0, 4.0, 6.0]]),
+    "reversed-triple": _mutated(["b", 0], [3, 2, 1]),
+    "asymmetric-pair": _mutated(["Q", 0, 1], [-4.0, -3.0, -2.0]),
+    "zero-sizes": json.dumps({**_fixture_doc(), "n": 0, "m": 0,
+                              "c": [], "Q": [], "A": [], "b": []}),
+}
+
+
+def _assert_agreement(doc, text):
+    """validate(doc) reports exactly what parse_problem(text) raises."""
+    try:
+        parse_problem(text)
+    except ValidationError as e:
+        assert validate(doc) == e.violations
+    except (ParseError, StructureError) as e:
+        assert validate(doc) == [str(e)]
+    else:
+        assert validate(doc) == []
+
+
+class TestValidateAgreesWithParse:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_document(self, case):
+        text = MALFORMED[case]
+        doc = json.loads(text)
+        with pytest.raises((ParseError, StructureError, ValidationError)):
+            parse_problem(json.dumps(doc))
+        assert validate(doc)
+        _assert_agreement(doc, text)
+
+    def test_non_finite_entry_is_named(self, fixture_text):
+        with pytest.raises(ParseError, match=r"^c\[0\]: non-finite"):
+            parse_problem(fixture_text.replace("-6.0", "1e400"))
+        with pytest.raises(ParseError, match=r"^A\[1\]\[0\]: non-finite"):
+            parse_problem(MALFORMED["overflowing-integer-entry"])
+
+    def test_ragged_problem_gets_structure_violation(self):
+        p = small_problem()
+        ragged = FuzzyQP(p.c, p.Q, (p.A[0], p.A[1][:1]), p.b)
+        assert validate(ragged) == ["A/b dimensions disagree with n and m: A must be 2x2 triples"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_single_field_mutations(self, data):
+        doc = _fixture_doc()
+        key = data.draw(st.sampled_from(["name", "n", "m", "c", "Q", "A", "b", "extra", None]))
+        if key is None:
+            del doc[data.draw(st.sampled_from(sorted(doc)))]
+        else:
+            path = [key]
+            depth = {"c": 2, "b": 2, "Q": 3, "A": 3}.get(key, 0)
+            for level in range(data.draw(st.integers(0, depth))):
+                path.append(data.draw(st.integers(0, 2 if level == depth - 1 else 1)))
+            scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=2)
+            triples = st.lists(st.integers(-9, 9) | st.floats(-9, 9), min_size=3, max_size=3)
+            values = triples | st.recursive(scalars, lambda inner: st.lists(inner, max_size=4),
+                                            max_leaves=6)
+            _set(doc, path, data.draw(values))
+        try:
+            parse_problem(json.dumps(doc))
+        except ValidationError as e:
+            assert validate(doc) == e.violations
+        except (ParseError, StructureError):
+            # json.dumps writes NaN and inf as constants, which parse_problem
+            # rejects with a message of its own; only the verdict must agree.
+            assert validate(doc)
+        else:
+            assert validate(doc) == []
 
 
 class TestParse:

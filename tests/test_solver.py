@@ -317,8 +317,8 @@ class TestSolvePg:
         assert s.stationarity <= 1e-7
 
     def test_descent_on_convex_instances(self):
-        # tighter projections keep inexact-projection noise below the
-        # 1e-12 descent slack
+        # projection_tol has no effect on the exact projection; the 1e-12
+        # descent slack only absorbs rounding
         opts = SolverOptions(projection_tol=1e-12)
         rng = np.random.default_rng(17)
         for _ in range(10):
