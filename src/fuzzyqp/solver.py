@@ -8,15 +8,20 @@ dual active-set method (Goldfarb-Idnani) warm-started from the previous
 step's active set; an empty set is reported with a Farkas certificate.
 
 solve_oracle independently enumerates active-set candidates (stationarity
-systems over every subset of the m + n constraints), which yields the
-global optimum for convex instances of modest size and serves as the
-verification route for solve_pg.
+systems over every subset of at most n of the m + n constraints), which
+yields the global optimum for convex instances with n <= ORACLE_MAX_N and
+serves as the verification route for solve_pg.  The subsets are solved in
+blocks of a fixed byte size (ORACLE_BLOCK_BYTES) by one batched LU solve
+each, after slogdet drops the exactly singular systems, so memory does not
+grow with the number of subsets.  Its converged flag says whether the
+winner is a projected-gradient fixed point, which fails on instances
+unbounded below.
 """
 from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 from typing import Callable
 
 import numpy as np
@@ -25,6 +30,9 @@ from .problem import CrispQP
 
 UNBOUNDED_LIMIT = 1e8
 ORACLE_MAX_N = 8
+# Stacked KKT matrices per batched solve in solve_oracle: 1 MB keeps the
+# per-call overhead small without letting memory grow with C(m + n, n).
+ORACLE_BLOCK_BYTES = 1 << 20
 
 
 class InfeasibleError(RuntimeError):
@@ -430,61 +438,87 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
         [Q  E']  [x ]   [-c]
         [E  0 ]  [mu] = [ d]
 
-    is solved, where E x = d pins the members of S.  Feasible solutions
-    are kept (vertices arise as the |S| = n systems) and the one with the
-    least objective wins.  For PSD Q this is the global optimum; for
-    indefinite Q it is the best stationary/vertex point.  Singular
-    subsets are skipped.  opts is accepted for symmetry with solve_pg; no
+    is solved, where E x = d pins the members of S.  Solutions that are
+    finite, solve their system to a relative residual of 1e-8 and are
+    feasible to 1e-9 are kept (vertices arise as the |S| = n systems);
+    the one with the least objective wins, ties within 1e-12 going to the
+    lexicographically smallest x.  For PSD Q this is the global optimum;
+    for indefinite Q it is the best stationary/vertex point.
+
+    The subsets of each size are taken in blocks of about
+    ORACLE_BLOCK_BYTES of stacked KKT matrices, so memory stays bounded
+    at every n <= ORACLE_MAX_N.  Each block drops its exactly singular
+    systems (a zero pivot in the LU factorization, found by slogdet) and
+    solves the rest in one batched call.  iterations counts the subsets
+    enumerated, singular ones included.
+
+    converged is True when the winner is a fixed point of the projected
+    gradient map, stationarity <= 1e-8 * (1 + max|x|).  On an instance
+    unbounded below the winner is only the best of finitely many
+    candidates, not a stationary point, and converged is False.  An empty
+    polyhedron raises InfeasibleError with the Farkas certificate that
+    project finds.  opts is accepted for symmetry with solve_pg; no
     option changes the result.
     """
     n, m = q.n, q.m
     if n > ORACLE_MAX_N:
         raise ValueError(f"enumeration oracle supports n <= {ORACLE_MAX_N}, got n = {n}")
 
-    # Constraint catalogue: index i < m is row i of A, index m + j is x_j >= 0.
-    def constraint_row(idx):
-        if idx < m:
-            return q.A[idx], q.b[idx]
-        e = np.zeros(n)
-        e[idx - m] = 1.0
-        return e, 0.0
-
-    candidates = []
+    # Constraint catalogue: row i < m is row i of A, row m + j is x_j >= 0.
+    rows = np.vstack([q.A, np.eye(n)])
+    bounds = np.concatenate([q.b, np.zeros(n)])
+    best_x = best_z = None
     examined = 0
     for size in range(0, n + 1):
-        for subset in combinations(range(m + n), size):
-            E = np.empty((size, n))
-            d = np.empty(size)
-            for r, idx in enumerate(subset):
-                E[r], d[r] = constraint_row(idx)
-            kkt = np.zeros((n + size, n + size))
-            kkt[:n, :n] = q.Q
-            kkt[:n, n:] = E.T
-            kkt[n:, :n] = E
-            rhs = np.concatenate([-q.c, d])
-            examined += 1
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            if not np.all(np.isfinite(sol)):
-                continue
-            if np.max(np.abs(kkt @ sol - rhs)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
-                continue
-            x = sol[:n]
-            if np.all(x >= -1e-9) and np.all(q.A @ x <= q.b + 1e-9):
-                candidates.append((x, objective(q, x)))
+        dim = n + size
+        subsets = combinations(range(m + n), size)
+        block = max(1, ORACLE_BLOCK_BYTES // (8 * dim * dim))
+        while chunk := list(islice(subsets, block)):
+            examined += len(chunk)
+            S = np.array(chunk, dtype=np.intp)  # shape (len(chunk), size), also for size 0
+            for x in _kkt_candidates(q, rows[S], bounds[S]):
+                z = objective(q, x)
+                if best_x is None or z < best_z - 1e-12 or (
+                    abs(z - best_z) <= 1e-12 and tuple(x) < tuple(best_x)
+                ):
+                    best_x, best_z = x, z
 
-    if not candidates:
+    if best_x is None:
+        project(np.zeros(n), q.A, q.b)  # an empty polyhedron raises with a certificate here
         raise InfeasibleError("no feasible stationary or vertex candidate found")
 
-    best_x, best_z = candidates[0]
-    for x, z in candidates[1:]:
-        if z < best_z - 1e-12 or (abs(z - best_z) <= 1e-12 and tuple(x) < tuple(best_x)):
-            best_x, best_z = x, z
-
     step, convex = _step_rule(q)
+    stationarity = _stationarity(q, best_x, step)
     return QpSolution(
-        x=best_x, z=best_z, iterations=examined, converged=True,
-        stationarity=_stationarity(q, best_x, step), convex=convex,
+        x=best_x, z=best_z, iterations=examined,
+        converged=stationarity <= 1e-8 * (1.0 + float(np.max(np.abs(best_x)))),
+        stationarity=stationarity, convex=convex,
     )
+
+
+def _kkt_candidates(q: CrispQP, E: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Feasible x of the stationarity systems pinned by the stacked (E, d), in order.
+
+    E has shape (k, s, n) and d shape (k, s): k subsets of s constraints.
+    """
+    n = q.n
+    k, s, _ = E.shape
+    kkt = np.zeros((k, n + s, n + s))
+    kkt[:, :n, :n] = q.Q
+    kkt[:, :n, n:] = E.transpose(0, 2, 1)
+    kkt[:, n:, :n] = E
+    rhs = np.empty((k, n + s))
+    rhs[:, :n] = -q.c
+    rhs[:, n:] = d
+    # A zero pivot in getrf, the factorization solve runs, gives sign 0.
+    # Identity stand-ins let one batched solve go through; the mask drops them.
+    regular = np.linalg.slogdet(kkt)[0] != 0.0
+    kkt[~regular] = np.eye(n + s)
+    sol = np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
+    keep = regular & np.isfinite(sol).all(axis=1)
+    sol[~keep] = 0.0
+    residual = np.abs((kkt @ sol[:, :, None])[:, :, 0] - rhs).max(axis=1)
+    keep &= residual <= 1e-8 * (1.0 + np.abs(rhs).max(axis=1))
+    x = sol[:, :n]
+    keep &= (x >= -1e-9).all(axis=1) & (x @ q.A.T <= q.b + 1e-9).all(axis=1)
+    return x[keep]

@@ -1,9 +1,10 @@
 """Shared generators and frozen reference values for the test suite."""
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from fuzzyqp import CrispQP, FuzzyQP, TriangularFuzzyNumber
+from fuzzyqp import CrispQP, FuzzyQP, InfeasibleError, TriangularFuzzyNumber, objective
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_PATH = REPO_ROOT / "fixtures" / "liu2009-example.json"
@@ -46,6 +47,11 @@ def random_convex_qp(rng: np.random.Generator, n_max: int = 4, m_max: int = 4) -
     """Convex instance with Q = M'M + 0.1*I and the origin feasible."""
     n = int(rng.integers(1, n_max + 1))
     m = int(rng.integers(1, m_max + 1))
+    return convex_qp(rng, n, m)
+
+
+def convex_qp(rng: np.random.Generator, n: int, m: int) -> CrispQP:
+    """random_convex_qp with n variables and m rows."""
     M = rng.normal(size=(n, n))
     return CrispQP(
         c=rng.normal(size=n),
@@ -74,3 +80,43 @@ def random_fuzzy_qp(rng: np.random.Generator, n_max: int = 3, m_max: int = 3) ->
         b=tuple(random_tfn(rng) for _ in range(m)),
         name=f"random-{rng.integers(1_000_000)}",
     )
+
+
+def enumerate_oracle_reference(q: CrispQP) -> tuple[np.ndarray, float, int]:
+    """The enumeration oracle as one stationarity system per subset: (x, z, subsets).
+
+    The reference solve_oracle's batched enumeration must reproduce bit for
+    bit.  Raises InfeasibleError when no candidate is feasible.
+    """
+    n, m = q.n, q.m
+    rows = np.vstack([q.A, np.eye(n)])
+    bounds = np.concatenate([q.b, np.zeros(n)])
+    candidates = []
+    examined = 0
+    for size in range(0, n + 1):
+        for subset in combinations(range(m + n), size):
+            E, d = rows[list(subset)], bounds[list(subset)]
+            kkt = np.zeros((n + size, n + size))
+            kkt[:n, :n] = q.Q
+            kkt[:n, n:] = E.T
+            kkt[n:, :n] = E
+            rhs = np.concatenate([-q.c, d])
+            examined += 1
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            if not np.all(np.isfinite(sol)):
+                continue
+            if np.max(np.abs(kkt @ sol - rhs)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
+                continue
+            x = sol[:n]
+            if np.all(x >= -1e-9) and np.all(q.A @ x <= q.b + 1e-9):
+                candidates.append((x, objective(q, x)))
+    if not candidates:
+        raise InfeasibleError("no feasible stationary or vertex candidate found")
+    best_x, best_z = candidates[0]
+    for x, z in candidates[1:]:
+        if z < best_z - 1e-12 or (abs(z - best_z) <= 1e-12 and tuple(x) < tuple(best_x)):
+            best_x, best_z = x, z
+    return best_x, best_z, examined

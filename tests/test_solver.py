@@ -1,4 +1,7 @@
 """Projected gradient solver, exact projection, and the enumeration oracle."""
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,8 @@ from helpers import (
     Z_AT_1,
     Z_LOWER_AT_0,
     Z_UPPER_AT_0,
+    convex_qp,
+    enumerate_oracle_reference,
     random_convex_qp,
 )
 
@@ -28,7 +33,7 @@ from fuzzyqp import (
     solve_pg,
     upper_qp,
 )
-from fuzzyqp.solver import _Projector
+from fuzzyqp.solver import ORACLE_MAX_N, _Projector, _stationarity, _step_rule
 
 
 def modal_qp() -> CrispQP:
@@ -358,22 +363,54 @@ class TestSolvePg:
         assert s.iterations == 2
 
 
+def _assert_farkas(A, b, mu):
+    """mu >= 0 over the rows of [A; -I] with A'mu_A - mu_I = 0 and b'mu_A < 0."""
+    m = A.shape[0]
+    assert mu.min() >= 0.0
+    assert np.max(np.abs(A.T @ mu[:m] - mu[m:])) <= 1e-9 * np.max(np.abs(mu))
+    assert b @ mu[:m] < 0.0
+
+
+def _oracle_instance(rng, kind):
+    """kind 0..4: convex, indefinite, Q = 0, a row of A repeated exactly, empty."""
+    A, b = _random_polyhedron(rng)
+    n = A.shape[1]
+    M = rng.normal(size=(n, n))
+    Q = {1: 0.5 * (M + M.T), 2: np.zeros((n, n))}.get(kind, M.T @ M + 0.1 * np.eye(n))
+    if kind == 3:
+        A, b = np.vstack([A, A[:1]]), np.append(b, b[0])
+    if kind == 4:
+        lam = rng.uniform(0.1, 2.0, size=A.shape[0])
+        A, b = np.vstack([A, -lam @ A]), np.append(b, -lam @ b - rng.uniform(0.01, 1.0))
+    return CrispQP(c=rng.normal(size=n), Q=Q, A=A, b=b)
+
+
 class TestOracle:
     def test_lower_qp_at_zero(self, example_problem):
         s = solve_oracle(lower_qp(example_problem, 0.0))
         assert s.z == pytest.approx(Z_LOWER_AT_0, abs=1e-10)
         np.testing.assert_allclose(s.x, X_LOWER_AT_0, atol=1e-10)
+        assert s.converged
 
     def test_modal_interior(self):
         s = solve_oracle(modal_qp())
         assert s.z == pytest.approx(Z_AT_1, abs=1e-12)
         np.testing.assert_allclose(s.x, X_AT_1, atol=1e-12)
+        assert s.converged
 
     def test_unconstrained_minimum_at_origin(self):
         q = CrispQP(c=[0.0, 0.0], Q=np.eye(2), A=[[1.0, 1.0]], b=[1.0])
         s = solve_oracle(q)
         assert s.z == 0.0
         np.testing.assert_allclose(s.x, [0.0, 0.0], atol=1e-12)
+
+    def test_unbounded_instance_not_converged(self):
+        # z = -x1 + x2^2/2 falls without bound along x1; the best candidate,
+        # the origin, is no fixed point of the projected-gradient map
+        q = CrispQP(c=[-1.0, 0.0], Q=[[0.0, 0.0], [0.0, 1.0]], A=[[0.0, 1.0]], b=[1.0])
+        s = solve_oracle(q)
+        assert s.z == 0.0 and s.stationarity == 1.0
+        assert not s.converged
 
     def test_too_large_rejected(self):
         n = 9
@@ -383,8 +420,37 @@ class TestOracle:
 
     def test_infeasible(self):
         q = CrispQP(c=[1.0], Q=[[1.0]], A=[[1.0]], b=[-2.0])
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError) as err:
             solve_oracle(q)
+        _assert_farkas(q.A, q.b, err.value.certificate)
+
+    def test_batched_enumeration_matches_per_subset_reference(self):
+        rng = np.random.default_rng(505)
+        for i in range(200):
+            q = _oracle_instance(rng, i % 5)
+            try:
+                x, z, examined = enumerate_oracle_reference(q)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError) as err:
+                    solve_oracle(q)
+                _assert_farkas(q.A, q.b, err.value.certificate)
+                continue
+            s = solve_oracle(q)
+            assert s.x.tobytes() == x.tobytes() and s.z == z
+            assert s.iterations == examined == sum(comb(q.m + q.n, k) for k in range(q.n + 1))
+            assert s.stationarity == _stationarity(q, x, _step_rule(q)[0])
+
+    def test_memory_bounded_at_the_size_cap(self):
+        # one subset size at n = m = 8 stacked at once is 12 870 KKT
+        # matrices of 16 x 16, about 26 MB
+        q = convex_qp(np.random.default_rng(8), ORACLE_MAX_N, ORACLE_MAX_N)
+        tracemalloc.start()
+        try:
+            solve_oracle(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_agrees_with_pg_on_convex_instances(self):
         rng = np.random.default_rng(1234)
@@ -393,6 +459,12 @@ class TestOracle:
             z_pg = solve_pg(q).z
             z_oracle = solve_oracle(q).z
             assert abs(z_pg - z_oracle) <= 1e-6
+
+    def test_agrees_with_pg_at_the_size_cap(self):
+        rng = np.random.default_rng(4321)
+        for _ in range(3):
+            q = convex_qp(rng, ORACLE_MAX_N, ORACLE_MAX_N)
+            assert abs(solve_pg(q).z - solve_oracle(q).z) <= 1e-6
 
 
 class TestConvexityInequality:
