@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     except ValidationError as e:
         for violation in e.violations:
             print(f"invalid: {violation}", file=sys.stderr)
-        return 2
+        return 1
     except (InfeasibleError, UnboundedError, CurveShapeError, ProblemError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -59,10 +59,12 @@ class FuzzyQP:
     """Minimization QP whose every coefficient is a triangular fuzzy number.
 
     c holds the n cost triples, Q the symmetric n x n quadratic triples,
-    A the m x n constraint triples and b the m right-hand sides.  The same
-    data are also kept, built once and read-only, as float arrays of
-    shape (n, 3), (n, n, 3), (m, n, 3) and (m, 3) with (a1, a2, a3) on
-    the last axis; validation, cut extraction and serialization read those.
+    A the m x n constraint triples and b the m right-hand sides.  The
+    package reads only the read-only float arrays of these data, of shape
+    (n, 3), (n, n, 3), (m, n, 3) and (m, 3) with (a1, a2, a3) on the last
+    axis.  A problem built from TriangularFuzzyNumber tuples stacks them
+    once, on first use; a parsed or symmetrized problem stores only the
+    arrays and builds its c, Q, A and b tuples the first time they are read.
     """
 
     c: TfnRow
@@ -79,32 +81,56 @@ class FuzzyQP:
 
     @classmethod
     def _from_arrays(cls, c, Q, A, b, name=None) -> "FuzzyQP":
-        """Build from triple arrays, which become the cached view as they are."""
-        tfns = lambda rows: tuple(TriangularFuzzyNumber(*t) for t in rows)
-        p = cls(tfns(c.tolist()), tuple(map(tfns, Q.tolist())),
-                tuple(map(tfns, A.tolist())), tfns(b.tolist()), name)
+        """Build from triple arrays, which become the stored data as they are."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "name", name)
         object.__setattr__(p, "_arrays", _read_only(c, Q, A, b))
         return p
+
+    def __getattr__(self, attr):
+        # Reached only for attributes missing from the instance, such as the
+        # TFN fields of a problem built from arrays: made on first read, kept.
+        arrays = self.__dict__.get("_arrays")
+        if attr not in _KEYS or arrays is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        tfns = lambda rows: tuple(TriangularFuzzyNumber(*t) for t in rows)
+        c, Q, A, b = (t.tolist() for t in arrays)
+        fields = tfns(c), tuple(map(tfns, Q)), tuple(map(tfns, A)), tfns(b)
+        for key, value in zip(_KEYS, fields):
+            object.__setattr__(self, key, value)
+        return self.__dict__[attr]
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         as_triple = lambda t, label: (t.a1, t.a2, t.a3)
         return _read_only(*_stack((self.c, self.Q, self.A, self.b), as_triple))
 
+    def _stored(self):
+        """(c, Q, A, b) as stored: the TFN tuples, nested as given (ragged or
+        not), or else the triple arrays of a problem built from arrays."""
+        if "c" in self.__dict__:
+            return self.c, self.Q, self.A, self.b
+        return self._arrays
+
     @cached_property
     def _violation_list(self) -> tuple[str, ...]:
         """validate(self), computed once: the instance is immutable."""
-        t3 = lambda row: [(t.a1, t.a2, t.a3) for t in row]  # nested as given, ragged or not
-        return tuple(_diagnose(dict(n=self.n, m=self.m, c=t3(self.c), Q=list(map(t3, self.Q)),
-                                    A=list(map(t3, self.A)), b=t3(self.b))))
+        try:
+            _check_sizes(self.n, self.m, *self._stored())
+            _check_values(self._arrays)
+        except ValidationError as e:
+            return tuple(e.violations)
+        except (ParseError, StructureError) as e:
+            return (str(e),)
+        return ()
 
     @property
     def n(self) -> int:
-        return len(self.c)
+        return len(self._stored()[0])
 
     @property
     def m(self) -> int:
-        return len(self.b)
+        return len(self._stored()[3])
 
     def symmetrized(self) -> "FuzzyQP":
         """Replace Q by (Q + Q') / 2, averaged component-wise per triple."""
@@ -169,12 +195,8 @@ def validate(problem) -> list[str]:
     """
     if isinstance(problem, FuzzyQP):
         return list(problem._violation_list)
-    return _diagnose(problem)
-
-
-def _diagnose(doc) -> list[str]:
     try:
-        _check_document(doc, symmetrize=False)
+        _check_document(problem, symmetrize=False)
     except ValidationError as e:
         return e.violations
     except (ParseError, StructureError) as e:
@@ -255,13 +277,23 @@ def _check_document(doc, symmetrize: bool):
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError(f"name must be a string, got {name!r}")
-    fields = c, Q, A, b = [doc[key] for key in _KEYS]
+    fields = [doc[key] for key in _KEYS]
     for key, field in zip(_KEYS, fields):
         if not isinstance(field, _ARRAY):
             raise ParseError(f"{key} must be an array")
         if key in ("Q", "A") and not all(isinstance(row, _ARRAY) for row in field):
             raise ParseError(f"{key} must be an array of arrays")
+    _check_sizes(n, m, *fields)
 
+    try:
+        arrays = _stack(fields, _as_triple)
+    except OverflowError:  # every entry passed _as_triple; an integer is beyond float range
+        arrays = _stack(fields, lambda raw, label: [_float(v) for v in raw])
+    return (*_check_values(arrays, symmetrize), name or None)
+
+
+def _check_sizes(n, m, c, Q, A, b) -> None:
+    """StructureError unless the nested lengths of (c, Q, A, b) match n >= 1 and m >= 1."""
     cq, ab = "c/Q dimensions disagree with n: ", "A/b dimensions disagree with n and m: "
     if n < 1 or m < 1:
         raise StructureError(f"{cq if n < 1 else ab}n and m must be >= 1, got n={n}, m={m}")
@@ -274,10 +306,11 @@ def _check_document(doc, symmetrize: bool):
     if len(b) != m:
         raise StructureError(f"{ab}b has {len(b)} entries, expected m={m}")
 
-    try:
-        arrays = _stack(fields, _as_triple)
-    except OverflowError:  # every entry passed _as_triple; an integer is beyond float range
-        arrays = _stack(fields, lambda raw, label: [_float(v) for v in raw])
+
+def _check_values(arrays, symmetrize: bool = False):
+    """ParseError at the first non-finite triple of the (c, Q, A, b) arrays,
+    else ValidationError listing every out-of-order triple and asymmetric Q
+    pair, Q first symmetrized if asked; returns the arrays so checked."""
     for key, t in zip(_KEYS, arrays):
         bad = np.argwhere(~np.isfinite(t).all(axis=-1))
         if len(bad):
@@ -289,7 +322,7 @@ def _check_document(doc, symmetrize: bool):
     violations = _violations((c, Q, A, b))
     if violations:
         raise ValidationError(violations)
-    return c, Q, A, b, name or None
+    return c, Q, A, b
 
 
 def parse_problem(text: str, symmetrize: bool = False) -> FuzzyQP:

@@ -420,13 +420,19 @@ def solve_pg(
 
 
 def _better_run(run, best) -> bool:
-    _, z, _, converged = run
-    _, z_best, _, conv_best = best
+    x, z, _, converged = run
+    x_best, z_best, _, conv_best = best
     if converged != conv_best:
         return converged
+    return _beats(x, z, x_best, z_best)
+
+
+def _beats(x, z, x_best, z_best) -> bool:
+    """The tie rule of both solvers: the lower z beyond 1e-12 wins, and
+    otherwise the lexicographically smaller x."""
     if abs(z - z_best) > 1e-12:
         return z < z_best
-    return tuple(run[0]) < tuple(best[0])
+    return tuple(x) < tuple(x_best)
 
 
 def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
@@ -478,9 +484,7 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
             S = np.array(chunk, dtype=np.intp)  # shape (len(chunk), size), also for size 0
             for x in _kkt_candidates(q, rows[S], bounds[S]):
                 z = objective(q, x)
-                if best_x is None or z < best_z - 1e-12 or (
-                    abs(z - best_z) <= 1e-12 and tuple(x) < tuple(best_x)
-                ):
+                if best_x is None or _beats(x, z, best_x, best_z):
                     best_x, best_z = x, z
 
     if best_x is None:

@@ -135,6 +135,20 @@ class TestSolve:
         assert first.stdout == second.stdout
 
 
+    @pytest.mark.parametrize("command", ["solve", "plot-data"])
+    def test_invalid_data_exits_one(self, command, tmp_path, capsys):
+        doc = json.loads(FIXTURE_PATH.read_text())
+        doc["Q"][0][1] = [-4.0, -3.0, -2.0]
+        path = tmp_path / "asym.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, "--input", str(path), "--alphas", "0,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid: Q[0][1] != Q[1][0]: (-4.0, -3.0, -2.0) vs (-3.0, -2.0, -1.0)\n"
+        )
+
+
 class TestPlotData:
     def test_polyline_shape(self, capsys):
         code = main(["plot-data", "--input", FIXTURE, "--alphas", "0:1:0.2"])

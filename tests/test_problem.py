@@ -1,5 +1,6 @@
 """Problem model: validation, parsing, and canonical serialization."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import FIXTURE_PATH, random_fuzzy_qp
 
+import fuzzyqp.problem as problem_module
 from fuzzyqp import (
     CrispQP,
     FuzzyQP,
@@ -15,17 +17,20 @@ from fuzzyqp import (
     StructureError,
     TriangularFuzzyNumber,
     ValidationError,
+    lower_qp,
     parse_problem,
     serialize_problem,
+    upper_qp,
     validate,
 )
+from fuzzyqp.cli import main
 
 T = TriangularFuzzyNumber
 
 
-def small_problem(q12=T(-3, -2, -1), q21=T(-3, -2, -1)) -> FuzzyQP:
+def small_problem(q12=T(-3, -2, -1), q21=T(-3, -2, -1), c0=T(-6, -5, -4)) -> FuzzyQP:
     return FuzzyQP(
-        c=(T(-6, -5, -4), T(1, 1.5, 2)),
+        c=(c0, T(1, 1.5, 2)),
         Q=((T(4, 6, 8), q12), (q21, T(2, 4, 6))),
         A=((T(1, 1, 1), T(0.5, 1, 1.5)), (T(1, 2, 3), T(-2, -1, -0.5))),
         b=(T(1, 2, 3), T(2, 4, 6)),
@@ -50,10 +55,10 @@ class TestValidate:
         assert "c[0]" in violations[0] and "order" in violations[0]
 
     def test_asymmetry_same_for_problem_and_document(self):
-        p = small_problem(q21=T(-3, -2, -0.5))
-        violations = validate(p)
-        assert violations
-        assert validate(json.loads(serialize_problem(p))) == violations
+        for p in small_problem(q21=T(-3, -2, -0.5)), small_problem(c0=T(-math.inf, -5, -4)):
+            violations = validate(p)
+            assert violations
+            assert validate(json.loads(serialize_problem(p))) == violations
 
     def test_short_triple_reported_on_document(self, fixture_text):
         doc = json.loads(fixture_text)
@@ -255,7 +260,8 @@ class TestSerialize:
         rng = np.random.default_rng(7)
         for _ in range(50):
             p = random_fuzzy_qp(rng)
-            assert parse_problem(serialize_problem(p)) == p
+            parsed = parse_problem(serialize_problem(p))
+            assert hash(parsed) == hash(p) and parsed == p and repr(parsed) == repr(p)
 
     def test_round_trip_crisp_repeats(self):
         t = T(1.25, 1.25, 1.25)
@@ -288,6 +294,40 @@ class TestFuzzyQP:
         s = p.symmetrized()
         assert s.Q[0][1] == s.Q[1][0] == T(-3, -2, -1)
         assert validate(s) == []
+
+    def test_array_paths_build_no_fuzzy_numbers(self, fixture_text, monkeypatch, capsys):
+        built = []
+        tfn = problem_module.TriangularFuzzyNumber
+        real = tfn.__post_init__
+        monkeypatch.setattr(tfn, "__post_init__", lambda t: built.append(t) or real(t))
+        p = parse_problem(fixture_text)
+        for alpha in (0.0, 0.5, 1.0):
+            lower_qp(p, alpha)
+            upper_qp(p, alpha)
+        assert serialize_problem(p) == fixture_text
+        s = p.symmetrized()
+        assert validate(s) == [] and s.n == 2 and s.m == 2
+        lower_qp(s, 0.5)
+        assert main(["solve", "--input", str(FIXTURE_PATH), "--alphas", "0:1:0.5",
+                     "--format", "csv"]) == 0
+        capsys.readouterr()
+        assert built == []
+        Q = p.Q  # the fields are built together on first read, and then kept
+        assert len(built) == 2 + 4 + 4 + 2
+        assert p.Q is Q and p.c is p.c and len(built) == 12
+
+    def test_hand_built_problem_is_stacked_once_and_not_type_checked(self, monkeypatch):
+        calls = []
+        for name in ("_as_triple", "_stack"):
+            real = getattr(problem_module, name)
+            monkeypatch.setattr(problem_module, name,
+                                lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        p = small_problem()
+        assert validate(p) == []
+        lower_qp(p, 0.5)
+        upper_qp(p, 0.5)
+        assert validate(p) == []
+        assert calls == ["_stack"]
 
 
 class TestCrispQP:

@@ -418,6 +418,14 @@ class TestOracle:
         with pytest.raises(ValueError, match="n <= 8"):
             solve_oracle(q)
 
+    def test_feasibility_tolerance_decides_the_winner(self):
+        # the unconstrained minimum x = 1 violates x <= b by 5e-7, so a
+        # feasibility tolerance of 1e-6 would accept it in place of x = b
+        b = 1.0 - 5e-7
+        s = solve_oracle(CrispQP(c=[-100.0], Q=[[100.0]], A=[[1.0]], b=[b]))
+        assert s.x.shape == (1,) and abs(s.x[0] - b) <= 1e-15  # so feasible to 1e-15
+        assert s.converged
+
     def test_infeasible(self):
         q = CrispQP(c=[1.0], Q=[[1.0]], A=[[1.0]], b=[-2.0])
         with pytest.raises(InfeasibleError) as err:
