@@ -150,7 +150,11 @@ def _symmetrize(Q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CrispQP:
-    """One crisp instance: minimize c'x + (1/2) x'Qx s.t. Ax <= b, x >= 0."""
+    """One crisp instance: minimize c'x + (1/2) x'Qx s.t. Ax <= b, x >= 0.
+
+    c must be nonempty, the shapes must agree, every entry must be finite
+    and Q symmetric within 1e-12; otherwise ValueError names the field.
+    """
 
     c: np.ndarray
     Q: np.ndarray
@@ -163,17 +167,21 @@ class CrispQP:
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         n = c.shape[0]
+        if c.ndim != 1 or n == 0:
+            raise ValueError(f"c must be a nonempty vector, got shape {c.shape}")
         if Q.shape != (n, n):
             raise ValueError(f"Q must be {n}x{n}, got {Q.shape}")
         if A.ndim != 2 or A.shape[1] != n:
             raise ValueError(f"A must have {n} columns, got {A.shape}")
         if b.shape != (A.shape[0],):
             raise ValueError(f"b must have length {A.shape[0]}, got {b.shape}")
-        if Q.size and np.max(np.abs(Q - Q.T)) > SYMMETRY_TOL:
-            raise ValueError("Q is not symmetric within 1e-12")
         for arr, name in ((c, "c"), (Q, "Q"), (A, "A"), (b, "b")):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has a non-finite entry")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if np.max(np.abs(Q - Q.T)) > SYMMETRY_TOL:
+            raise ValueError("Q is not symmetric within 1e-12")
 
     @property
     def n(self) -> int:

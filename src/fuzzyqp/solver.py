@@ -6,6 +6,11 @@ One eigvalsh per crisp QP gives both K and whether Q is PSD.
 Each step projects onto the feasible set {Ax <= b, x >= 0} exactly, by a
 dual active-set method (Goldfarb-Idnani) warm-started from the previous
 step's active set; an empty set is reported with a Farkas certificate.
+A step's exact comparisons (feasibility, multiplier signs, the slack
+test, the divergence and convergence tests) scan Python lists when
+m + n <= SHORT_LEN and call numpy reductions otherwise; both decide as
+numpy's max/min would, NaN included, so the iterates do not depend on the
+choice.
 
 solve_oracle independently enumerates active-set candidates (stationarity
 systems over every subset of at most n of the m + n constraints), which
@@ -33,6 +38,13 @@ ORACLE_MAX_N = 8
 # Stacked KKT matrices per batched solve in solve_oracle: 1 MB keeps the
 # per-call overhead small without letting memory grow with C(m + n, n).
 ORACLE_BLOCK_BYTES = 1 << 20
+# A crisp QP with m + n at most this makes its projected-gradient
+# comparisons by _ListChecks, a longer one by _ArrayChecks.  Measured per
+# call, a Python scan beats a numpy reduction up to about 32 entries and
+# loses from 48 on.  Either form alone slows a perfbench workload: arrays
+# for every size make fixture-cli (m + n = 4) 29% slower, lists for every
+# size make wide-interior (m + n = 120) 5% slower.
+SHORT_LEN = 32
 
 
 class InfeasibleError(RuntimeError):
@@ -62,8 +74,9 @@ class SolverOptions:
     always run a single start (the first multistart point if given, else
     the origin).
 
-    projection_tol and projection_max_sweeps are still validated but no
-    longer change any result: projections are exact and finite.
+    projection_tol and projection_max_sweeps are deprecated no-ops: they
+    are still validated but change no result, since projections are exact
+    and finite.
     """
 
     tol: float = 1e-9
@@ -151,9 +164,9 @@ def _spectrum(Q) -> tuple[float, bool]:
 
 def _step_rule(q: CrispQP) -> tuple[float, bool]:
     """(step, convex): step 1/K, or 1/max(||c||, 1) when Q = 0 (an LP)."""
-    K, convex = _spectrum(q.Q)
     if not q.Q.any():
-        K = max(float(np.linalg.norm(q.c)), 1.0)
+        return 1.0 / max(float(np.linalg.norm(q.c)), 1.0), True
+    K, convex = _spectrum(q.Q)
     return 1.0 / K, convex
 
 
@@ -172,12 +185,12 @@ def project(x, A, b, opts: SolverOptions | None = None,
     projection's dual is solved by a finite active-set method (see
     _Projector), so the result satisfies the KKT conditions up to
     rounding.  An empty polyhedron raises InfeasibleError carrying a
-    Farkas certificate.  opts is accepted for compatibility; no option
-    changes the result.  _warm is a _Projector built from the same A and
-    b, which carries the active set from one call to the next.
+    Farkas certificate.  opts is a deprecated no-op, accepted for
+    compatibility.  _warm is a _Projector built from the same A and b,
+    which carries the active set from one call to the next.
     """
     if _warm is not None:
-        return x if _feasible(x, A, b) else _warm(x)
+        return x if _warm.contains(x) else _warm(x)
     x = np.asarray(x, dtype=float).copy()
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -186,12 +199,76 @@ def project(x, A, b, opts: SolverOptions | None = None,
         A = A.reshape(0, n)
     if A.shape[1] != n or b.shape != (A.shape[0],):
         raise ValueError("A, b dimensions do not match x")
-    return x if _feasible(x, A, b) else _Projector(A, b)(x)
+    proj = _Projector(A, b)
+    return x if proj.contains(x) else proj(x)
 
 
-def _feasible(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> bool:
-    """Ax <= b and x >= 0, exactly."""
-    return (A @ x - b).max(initial=0.0) <= 0.0 and x.min() >= 0.0
+_max = np.maximum.reduce
+_min = np.minimum.reduce
+
+
+class _ListChecks:
+    """The exact comparisons of a projected-gradient step, on short vectors.
+
+    Each scans v.tolist() in a Python loop, which costs less than a numpy
+    reduction's call overhead while v has a few dozen entries.  Each
+    decides as the numpy reduction does: False when a NaN is involved
+    (Python's max() can step over a NaN, so none is used), and max_le and
+    min_ge hold for an empty v.
+    """
+
+    @staticmethod
+    def max_le(v: np.ndarray, t: float) -> bool:
+        """max(v) <= t."""
+        for e in v.tolist():
+            if not e <= t:
+                return False
+        return True
+
+    @staticmethod
+    def min_ge(v: np.ndarray, t: float) -> bool:
+        """min(v) >= t."""
+        for e in v.tolist():
+            if not e >= t:
+                return False
+        return True
+
+    @staticmethod
+    def abs_max_gt(v: np.ndarray, t: float) -> bool:
+        """max|v| > t."""
+        v = v.tolist()
+        for e in v:
+            if not abs(e) <= t:  # beyond t, or NaN
+                return all(e == e for e in v)  # numpy's max is NaN if any entry is
+        return False
+
+    @staticmethod
+    def dist_le(u: np.ndarray, v: np.ndarray, t: float) -> bool:
+        """max|u - v| <= t."""
+        for a, b in zip(u.tolist(), v.tolist()):
+            if not abs(a - b) <= t:
+                return False
+        return True
+
+
+class _ArrayChecks:
+    """_ListChecks by numpy reductions, for vectors too long to scan in Python."""
+
+    @staticmethod
+    def max_le(v: np.ndarray, t: float) -> bool:
+        return _max(v, initial=-np.inf) <= t
+
+    @staticmethod
+    def min_ge(v: np.ndarray, t: float) -> bool:
+        return _min(v, initial=np.inf) >= t
+
+    @staticmethod
+    def abs_max_gt(v: np.ndarray, t: float) -> bool:
+        return _max(np.abs(v)) > t
+
+    @staticmethod
+    def dist_le(u: np.ndarray, v: np.ndarray, t: float) -> bool:
+        return _max(np.abs(u - v)) <= t
 
 
 class _Projector:
@@ -219,6 +296,8 @@ class _Projector:
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         m, n = A.shape
+        self.A, self.b = A, b
+        self.checks = _ListChecks if m + n <= SHORT_LEN else _ArrayChecks
         norms = np.sqrt(np.einsum("ij,ij->i", A, A))
         zero = norms == 0.0
         unsatisfiable = np.flatnonzero(zero & (b < 0.0))
@@ -240,7 +319,14 @@ class _Projector:
         # the residual of a tight row is rounding.
         self.tol = 1e-12 * (1.0 + float(np.max(np.abs(self.h), initial=0.0)))
         self.active: tuple[int, ...] = ()
-        self._faces: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+        # The empty face needs no QR: mu is empty and y = x - 0.
+        self._faces: dict[tuple[int, ...], tuple] = {
+            (): (np.zeros((0, n)), np.zeros(0), np.zeros((n, 0)), [])
+        }
+
+    def contains(self, x: np.ndarray) -> bool:
+        """Ax <= b and x >= 0, exactly."""
+        return self.checks.max_le(self.A @ x - self.b, 0.0) and self.checks.min_ge(x, 0.0)
 
     def _face(self, P: tuple[int, ...]) -> tuple:
         """(K, k, G_P', pinned) for the active set P: mu_P = K x - k, and
@@ -266,16 +352,17 @@ class _Projector:
         return y
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        checks = self.checks
         P = self.active
         while True:
             K, k, Gt, pinned = self._face(P)
             mu = K @ x - k
-            if mu.min(initial=0.0) >= 0.0:
+            if checks.min_ge(mu, 0.0):
                 break
             P = tuple(compress(P, (mu >= 0.0).tolist()))
         y = self._point(x, mu, Gt, pinned)
         s = self.G @ y - self.h
-        if s.max() <= self.tol:
+        if checks.max_le(s, self.tol):
             self.active = P
             return y
         tol = self.tol + 1e-12 * float(np.abs(x).max())
@@ -358,17 +445,19 @@ def _pg_run(q, x0, step, opts, callback, warm):
     x = x0
     if callback is not None:
         callback(x)
+    # float: a Python float compared with a float32 tol would round to float32
+    checks, tol = warm.checks, float(opts.tol)
     for k in range(opts.max_iter):
         y = x - step * gradient(q, x)
         x_new = project(y, q.A, q.b, _warm=warm)
         if callback is not None:
             callback(x_new)
-        if np.abs(x_new).max() > UNBOUNDED_LIMIT:
+        if checks.abs_max_gt(x_new, UNBOUNDED_LIMIT):
             raise UnboundedError(
                 f"iterate magnitude exceeded {UNBOUNDED_LIMIT:.0e}; "
                 "instance appears unbounded below"
             )
-        if np.abs(x_new - x).max() <= opts.tol:
+        if checks.dist_le(x_new, x, tol):
             return x_new, k + 1, True
         x = x_new
     return x, opts.max_iter, False
@@ -463,8 +552,8 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     unbounded below the winner is only the best of finitely many
     candidates, not a stationary point, and converged is False.  An empty
     polyhedron raises InfeasibleError with the Farkas certificate that
-    project finds.  opts is accepted for symmetry with solve_pg; no
-    option changes the result.
+    project finds.  opts is a deprecated no-op, accepted for symmetry
+    with solve_pg.
     """
     n, m = q.n, q.m
     if n > ORACLE_MAX_N:

@@ -1,10 +1,21 @@
 """Shared generators and frozen reference values for the test suite."""
-from itertools import combinations
+from itertools import combinations, compress
 from pathlib import Path
 
 import numpy as np
 
-from fuzzyqp import CrispQP, FuzzyQP, InfeasibleError, TriangularFuzzyNumber, objective
+from fuzzyqp import (
+    CrispQP,
+    FuzzyQP,
+    InfeasibleError,
+    QpSolution,
+    SolverOptions,
+    TriangularFuzzyNumber,
+    UnboundedError,
+    gradient,
+    objective,
+)
+from fuzzyqp.solver import UNBOUNDED_LIMIT, _better_run, _default_starts, _Projector, _spectrum
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_PATH = REPO_ROOT / "fixtures" / "liu2009-example.json"
@@ -120,3 +131,98 @@ def enumerate_oracle_reference(q: CrispQP) -> tuple[np.ndarray, float, int]:
         if z < best_z - 1e-12 or (abs(z - best_z) <= 1e-12 and tuple(x) < tuple(best_x)):
             best_x, best_z = x, z
     return best_x, best_z, examined
+
+
+class _ReferenceProjector(_Projector):
+    """_Projector deciding by numpy reductions, with a QR for every face.
+
+    __call__ is the first version of _Projector.__call__; the faces
+    (_face) and the row exchanges (_add) are shared.
+    """
+
+    def __init__(self, A, b):
+        super().__init__(A, b)
+        self._faces.clear()  # the empty face too is built by QR
+
+    def contains(self, x):
+        return (self.A @ x - self.b).max(initial=0.0) <= 0.0 and x.min() >= 0.0
+
+    def __call__(self, x):
+        P = self.active
+        while True:
+            K, k, Gt, pinned = self._face(P)
+            mu = K @ x - k
+            if mu.min(initial=0.0) >= 0.0:
+                break
+            P = tuple(compress(P, (mu >= 0.0).tolist()))
+        y = self._point(x, mu, Gt, pinned)
+        s = self.G @ y - self.h
+        if s.max() <= self.tol:
+            self.active = P
+            return y
+        tol = self.tol + 1e-12 * float(np.abs(x).max())
+        for _ in range(10 * len(self.h)):
+            s[list(P)] = -np.inf
+            p = int(np.argmax(s))
+            if s[p] <= tol:
+                break
+            P, mu, y = self._add(P, mu, y, p, float(s[p]))
+            s = self.G @ y - self.h
+        else:
+            raise RuntimeError("active-set projection is cycling")
+        self.active = P
+        K, k, Gt, pinned = self._face(P)
+        return self._point(x, K @ x - k, Gt, pinned)
+
+
+def pg_reference(q: CrispQP, opts: SolverOptions | None = None, callback=None) -> QpSolution:
+    """solve_pg as first written: every exact comparison by a numpy reduction.
+
+    The lean solve_pg must reproduce it bit for bit, callback iterates
+    included.
+    """
+    opts = opts or SolverOptions()
+    K, convex = _spectrum(q.Q)
+    if not q.Q.any():
+        K = max(float(np.linalg.norm(q.c)), 1.0)
+    step = 1.0 / K
+    if opts.multistart is not None:
+        starts = [np.asarray(p, dtype=float) for p in opts.multistart]
+    elif convex:
+        starts = [np.zeros(q.n)]
+    else:
+        starts = _default_starts(q, opts)
+    if convex:
+        starts = starts[:1]
+
+    warm = _ReferenceProjector(q.A, q.b)
+
+    def project(x):
+        return x if warm.contains(x) else warm(x)
+
+    best = None
+    for x in starts:
+        x = project(x)
+        if callback is not None:
+            callback(x)
+        iters, converged = opts.max_iter, False
+        for k in range(opts.max_iter):
+            x_new = project(x - step * gradient(q, x))
+            if callback is not None:
+                callback(x_new)
+            if np.abs(x_new).max() > UNBOUNDED_LIMIT:
+                raise UnboundedError("iterate magnitude exceeded 1e+08")
+            if np.abs(x_new - x).max() <= opts.tol:
+                x, iters, converged = x_new, k + 1, True
+                break
+            x = x_new
+        run = (x, objective(q, x), iters, converged)
+        if best is None or _better_run(run, best):
+            best = run
+
+    x, z, iters, converged = best
+    stationarity = float(np.max(np.abs(x - project(x - step * gradient(q, x)))))
+    return QpSolution(
+        x=x, z=z, iterations=iters, converged=converged,
+        stationarity=stationarity, convex=convex,
+    )

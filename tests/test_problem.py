@@ -341,6 +341,28 @@ class TestCrispQP:
         with pytest.raises(ValueError):
             CrispQP(c=[0.0], Q=np.eye(2), A=[[1.0, 0.0]], b=[1.0])
 
+    def test_empty_c_rejected(self):
+        with pytest.raises(ValueError, match="c must be a nonempty vector"):
+            CrispQP(c=[], Q=np.zeros((0, 0)), A=np.zeros((1, 0)), b=[1.0])
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            # solve_pg raised InfeasibleError with a bogus Farkas certificate
+            ("c", {"c": [math.nan, 0.0]}),
+            # the projection tolerance became inf and solve_pg returned the
+            # infeasible x = [-1, 0] as converged
+            ("b", {"c": [1.0, 0.0], "b": [math.inf]}),
+            ("Q", {"Q": [[1.0, 0.0], [0.0, -math.inf]]}),
+            ("A", {"A": [[1.0, math.nan]]}),
+        ],
+        ids=["c-nan", "b-inf", "Q-inf", "A-nan"],
+    )
+    def test_non_finite_rejected(self, field, kwargs):
+        data = {"c": [0.0, 0.0], "Q": np.eye(2), "A": [[1.0, 1.0]], "b": [1.0], **kwargs}
+        with pytest.raises(ValueError, match=f"^{field} has a non-finite entry$"):
+            CrispQP(**data)
+
     def test_arrays_read_only(self):
         q = CrispQP(c=[1.0], Q=[[2.0]], A=[[1.0]], b=[1.0])
         with pytest.raises(ValueError):

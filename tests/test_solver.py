@@ -16,6 +16,7 @@ from helpers import (
     Z_UPPER_AT_0,
     convex_qp,
     enumerate_oracle_reference,
+    pg_reference,
     random_convex_qp,
 )
 
@@ -33,7 +34,17 @@ from fuzzyqp import (
     solve_pg,
     upper_qp,
 )
-from fuzzyqp.solver import ORACLE_MAX_N, _Projector, _stationarity, _step_rule
+import fuzzyqp.solver as solver_module
+from fuzzyqp.cli import parse_alpha_spec
+from fuzzyqp.solver import (
+    ORACLE_MAX_N,
+    SHORT_LEN,
+    _ArrayChecks,
+    _ListChecks,
+    _Projector,
+    _stationarity,
+    _step_rule,
+)
 
 
 def modal_qp() -> CrispQP:
@@ -361,6 +372,159 @@ class TestSolvePg:
         s = solve_pg(modal_qp(), SolverOptions(max_iter=2))
         assert not s.converged
         assert s.iterations == 2
+
+
+def _outcome(solve, q, opts=None):
+    """(QpSolution fields as bytes, callback iterates), or the error raised."""
+    trace = []
+    try:
+        s = solve(q, opts, callback=lambda x: trace.append(x.tobytes()))
+    except (InfeasibleError, UnboundedError) as e:
+        return type(e), trace
+    fields = (s.x.tobytes(), s.z, s.iterations, s.converged, s.stationarity, s.convex)
+    return fields, trace
+
+
+def _pg_instance(rng, kind, n, m):
+    """kind 0..3: convex, indefinite, Q = 0, convex with duplicated rows of A.
+
+    A holds m random rows, then the box x <= 2 so that every instance is
+    bounded, and x = 0 is feasible.
+    """
+    M = rng.normal(size=(n, n))
+    Q = {1: 0.5 * (M + M.T), 2: np.zeros((n, n))}.get(kind, M.T @ M + 0.1 * np.eye(n))
+    A = rng.normal(size=(m, n))
+    b = rng.uniform(0.1, 2.0, size=m)
+    if kind == 3:
+        rows = rng.integers(m, size=2)
+        A, b = np.vstack([A, A[rows]]), np.append(b, b[rows])
+    A, b = np.vstack([A, np.eye(n)]), np.append(b, np.full(n, 2.0))
+    return CrispQP(c=3.0 * rng.normal(size=n), Q=Q, A=A, b=b)
+
+
+class TestLeanPgMatchesReference:
+    """solve_pg decides its comparisons without numpy reductions on short
+    vectors and prefills the empty face; it must match pg_reference, which
+    reduces every vector in numpy and runs a QR for every face, bit for bit."""
+
+    def test_fixture_grid(self, example_problem):
+        for alpha in parse_alpha_spec("0:1:0.01"):
+            for q in lower_qp(example_problem, alpha), upper_qp(example_problem, alpha):
+                assert _outcome(solve_pg, q) == _outcome(pg_reference, q)
+
+    @pytest.mark.parametrize("kind", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 2), (6, 5), (12, 10), (20, 30), (40, 20)])
+    def test_random_instances(self, kind, n, m):
+        rng = np.random.default_rng(700 + 10 * kind + n)
+        opts = SolverOptions(max_iter=3000)
+        for _ in range(4 if n + m <= SHORT_LEN else 2):
+            q = _pg_instance(rng, kind, n, m)
+            checks = _Projector(q.A, q.b).checks
+            assert checks is (_ListChecks if q.m + q.n <= SHORT_LEN else _ArrayChecks)
+            assert _outcome(solve_pg, q, opts) == _outcome(pg_reference, q, opts)
+
+    def test_unbounded_and_infeasible(self):
+        unbounded = CrispQP(c=[0.0, 0.0], Q=-np.eye(2), A=[[-1.0, -1.0]], b=[-1.0])
+        infeasible = CrispQP(c=[1.0], Q=[[1.0]], A=[[1.0]], b=[-1.0])
+        for q in unbounded, infeasible:
+            assert _outcome(solve_pg, q) == _outcome(pg_reference, q)
+
+    def test_empty_face_is_the_qr_face(self):
+        A, b = np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 1.0]]), np.ones(3)
+        proj = _Projector(A, b)
+        prefilled = proj._faces.pop(())
+        built = proj._face(())
+        for a, c in zip(prefilled, built):
+            assert np.shape(a) == np.shape(c) and np.array_equal(a, c)
+        x = np.array([0.25, -0.0])
+        K, k, Gt, pinned = prefilled
+        assert proj._point(x, K @ x - k, Gt, pinned).tobytes() == x.tobytes()
+
+
+class TestChecks:
+    """_ListChecks and _ArrayChecks decide as numpy's reductions do, NaN included."""
+
+    REFERENCE = {
+        "max_le": lambda v, t: v.max() <= t,
+        "min_ge": lambda v, t: v.min() >= t,
+        "abs_max_gt": lambda v, t: np.abs(v).max() > t,
+    }
+
+    @staticmethod
+    def _vectors():
+        for base in ([-1.0, 0.5, 2.0, -3.0, 1e9], [0.0, -0.0, 1e-13, -1e-13, 0.0],
+                     [np.inf, -1.0, 0.0, 1.0, 2.0], [-np.inf, 5.0, -5.0, 1e8, -1e8]):
+            for length in (1, 2, 3, 5):
+                v = np.array(base[:length])
+                yield v
+                for at in {0, length // 2, length - 1}:
+                    w = v.copy()
+                    w[at] = np.nan
+                    yield w
+
+    @pytest.mark.parametrize("checks", [_ListChecks, _ArrayChecks])
+    def test_single_vector_checks(self, checks):
+        for v in self._vectors():
+            for t in (0.0, 1e-12, 1.0, 1e8):
+                for name, reference in self.REFERENCE.items():
+                    assert getattr(checks, name)(v, t) == reference(v, t), (name, v, t)
+
+    @pytest.mark.parametrize("checks", [_ListChecks, _ArrayChecks])
+    def test_distance_check(self, checks):
+        vectors = list(self._vectors())
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for u in vectors:
+                for v in vectors:
+                    if u.shape == v.shape:
+                        for t in (0.0, 1e-9, 1.0):
+                            expected = np.abs(u - v).max() <= t
+                            assert checks.dist_le(u, v, t) == expected, (u, v, t)
+
+    @pytest.mark.parametrize("checks", [_ListChecks, _ArrayChecks])
+    def test_empty_vector_passes(self, checks):
+        # as max(initial=0.0) <= 0.0 and min(initial=0.0) >= 0.0 do, for
+        # m = 0 rows and for the multipliers of the empty face
+        assert checks.max_le(np.zeros(0), 0.0) and checks.min_ge(np.zeros(0), 0.0)
+
+
+class TestTracedNames:
+    """perfbench counts solver.project_calls and solver.gradient_calls by
+    wrapping the module attributes project and gradient, so the PG loop
+    must call them by those names."""
+
+    @pytest.mark.parametrize("case", ["convex", "indefinite", "long"])
+    def test_one_project_and_gradient_call_per_iteration(self, monkeypatch, example_problem, case):
+        q = {
+            "convex": lambda: upper_qp(example_problem, 0.0),
+            "indefinite": lambda: lower_qp(example_problem, 0.0),
+            "long": lambda: _pg_instance(np.random.default_rng(3), 0, 30, 10),
+        }[case]()
+        calls = {"project": 0, "gradient": 0}
+        runs = []
+
+        def counting(name):
+            original = getattr(solver_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(solver_module, name, wrapper)
+
+        counting("project")
+        counting("gradient")
+        pg_run = solver_module._pg_run
+
+        def counted_run(*args):
+            out = pg_run(*args)
+            runs.append(out[1])
+            return out
+        monkeypatch.setattr(solver_module, "_pg_run", counted_run)
+
+        s = solve_pg(q)
+        assert len(runs) == (1 if s.convex else 9)
+        # one start projection per run and one stationarity check per solve
+        assert calls["gradient"] == sum(runs) + 1
+        assert calls["project"] == sum(runs) + len(runs) + 1
 
 
 def _assert_farkas(A, b, mu):
