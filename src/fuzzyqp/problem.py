@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -58,13 +59,12 @@ TfnRow = tuple[TriangularFuzzyNumber, ...]
 class FuzzyQP:
     """Minimization QP whose every coefficient is a triangular fuzzy number.
 
-    c holds the n cost triples, Q the symmetric n x n quadratic triples,
-    A the m x n constraint triples and b the m right-hand sides.  The
-    package reads only the read-only float arrays of these data, of shape
-    (n, 3), (n, n, 3), (m, n, 3) and (m, 3) with (a1, a2, a3) on the last
-    axis.  A problem built from TriangularFuzzyNumber tuples stacks them
-    once, on first use; a parsed or symmetrized problem stores only the
-    arrays and builds its c, Q, A and b tuples the first time they are read.
+    c holds the n cost triples, Q the symmetric n x n quadratic triples, A the
+    m x n constraint triples and b the m right-hand sides.  The package reads
+    only the read-only float arrays of these data (see _shaped), with (a1, a2,
+    a3) on the last axis.  A problem built from TriangularFuzzyNumber tuples
+    stacks them once, on first use; a parsed or symmetrized problem stores only
+    the arrays and builds its c, Q, A and b tuples the first time they are read.
     """
 
     c: TfnRow
@@ -74,10 +74,8 @@ class FuzzyQP:
     name: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "c", tuple(self.c))
-        object.__setattr__(self, "Q", tuple(tuple(row) for row in self.Q))
-        object.__setattr__(self, "A", tuple(tuple(row) for row in self.A))
-        object.__setattr__(self, "b", tuple(self.b))
+        for key, value in zip(_KEYS, (self.c, self.Q, self.A, self.b)):
+            object.__setattr__(self, key, tuple(map(tuple, value) if key in ("Q", "A") else value))
 
     @classmethod
     def _from_arrays(cls, c, Q, A, b, name=None) -> "FuzzyQP":
@@ -102,7 +100,7 @@ class FuzzyQP:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        as_triple = lambda t, label: (t.a1, t.a2, t.a3)
+        as_triple = lambda t, *label: (t.a1, t.a2, t.a3)
         return _read_only(*_stack((self.c, self.Q, self.A, self.b), as_triple))
 
     def _stored(self):
@@ -232,31 +230,44 @@ def _violations(arrays) -> list[str]:
     return violations
 
 
-def _stack(fields, triple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Float triple arrays of (c, Q, A, b), each entry mapped by triple(entry, label).
-
-    The entries are visited in label order: c, then Q and A row by row, then b.
-    """
+def _bulk(fields):
+    """(c, Q, A, b) triple arrays if every entry is a list or tuple of three ints or floats
+    (exact types), else None; each whole field is screened in C, all before any converts."""
     c, Q, A, b = fields
-    n, m = len(c), len(b)
-    c = [triple(t, f"c[{j}]") for j, t in enumerate(c)]
-    Q = [triple(t, f"Q[{i}][{j}]") for i, row in enumerate(Q) for j, t in enumerate(row)]
-    A = [triple(t, f"A[{i}][{j}]") for i, row in enumerate(A) for j, t in enumerate(row)]
-    b = [triple(t, f"b[{i}]") for i, t in enumerate(b)]
-    return (
-        np.array(c, dtype=float).reshape(n, 3),
-        np.array(Q, dtype=float).reshape(n, n, 3),
-        np.array(A, dtype=float).reshape(m, n, 3),
-        np.array(b, dtype=float).reshape(m, 3),
-    )
+    flat = []
+    for entries in (c, list(chain.from_iterable(Q)), list(chain.from_iterable(A)), b):
+        if not set(map(type, entries)) <= {list, tuple} or set(map(len, entries)) != {3}:
+            return None
+        flat.append(list(chain.from_iterable(entries)))
+        if not set(map(type, flat[-1])) <= {int, float}:
+            return None
+    return _shaped(flat, len(c), len(b))
 
 
-def _as_triple(raw, label: str):
+def _stack(fields, triple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(c, Q, A, b) triple arrays of triple(entry, key, *idx) for every entry in label order,
+    all before any converts; the label key[i][j] is formatted only if triple reports it."""
+    c, Q, A, b = fields
+    return _shaped((
+        [triple(t, "c", j) for j, t in enumerate(c)],
+        [triple(t, "Q", i, j) for i, row in enumerate(Q) for j, t in enumerate(row)],
+        [triple(t, "A", i, j) for i, row in enumerate(A) for j, t in enumerate(row)],
+        [triple(t, "b", i) for i, t in enumerate(b)],
+    ), len(c), len(b))
+
+
+def _shaped(flat, n, m) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(n, 3), (n, n, 3), (m, n, 3) and (m, 3) float arrays of the flat (c, Q, A, b) lists."""
+    shapes = ((n, 3), (n, n, 3), (m, n, 3), (m, 3))
+    return tuple(np.array(f, dtype=float).reshape(s) for f, s in zip(flat, shapes))
+
+
+def _as_triple(raw, key: str, *idx):
     if not isinstance(raw, _ARRAY) or len(raw) != 3:
-        raise ParseError(f"{label} is not a triple: expected [a1, a2, a3], got {raw!r}")
+        raise ParseError(f"{_label(key, idx)} is not a triple: expected [a1, a2, a3], got {raw!r}")
     for v in raw:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(f"{label}: non-numeric entry {v!r}")
+            raise ParseError(f"{_label(key, idx)}: non-numeric entry {v!r}")
     return raw
 
 
@@ -269,19 +280,19 @@ def _float(v) -> float:
 
 def _check_document(doc, symmetrize: bool):
     """Every check of a decoded problem document, as parse_problem documents
-    them; returns (c, Q, A, b, name) with an empty name as None."""
+    them; returns (c, Q, A, b, name) with an empty name as None.  The entries
+    are screened in bulk (_bulk), and walked (_stack with _as_triple) only when
+    that fails: to name the first bad entry, or to accept a float subclass."""
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     for key in _FIELDS:
         if key not in doc:
             raise ParseError(f"missing required field {key!r}")
-    unknown = set(doc) - {"name", *_FIELDS}
-    if unknown:
+    if unknown := set(doc) - {"name", *_FIELDS}:
         raise ParseError(f"unknown fields: {sorted(unknown)}")
-    n, m = doc["n"], doc["m"]
-    for key, value in (("n", n), ("m", m)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(f"{key} must be an integer, got {value!r}")
+    for key in ("n", "m"):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+            raise ParseError(f"{key} must be an integer, got {doc[key]!r}")
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError(f"name must be a string, got {name!r}")
@@ -291,12 +302,11 @@ def _check_document(doc, symmetrize: bool):
             raise ParseError(f"{key} must be an array")
         if key in ("Q", "A") and not all(isinstance(row, _ARRAY) for row in field):
             raise ParseError(f"{key} must be an array of arrays")
-    _check_sizes(n, m, *fields)
-
+    _check_sizes(doc["n"], doc["m"], *fields)
     try:
-        arrays = _stack(fields, _as_triple)
-    except OverflowError:  # every entry passed _as_triple; an integer is beyond float range
-        arrays = _stack(fields, lambda raw, label: [_float(v) for v in raw])
+        arrays = _bulk(fields) or _stack(fields, _as_triple)
+    except OverflowError:  # every entry is a number; an integer is beyond float range
+        arrays = _stack(fields, lambda raw, *label: [_float(v) for v in raw])
     return (*_check_values(arrays, symmetrize), name or None)
 
 
@@ -327,8 +337,7 @@ def _check_values(arrays, symmetrize: bool = False):
     c, Q, A, b = arrays
     if symmetrize:
         Q = _symmetrize(Q)
-    violations = _violations((c, Q, A, b))
-    if violations:
+    if violations := _violations((c, Q, A, b)):
         raise ValidationError(violations)
     return c, Q, A, b
 
@@ -356,20 +365,11 @@ def _reject_constant(token):
 
 
 def serialize_problem(p: FuzzyQP) -> str:
-    """Canonical text form: sorted keys one per line, floats in repr form
-    (shortest round-trip decimals).
-
-    parse_problem(serialize_problem(p)) reconstructs p exactly; an empty
-    or missing name is omitted.
-    """
-    doc = {"n": p.n, "m": p.m}
-    doc.update(zip(_KEYS, (a.tolist() for a in p._arrays)))
+    """Canonical text form: sorted keys one per line, floats in repr form (shortest
+    round-trip decimals), an empty or missing name omitted.  parse_problem of it
+    reconstructs p exactly."""
+    doc = {"n": p.n, "m": p.m, **dict(zip(_KEYS, (a.tolist() for a in p._arrays)))}
     if p.name:
         doc["name"] = p.name
-    items = sorted(doc.items())
-    lines = ["{"]
-    for i, (key, value) in enumerate(items):
-        comma = "," if i < len(items) - 1 else ""
-        lines.append(f'  "{key}": {json.dumps(value)}{comma}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    body = ",\n".join(f'  "{key}": {json.dumps(value)}' for key, value in sorted(doc.items()))
+    return "{\n" + body + "\n}\n"

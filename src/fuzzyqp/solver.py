@@ -157,16 +157,24 @@ def _spectrum(Q) -> tuple[float, bool]:
     Q = np.asarray(Q, dtype=float)
     if not Q.any():
         return 1.0, True
+    return _eig_spectrum(Q)
+
+
+def _eig_spectrum(Q: np.ndarray) -> tuple[float, bool]:
+    """_spectrum of a float array Q known to be nonzero."""
     eig = np.linalg.eigvalsh(Q)
     psd_tol = 1e-10 * max(1.0, float(np.max(np.abs(Q))))
     return float(np.max(np.abs(eig))), float(eig[0]) >= -psd_tol
 
 
 def _step_rule(q: CrispQP) -> tuple[float, bool]:
-    """(step, convex): step 1/K, or 1/max(||c||, 1) when Q = 0 (an LP)."""
+    """(step, convex): step 1/K, or 1/max(||c||, 1) when Q = 0 (an LP).
+
+    Q is tested for zero once, here; a nonzero Q goes straight to eigvalsh.
+    """
     if not q.Q.any():
         return 1.0 / max(float(np.linalg.norm(q.c)), 1.0), True
-    K, convex = _spectrum(q.Q)
+    K, convex = _eig_spectrum(q.Q)
     return 1.0 / K, convex
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests."""
 import json
+import shlex
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from helpers import (
     FIXTURE_PATH,
     GOLDEN_CSV_PATH,
+    REPO_ROOT,
     TABLE_Z_LOWER,
     TABLE_Z_UPPER,
     Z_AT_1,
@@ -176,6 +178,14 @@ class TestPlotData:
         via_format = capsys.readouterr().out
         assert via_subcommand == via_format
 
+    def test_default_grid_fails_on_fixture(self, capsys):
+        # Under the paper's endpoint rule z_lower dips from -4.0833 at alpha = 0
+        # to -4.1038 at alpha = 0.1, so the lower branch cannot be inverted.
+        assert main(["plot-data", "--input", FIXTURE, "--alphas", "0:1:0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lower branch is not nondecreasing in alpha\n"
+
     def test_crisp_degenerate_polyline(self, tmp_path, capsys):
         from helpers import crisp_problem
         from fuzzyqp import serialize_problem
@@ -217,3 +227,19 @@ class TestValidate:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["validate", "--input", str(path)]) == 1
         assert "b[0]" in capsys.readouterr().out
+
+
+class TestReadme:
+    def test_cli_examples_run(self, monkeypatch, capsys):
+        """Every `fuzzyqp` line of README's CLI block that names the bundled
+        fixture exits 0; lines naming the placeholder problem.json are skipped."""
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("fuzzyqp ")]
+        runnable = [line for line in lines if "fixtures/liu2009-example.json" in line]
+        assert len(runnable) >= 2
+        assert all("problem.json" in line for line in lines if line not in runnable)
+        monkeypatch.chdir(REPO_ROOT)
+        for line in runnable:
+            assert main(shlex.split(line)[1:]) == 0, line
+            assert capsys.readouterr().err == "", line

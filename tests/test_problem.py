@@ -179,6 +179,126 @@ class TestValidateAgreesWithParse:
             assert validate(doc) == []
 
 
+
+class _Int(int):
+    """An int subclass other than bool, which the per-entry walk accepts."""
+
+
+def _with_tuples(doc):
+    """doc with every row and triple of c, Q, A and b as a tuple."""
+    out = dict(doc)
+    out["c"], out["b"] = (tuple(map(tuple, doc[k])) for k in ("c", "b"))
+    out["Q"], out["A"] = (tuple(tuple(map(tuple, row)) for row in doc[k]) for k in ("Q", "A"))
+    return out
+
+
+def _entry_doc(path, value):
+    return _set(_fixture_doc(), path, value)
+
+
+def _bits(arrays):
+    return [(a.shape, a.dtype, a.tobytes()) for a in arrays]
+
+
+# One changed entry each, and what validate reports for it, byte for byte.
+ENTRY_CASES = {
+    "true": (_entry_doc(["c", 0, 1], True), ["c[0]: non-numeric entry True"]),
+    "numeric-string": (_entry_doc(["Q", 1, 0, 2], "-6"), ["Q[1][0]: non-numeric entry '-6'"]),
+    "null": (_entry_doc(["A", 0, 1, 0], None), ["A[0][1]: non-numeric entry None"]),
+    "np-int64": (_entry_doc(["b", 1, 0], np.int64(2)),
+                 [f"b[1]: non-numeric entry {np.int64(2)!r}"]),
+    "np-float64": (_entry_doc(["c", 1, 1], np.float64(1.5)), []),
+    "int-subclass": (_entry_doc(["Q", 0, 0, 1], _Int(6)), []),
+    "tuple-rows-and-triples": (_with_tuples(_fixture_doc()), []),
+    "tuple-triple": (_entry_doc(["A", 1, 1], (-2.0, -1.0, -0.5)), []),
+    "2**53+1": (_entry_doc(["b", 1], [2**53 - 1, 2**53, 2**53 + 1]), []),
+    "10**400": (_entry_doc(["A", 1, 0, 2], 10**400),
+                ["A[1][0]: non-finite entry in (1.0, 2.0, inf)"]),
+    "-10**400": (_entry_doc(["c", 0, 0], -(10**400)),
+                 ["c[0]: non-finite entry in (-inf, -5.0, -4.0)"]),
+    # Every entry is screened before any is converted: the bool is named,
+    # not turned into 1.0 on the way to the overflow's inf.
+    "10**400-then-true": (_set(_entry_doc(["c", 0, 0], -(10**400)), ["Q", 1, 1, 0], True),
+                          ["Q[1][1]: non-numeric entry True"]),
+    "first-in-label-order": (_set(_entry_doc(["b", 0, 0], None), ["A", 1, 0, 1], "x"),
+                             ["A[1][0]: non-numeric entry 'x'"]),
+    "dict-of-three": (_entry_doc(["c", 1], {"a": 1, "b": 2, "c": 3}),
+                      ["c[1] is not a triple: expected [a1, a2, a3], got {'a': 1, 'b': 2, 'c': 3}"]),
+    "string-of-three": (_entry_doc(["Q", 0, 1], "abc"),
+                        ["Q[0][1] is not a triple: expected [a1, a2, a3], got 'abc'"]),
+    "long-triple": (_entry_doc(["b", 0], [1, 2, 3, 4]),
+                    ["b[0] is not a triple: expected [a1, a2, a3], got [1, 2, 3, 4]"]),
+}
+
+
+class TestBulkScreen:
+    """A parsed document is screened and converted a whole field at a time;
+    only a document that fails the screen is walked entry by entry."""
+
+    @pytest.mark.parametrize("case", sorted(ENTRY_CASES))
+    def test_validate_and_parse_agree(self, case):
+        doc, expected = ENTRY_CASES[case]
+        assert validate(doc) == expected
+        if case != "np-int64":  # json.dumps cannot write a numpy integer
+            _assert_agreement(json.loads(json.dumps(doc)), json.dumps(doc))
+            if expected:
+                assert validate(json.loads(json.dumps(doc))) == expected
+
+    @pytest.mark.parametrize("case", ["np-float64", "int-subclass", "tuple-rows-and-triples",
+                                      "tuple-triple", "2**53+1"])
+    def test_accepted_entries_convert_as_plain_numbers(self, case):
+        doc = ENTRY_CASES[case][0]
+        plain = json.loads(json.dumps(doc))
+        got = problem_module._check_document(doc, symmetrize=False)
+        assert _bits(got[:4]) == _bits(parse_problem(json.dumps(doc))._arrays)
+        assert _bits(got[:4]) == _bits(problem_module._check_document(plain, False)[:4])
+
+    def test_big_integer_rounds_as_float_does(self):
+        b = problem_module._check_document(ENTRY_CASES["2**53+1"][0], False)[3]
+        assert b[1].tolist() == [float(2**53 - 1), float(2**53), float(2**53 + 1)]
+        assert b[1, 2] == 2.0**53
+
+    def test_screen_converts_as_the_walk_does(self):
+        rng = np.random.default_rng(2024)
+        ints = lambda size: [int(v) for v in rng.integers(-2**62, 2**62, size)]
+        for trial in range(60):
+            n, m = (int(v) for v in rng.integers(1, 6, 2))
+            size = 3 * (n + n * n + m * n + m)
+            values = rng.normal(scale=10.0 ** float(rng.integers(-3, 4)), size=size).tolist()
+            mixed = [v if rng.uniform() < 0.5 else w
+                     for v, w in zip(values, ints(size) if trial % 3 else map(round, values))]
+            big = rng.uniform(size=size) < 0.05  # integers past 2**53, rounded by conversion
+            mixed = [2**53 + 2 * v + 1 if b else v for v, b in zip(mixed, big)]
+            triples = iter(sorted(mixed[k:k + 3]) for k in range(0, size, 3))
+            c = [next(triples) for _ in range(n)]
+            Q = [[next(triples) for _ in range(n)] for _ in range(n)]
+            Q = [[Q[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            A = [[next(triples) for _ in range(n)] for _ in range(m)]
+            b = [next(triples) for _ in range(m)]
+            doc = {"n": n, "m": m, "c": c, "Q": Q, "A": A, "b": b}
+            got = problem_module._check_document(doc, symmetrize=False)[:4]
+            walked = problem_module._stack((c, Q, A, b), problem_module._as_triple)
+            assert _bits(got) == _bits(walked)
+            assert any(type(v) is int for v in mixed)
+
+    def test_well_formed_documents_are_not_walked(self, fixture_text, monkeypatch):
+        calls = []
+        for name in ("_as_triple", "_label"):
+            real = getattr(problem_module, name)
+            monkeypatch.setattr(problem_module, name,
+                                lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        parse_problem(fixture_text)
+        parse_problem(fixture_text.replace("-6.0", "-6"))  # ints pass the screen too
+        assert validate(_with_tuples(_fixture_doc())) == []
+        assert validate(small_problem()) == []  # the hand-built stack formats no labels
+        assert calls == []
+        assert validate(ENTRY_CASES["np-float64"][0]) == []  # fails the screen, so is walked
+        assert calls.count("_as_triple") == 2 + 4 + 4 + 2 and "_label" not in calls
+        with pytest.raises(ParseError, match=r"^c\[0\]: non-numeric entry True$"):
+            parse_problem(MALFORMED["bool-entry"])
+        assert calls[-2:] == ["_as_triple", "_label"]
+
+
 class TestParse:
     def test_bundled_example(self, example_problem):
         p = example_problem

@@ -44,6 +44,7 @@ from fuzzyqp.solver import (
     _Projector,
     _stationarity,
     _step_rule,
+    is_convex,
 )
 
 
@@ -118,6 +119,25 @@ class TestLipschitz:
 
     def test_zero_matrix_convention(self):
         assert lipschitz_constant(np.zeros((4, 4))) == 1.0
+        assert is_convex(np.zeros((4, 4))) is True
+
+    def test_step_rule_matches_spectrum(self):
+        rng = np.random.default_rng(21)
+        matrices = [np.zeros((3, 3)), np.eye(3), np.diag([1e-300, 0.0, 0.0]),
+                    [[4.0, -3.0], [-3.0, 2.0]], [[6.0, -2.0], [-2.0, 4.0]]]
+        for n in (1, 2, 5, 40):
+            M = rng.normal(size=(n, n))
+            matrices += [M + M.T, M.T @ M]
+        for Q in matrices:
+            Q = np.asarray(Q, dtype=float)
+            n = Q.shape[0]
+            q = CrispQP(c=rng.normal(size=n), Q=Q, A=np.ones((1, n)), b=[1.0])
+            step, convex = _step_rule(q)
+            if Q.any():
+                assert step == 1.0 / lipschitz_constant(Q)
+            else:
+                assert step == 1.0 / max(float(np.linalg.norm(q.c)), 1.0)
+            assert convex is is_convex(Q)
 
     def test_large_matrix_matches_svd(self):
         # An independent route to the spectral norm: the largest singular value.

@@ -15,6 +15,7 @@ from helpers import (
 
 from fuzzyqp import (
     AlphaRecord,
+    CrispQP,
     CurveShapeError,
     FuzzyQP,
     InfeasibleError,
@@ -26,6 +27,7 @@ from fuzzyqp import (
     solve_fqp,
     solve_oracle,
     lower_qp,
+    upper_qp,
 )
 
 T = TriangularFuzzyNumber
@@ -63,6 +65,21 @@ class TestSolveFqp:
         assert np.all(np.diff(example_curve.z_lower) >= -1e-9)
         assert np.all(np.diff(example_curve.z_upper) <= 1e-9)
         assert np.all(example_curve.z_lower <= example_curve.z_upper + 1e-9)
+
+    def test_paper_rule_lower_branch_is_not_a_lower_bound(self, example_problem, example_curve):
+        # The paper's rule takes b at its lower cut endpoint too.  The instance
+        # (c_L, Q_L, A_L, b_U) lies inside the alpha = 0 cut and its optimum
+        # is far below z_lower(0): this pins the disagreement, not a fix.
+        lo, up = lower_qp(example_problem, 0.0), upper_qp(example_problem, 0.0)
+        for tfn, value in zip(example_problem.b, up.b):
+            cut = tfn.alpha_cut(0.0)
+            assert cut.lo <= value <= cut.hi
+        s = solve_oracle(CrispQP(lo.c, lo.Q, lo.A, up.b))
+        assert s.converged
+        assert s.z == pytest.approx(-121.0 / 12.0, abs=1e-12)
+        np.testing.assert_allclose(s.x, [25.0 / 12.0, 11.0 / 6.0], rtol=0, atol=1e-12)
+        assert example_curve.z_lower[0] == pytest.approx(Z_LOWER_AT_0, abs=1e-9)
+        assert s.z - example_curve.z_lower[0] == pytest.approx(-6.0, abs=1e-9)  # -121/12 - (-49/12)
 
     def test_convexity_flags(self, example_curve):
         # the level-0 lower matrix is indefinite, everything else is not
