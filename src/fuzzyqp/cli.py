@@ -3,7 +3,7 @@ the results as an aligned table, CSV, or membership polyline data.
 
 Exit status is 0 only when every requested solve converged and no error
 occurred; validation failures and non-convergence exit 1, file/parse and
-solver errors exit 2.
+solver errors exit 2, as do bad flags such as a malformed --alphas spec.
 """
 from __future__ import annotations
 
@@ -121,7 +121,7 @@ def _emit(text: str, args) -> None:
 
 def cmd_solve(args) -> int:
     problem = _load(args)
-    curve = solve_fqp(problem, parse_alpha_spec(args.alphas), _options(args))
+    curve = solve_fqp(problem, args.alphas, _options(args))
     renderer = {"table": render_table, "csv": render_csv, "plot-data": render_plot_data}
     _emit(renderer[args.format](curve), args)
     all_converged = all(
@@ -152,6 +152,7 @@ def _add_common(sub, with_solver: bool) -> None:
         sub.add_argument(
             "--alphas",
             default="0:1:0.1",
+            type=parse_alpha_spec,
             help="grid as start:stop:step or a comma-separated list (default 0:1:0.1)",
         )
         sub.add_argument("--tol", type=float, default=1e-9, help="iterate-change stop tolerance")

@@ -116,10 +116,8 @@ class FuzzyQP:
         try:
             _check_sizes(self.n, self.m, *self._stored())
             _check_values(self._arrays)
-        except ValidationError as e:
-            return tuple(e.violations)
-        except (ParseError, StructureError) as e:
-            return (str(e),)
+        except ProblemError as e:
+            return tuple(_messages(e))
         return ()
 
     @property
@@ -203,11 +201,14 @@ def validate(problem) -> list[str]:
         return list(problem._violation_list)
     try:
         _check_document(problem, symmetrize=False)
-    except ValidationError as e:
-        return e.violations
-    except (ParseError, StructureError) as e:
-        return [str(e)]
+    except ProblemError as e:
+        return _messages(e)
     return []
+
+
+def _messages(e: ProblemError) -> list[str]:
+    """What validate reports for a failed check: a ValidationError's list, else its one message."""
+    return e.violations if isinstance(e, ValidationError) else [str(e)]
 
 
 def _label(key: str, idx) -> str:
@@ -241,7 +242,10 @@ def _bulk(fields):
         flat.append(list(chain.from_iterable(entries)))
         if not set(map(type, flat[-1])) <= {int, float}:
             return None
-    return _shaped(flat, len(c), len(b))
+    try:
+        return _shaped(flat, len(c), len(b))
+    except OverflowError:  # an integer beyond float range, which the walk converts
+        return None
 
 
 def _stack(fields, triple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -268,7 +272,7 @@ def _as_triple(raw, key: str, *idx):
     for v in raw:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ParseError(f"{_label(key, idx)}: non-numeric entry {v!r}")
-    return raw
+    return [_float(v) for v in raw]
 
 
 def _float(v) -> float:
@@ -280,9 +284,9 @@ def _float(v) -> float:
 
 def _check_document(doc, symmetrize: bool):
     """Every check of a decoded problem document, as parse_problem documents
-    them; returns (c, Q, A, b, name) with an empty name as None.  The entries
-    are screened in bulk (_bulk), and walked (_stack with _as_triple) only when
-    that fails: to name the first bad entry, or to accept a float subclass."""
+    them; returns (c, Q, A, b, name) with an empty name as None.  The entries are
+    screened in bulk (_bulk) and walked (_stack with _as_triple) only when that fails:
+    to name the first bad entry, or to convert a float subclass or an int past float range."""
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     for key in _FIELDS:
@@ -303,10 +307,7 @@ def _check_document(doc, symmetrize: bool):
         if key in ("Q", "A") and not all(isinstance(row, _ARRAY) for row in field):
             raise ParseError(f"{key} must be an array of arrays")
     _check_sizes(doc["n"], doc["m"], *fields)
-    try:
-        arrays = _bulk(fields) or _stack(fields, _as_triple)
-    except OverflowError:  # every entry is a number; an integer is beyond float range
-        arrays = _stack(fields, lambda raw, *label: [_float(v) for v in raw])
+    arrays = _bulk(fields) or _stack(fields, _as_triple)
     return (*_check_values(arrays, symmetrize), name or None)
 
 

@@ -1,8 +1,8 @@
 """Crisp QP solving: projected gradient descent plus an enumeration oracle.
 
 The main path (solve_pg) is fixed-step projected gradient with step 1/K,
-where K is the spectral norm of Q (the gradient's Lipschitz constant).
-One eigvalsh per crisp QP gives both K and whether Q is PSD.
+where K is the spectral norm of Q, or 1/max(||c||, 1) when Q = 0 (an LP).
+One eigvalsh per crisp QP, in _spectrum, gives both K and whether Q is PSD.
 Each step projects onto the feasible set {Ax <= b, x >= 0} exactly, by a
 dual active-set method (Goldfarb-Idnani) warm-started from the previous
 step's active set; an empty set is reported with a Farkas certificate.
@@ -141,7 +141,7 @@ def lipschitz_constant(Q) -> float:
     Computed by eigvalsh, not by power iteration: one decomposition per
     crisp QP gives both K and convexity (see is_convex).
     """
-    return _spectrum(Q)[0]
+    return _spectrum(Q)[0] or 1.0
 
 
 def is_convex(Q) -> bool:
@@ -152,30 +152,21 @@ def is_convex(Q) -> bool:
 def _spectrum(Q) -> tuple[float, bool]:
     """(K, convex) from one eigvalsh: the spectral norm and PSD-ness of Q.
 
-    The zero matrix gets K = 1.0 and counts as convex.
+    The zero matrix takes no eigvalsh: K = 0.0, and it counts as convex.
+    This is the one zero test of Q; callers read K = 0 as Q = 0.
     """
     Q = np.asarray(Q, dtype=float)
     if not Q.any():
-        return 1.0, True
-    return _eig_spectrum(Q)
-
-
-def _eig_spectrum(Q: np.ndarray) -> tuple[float, bool]:
-    """_spectrum of a float array Q known to be nonzero."""
+        return 0.0, True
     eig = np.linalg.eigvalsh(Q)
     psd_tol = 1e-10 * max(1.0, float(np.max(np.abs(Q))))
     return float(np.max(np.abs(eig))), float(eig[0]) >= -psd_tol
 
 
 def _step_rule(q: CrispQP) -> tuple[float, bool]:
-    """(step, convex): step 1/K, or 1/max(||c||, 1) when Q = 0 (an LP).
-
-    Q is tested for zero once, here; a nonzero Q goes straight to eigvalsh.
-    """
-    if not q.Q.any():
-        return 1.0 / max(float(np.linalg.norm(q.c)), 1.0), True
-    K, convex = _eig_spectrum(q.Q)
-    return 1.0 / K, convex
+    """(step, convex): step 1/K, or 1/max(||c||, 1) when K = 0 (Q = 0, an LP)."""
+    K, convex = _spectrum(q.Q)
+    return 1.0 / (K or max(float(np.linalg.norm(q.c)), 1.0)), convex
 
 
 def _stationarity(q: CrispQP, x: np.ndarray, step: float,
@@ -197,18 +188,17 @@ def project(x, A, b, opts: SolverOptions | None = None,
     compatibility.  _warm is a _Projector built from the same A and b,
     which carries the active set from one call to the next.
     """
-    if _warm is not None:
-        return x if _warm.contains(x) else _warm(x)
-    x = np.asarray(x, dtype=float).copy()
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    n = x.shape[0]
-    if A.size == 0:
-        A = A.reshape(0, n)
-    if A.shape[1] != n or b.shape != (A.shape[0],):
-        raise ValueError("A, b dimensions do not match x")
-    proj = _Projector(A, b)
-    return x if proj.contains(x) else proj(x)
+    if _warm is None:
+        x = np.asarray(x, dtype=float).copy()
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        n = x.shape[0]
+        if A.size == 0:
+            A = A.reshape(0, n)
+        if A.shape[1] != n or b.shape != (A.shape[0],):
+            raise ValueError("A, b dimensions do not match x")
+        _warm = _Projector(A, b)
+    return x if _warm.contains(x) else _warm(x)
 
 
 _max = np.maximum.reduce

@@ -54,6 +54,14 @@ class TestAlphaSpec:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("spec", ["0:1", ",", "0:1:0"])
+    def test_bad_alpha_spec_is_a_usage_error(self, spec):
+        # argparse reports it as for any bad flag: one error line, exit 2
+        proc = run_cli("solve", "--input", FIXTURE, "--alphas", spec)
+        assert proc.returncode == 2
+        assert f"error: argument --alphas: bad --alphas spec {spec!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
     def test_csv_matches_golden_file(self, tmp_path):
         out = tmp_path / "run.csv"
         code = main([

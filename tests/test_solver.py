@@ -203,6 +203,12 @@ class TestProject:
         out = project([2.0], [[0.0]], [1.0])
         np.testing.assert_array_equal(out, [2.0])
 
+    def test_no_constraint_rows(self):
+        # empty A and b leave only the orthant x >= 0
+        np.testing.assert_array_equal(project([-1.0, 2.0], [], []), [0.0, 2.0])
+        x = np.array([0.5, 2.0])
+        np.testing.assert_array_equal(project(x, [], []), x)
+
 
 def _kkt_violation(x, A, b):
     """Project x, then the worst breach of the projection's KKT conditions:
@@ -392,6 +398,18 @@ class TestSolvePg:
         s = solve_pg(modal_qp(), SolverOptions(max_iter=2))
         assert not s.converged
         assert s.iterations == 2
+
+    @pytest.mark.parametrize("starts", [((0.0,), (1.0,)), ((1.0,), (0.0,))])
+    def test_converged_run_beats_unconverged_one(self, starts):
+        # z = -x^2/2 on [0, 10] with step 1 doubles x: the start at 1 stops
+        # unconverged at x = 4, z = -8, below the converged z = 0 at the origin
+        q = CrispQP(c=[0.0], Q=[[-1.0]], A=[[1.0]], b=[10.0])
+        origin = solve_pg(q, SolverOptions(max_iter=2, multistart=((0.0,),)))
+        far = solve_pg(q, SolverOptions(max_iter=2, multistart=((1.0,),)))
+        assert (origin.x.tolist(), origin.z, origin.iterations, origin.converged) == ([0.0], 0.0, 1, True)
+        assert (far.x.tolist(), far.z, far.iterations, far.converged) == ([4.0], -8.0, 2, False)
+        s = solve_pg(q, SolverOptions(max_iter=2, multistart=starts))
+        assert s.x.tolist() == [0.0] and s.z == 0.0 and s.converged
 
 
 def _outcome(solve, q, opts=None):
@@ -609,6 +627,33 @@ class TestOracle:
         s = solve_oracle(CrispQP(c=[-100.0], Q=[[100.0]], A=[[1.0]], b=[b]))
         assert s.x.shape == (1,) and abs(s.x[0] - b) <= 1e-15  # so feasible to 1e-15
         assert s.converged
+
+    def test_residual_filter_decides_the_winner(self):
+        # Rows 0 and 1 of this LP differ by about 1e-14.  The system pinning
+        # both has a feasible x = (30.6, 17.4) with z = -65.4, far below the
+        # winner's, but its multipliers near 3e15 leave a residual of about
+        # 0.1, which the 1e-8 relative residual filter rejects.  The LP is
+        # unbounded below, so the winner is only the best kept candidate.
+        q = CrispQP(
+            c=[-1.3580283315469712, -1.3729608820118997], Q=np.zeros((2, 2)),
+            A=[[-0.44194586458588375, 0.9463476513843941],
+               [-0.44194586458588675, 0.9463476513843991]],
+            b=[2.994376178008913, 2.994376178008908],
+        )
+        kkt = np.block([[q.Q, q.A.T], [q.A, np.zeros((2, 2))]])
+        rhs = np.concatenate([-q.c, q.b])
+        sol = np.linalg.solve(kkt, rhs)
+        x_far = sol[:2]
+        assert x_far.min() >= 0.0 and (q.A @ x_far - q.b).max() <= 1e-9
+        assert np.abs(kkt @ sol - rhs).max() > 1e3 * 1e-8 * (1.0 + np.abs(rhs).max())
+
+        s = solve_oracle(q)
+        x, z, _ = enumerate_oracle_reference(q)
+        assert s.x.tobytes() == x.tobytes() and s.z == z
+        assert s.x[0] == 0.0 and s.x[1] == pytest.approx(3.164139704503388, rel=1e-12)
+        assert s.z == pytest.approx(-4.344240039503844, rel=1e-12)
+        assert objective(q, x_far) < s.z - 60.0
+        assert not s.converged
 
     def test_infeasible(self):
         q = CrispQP(c=[1.0], Q=[[1.0]], A=[[1.0]], b=[-2.0])
