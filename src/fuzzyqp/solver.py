@@ -16,11 +16,13 @@ solve_oracle independently enumerates active-set candidates (stationarity
 systems over every subset of at most n of the m + n constraints), which
 yields the global optimum for convex instances with n <= ORACLE_MAX_N and
 serves as the verification route for solve_pg.  The subsets are solved in
-blocks of a fixed byte size (ORACLE_BLOCK_BYTES) by one batched LU solve
-each, after slogdet drops the exactly singular systems, so memory does not
-grow with the number of subsets.  Its converged flag says whether the
-winner is a projected-gradient fixed point, which fails on instances
-unbounded below.
+blocks of a fixed byte size (ORACLE_BLOCK_BYTES), so memory does not grow
+with the number of subsets.  A block is one call of numpy's private
+_umath_linalg.solve1, the gufunc behind np.linalg.solve: one gesv per
+system both finds an exact zero pivot and solves, and a singular system
+comes back as NaN where np.linalg.solve would raise.  Its converged flag
+says whether the winner is a projected-gradient fixed point, which fails
+on instances unbounded below.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from itertools import combinations, compress, islice
 from typing import Callable
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .problem import CrispQP
 
@@ -540,10 +543,10 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
 
     The subsets of each size are taken in blocks of about
     ORACLE_BLOCK_BYTES of stacked KKT matrices, so memory stays bounded
-    at every n <= ORACLE_MAX_N.  Each block drops its exactly singular
-    systems (a zero pivot in the LU factorization, found by slogdet) and
-    solves the rest in one batched call.  iterations counts the subsets
-    enumerated, singular ones included.
+    at every n <= ORACLE_MAX_N.  Each block is one batched call of the
+    gufunc behind np.linalg.solve, which does not raise on a singular
+    system: one gesv per system finds a zero pivot and solves.  Singular
+    systems are dropped; iterations counts them.
 
     converged is True when the winner is a fixed point of the projected
     gradient map, stationarity <= 1e-8 * (1 + max|x|).  On an instance
@@ -592,8 +595,7 @@ def _kkt_candidates(q: CrispQP, E: np.ndarray, d: np.ndarray) -> np.ndarray:
 
     E has shape (k, s, n) and d shape (k, s): k subsets of s constraints.
     """
-    n = q.n
-    k, s, _ = E.shape
+    k, s, n = E.shape
     kkt = np.zeros((k, n + s, n + s))
     kkt[:, :n, :n] = q.Q
     kkt[:, :n, n:] = E.transpose(0, 2, 1)
@@ -601,12 +603,11 @@ def _kkt_candidates(q: CrispQP, E: np.ndarray, d: np.ndarray) -> np.ndarray:
     rhs = np.empty((k, n + s))
     rhs[:, :n] = -q.c
     rhs[:, n:] = d
-    # A zero pivot in getrf, the factorization solve runs, gives sign 0.
-    # Identity stand-ins let one batched solve go through; the mask drops them.
-    regular = np.linalg.slogdet(kkt)[0] != 0.0
-    kkt[~regular] = np.eye(n + s)
-    sol = np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
-    keep = regular & np.isfinite(sol).all(axis=1)
+    # One gesv per system; np.linalg.solve would raise on the first singular
+    # one, its gufunc writes a NaN row for it, which the finite filter drops.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore", under="ignore"):
+        sol = _solve1(kkt, rhs, signature="dd->d")
+    keep = np.isfinite(sol).all(axis=1)
     sol[~keep] = 0.0
     residual = np.abs((kkt @ sol[:, :, None])[:, :, 0] - rhs).max(axis=1)
     keep &= residual <= 1e-8 * (1.0 + np.abs(rhs).max(axis=1))

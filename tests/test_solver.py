@@ -587,6 +587,17 @@ def _oracle_instance(rng, kind):
     return CrispQP(c=rng.normal(size=n), Q=Q, A=A, b=b)
 
 
+def _box_instance(rng, n, convex):
+    """The family of perfbench's oracle-check: A is a positive permuted
+    diagonal, so each row of A is parallel to one bound and many
+    stationarity systems are exactly singular."""
+    M = rng.normal(size=(n, n))
+    Q = M.T @ M + 0.1 * np.eye(n) if convex else 0.5 * (M + M.T)
+    A = np.zeros((n, n))
+    A[np.arange(n), rng.permutation(n)] = rng.uniform(0.5, 1.5, n)
+    return CrispQP(c=rng.normal(size=n), Q=Q, A=A, b=rng.uniform(1.0, 2.0, n))
+
+
 class TestOracle:
     def test_lower_qp_at_zero(self, example_problem):
         s = solve_oracle(lower_qp(example_problem, 0.0))
@@ -676,6 +687,65 @@ class TestOracle:
             assert s.x.tobytes() == x.tobytes() and s.z == z
             assert s.iterations == examined == sum(comb(q.m + q.n, k) for k in range(q.n + 1))
             assert s.stationarity == _stationarity(q, x, _step_rule(q)[0])
+
+    def test_singular_heavy_family_matches_per_subset_reference(self, monkeypatch):
+        singular = 0
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            nonlocal singular
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular += 1
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        rng = np.random.default_rng(3)
+        examined_total = 0
+        for n in range(3, 7):
+            for convex in (True, False):
+                q = _box_instance(rng, n, convex)
+                x, z, examined = enumerate_oracle_reference(q)
+                s = solve_oracle(q)
+                assert s.x.tobytes() == x.tobytes() and s.z == z
+                assert s.iterations == examined
+                examined_total += examined
+        # 2348 of the 6706 systems have an exact zero pivot
+        assert singular > examined_total // 4
+
+    def test_each_system_is_factorised_once(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle's solve alone factorises each system")
+
+        monkeypatch.setattr(np.linalg, "slogdet", refuse)
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        rng = np.random.default_rng(55)
+        for q in (convex_qp(rng, 5, 5), _box_instance(rng, 5, convex=False)):
+            x, z, examined = enumerate_oracle_reference(q)
+            s = solve_oracle(q)
+            assert s.x.tobytes() == x.tobytes() and s.z == z
+            assert s.iterations == examined
+
+    def test_private_solve_gufunc_contract(self):
+        # solve_oracle calls numpy's private _umath_linalg.solve1, the
+        # gufunc behind np.linalg.solve, so that a singular system in a
+        # stack comes back as NaN rather than raising.  A numpy release that
+        # changes what it returns or warns fails here.
+        regular = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -1.0], [0.5, -1.0, 2.0]])
+        singular = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 1.0, 5.0]])
+        stack = np.stack([regular, singular, regular @ regular.T - 2.0 * np.eye(3)])
+        rhs = np.array([[1.0, -2.0, 0.5], [1.0, 1.0, 1.0], [0.3, 0.0, -4.0]])
+        stack_before, rhs_before = stack.copy(), rhs.copy()
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore", under="ignore"):
+            sol = solver_module._solve1(stack, rhs, signature="dd->d")
+        assert stack.tobytes() == stack_before.tobytes()
+        assert rhs.tobytes() == rhs_before.tobytes()
+        for i in (0, 2):
+            assert sol[i].tobytes() == np.linalg.solve(stack[i], rhs[i]).tobytes()
+        assert not np.isfinite(sol[1]).any()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(singular, rhs[1])
 
     def test_memory_bounded_at_the_size_cap(self):
         # one subset size at n = m = 8 stacked at once is 12 870 KKT
