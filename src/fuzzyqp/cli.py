@@ -2,8 +2,8 @@
 the results as an aligned table, CSV, or membership polyline data.
 
 Exit status is 0 only when every requested solve converged and no error
-occurred; validation failures and non-convergence exit 1, file/parse and
-solver errors exit 2, as do bad flags such as a malformed --alphas spec.
+occurred; validation failures and non-convergence exit 1.  Bad flags, file
+errors (unreadable, non-UTF-8 or unwritable), parse and solver errors exit 2.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .fuzzy import check_alpha
 from .problem import FuzzyQP, ProblemError, ValidationError, parse_problem
 from .solver import InfeasibleError, SolverOptions, UnboundedError
 from .sweep import CurveShapeError, MembershipCurve, check_invertible, solve_fqp
@@ -27,7 +28,8 @@ def parse_alpha_spec(spec: str) -> list[float]:
             parts = spec.split(":")
             if len(parts) != 3:
                 raise ValueError("expected start:stop:step")
-            start, stop, step = (float(p) for p in parts)
+            # the ends are levels too: checked before a far one makes a huge list
+            start, stop, step = check_alpha(parts[0]), check_alpha(parts[1]), float(parts[2])
             if step <= 0:
                 raise ValueError("step must be positive")
             if stop < start:
@@ -38,23 +40,13 @@ def parse_alpha_spec(spec: str) -> list[float]:
             values = [float(tok) for tok in spec.split(",") if tok.strip()]
             if not values:
                 raise ValueError("empty alpha list")
-        for v in values:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"alpha {v} outside [0, 1]")
-        return values
+        return [check_alpha(v) for v in values]
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"bad --alphas spec {spec!r}: {e}") from e
 
 
 def _load(args) -> FuzzyQP:
-    path = Path(args.input)
-    if not path.exists():
-        raise FileNotFoundError(path)
-    return parse_problem(path.read_text(encoding="utf-8"), symmetrize=args.symmetrize)
-
-
-def _options(args) -> SolverOptions:
-    return SolverOptions(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    return parse_problem(Path(args.input).read_text(encoding="utf-8"), symmetrize=args.symmetrize)
 
 
 def _solve_columns(curve: MembershipCurve) -> tuple[list[str], list[list[str]]]:
@@ -121,7 +113,7 @@ def _emit(text: str, args) -> None:
 
 def cmd_solve(args) -> int:
     problem = _load(args)
-    curve = solve_fqp(problem, args.alphas, _options(args))
+    curve = solve_fqp(problem, args.alphas, args.options)
     renderer = {"table": render_table, "csv": render_csv, "plot-data": render_plot_data}
     _emit(renderer[args.format](curve), args)
     all_converged = all(
@@ -155,9 +147,9 @@ def _add_common(sub, with_solver: bool) -> None:
             type=parse_alpha_spec,
             help="grid as start:stop:step or a comma-separated list (default 0:1:0.1)",
         )
-        sub.add_argument("--tol", type=float, default=1e-9, help="iterate-change stop tolerance")
-        sub.add_argument("--max-iter", type=int, default=100_000, help="iteration cap per solve")
-        sub.add_argument("--seed", type=int, default=0, help="seed for multistart points")
+        sub.add_argument("--tol", type=float, help="iterate-change stop tolerance")
+        sub.add_argument("--max-iter", type=int, help="iteration cap per solve")
+        sub.add_argument("--seed", type=int, help="seed for multistart points")
         sub.add_argument("--output", default=None, help="write to this path instead of stdout")
 
 
@@ -190,17 +182,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.func is cmd_solve:  # SolverOptions defaults and checks the solver flags
+        given = {k: v for k in ("tol", "max_iter", "seed") if (v := getattr(args, k)) is not None}
+        try:
+            args.options = SolverOptions(**given)
+        except ValueError as e:
+            parser.error(f"bad solver flag: {e}")
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: no such file: {e.args[0]}", file=sys.stderr)
+    except OSError as e:  # the input, or --output
+        print(f"error: {(e.strerror or str(e)).lower()}: {e.filename}", file=sys.stderr)
         return 2
     except ValidationError as e:
         for violation in e.violations:
             print(f"invalid: {violation}", file=sys.stderr)
         return 1
-    except (InfeasibleError, UnboundedError, CurveShapeError, ProblemError) as e:
+    except (InfeasibleError, UnboundedError, CurveShapeError, ProblemError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -144,12 +144,19 @@ def _symmetrize(Q: np.ndarray) -> np.ndarray:
     return 0.5 * (Q + Q.transpose(1, 0, 2))
 
 
+def check_finite(**fields: np.ndarray) -> None:
+    """ValueError "<field> has a non-finite entry" for the first such field."""
+    for name, arr in fields.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has a non-finite entry")
+
+
 @dataclass(frozen=True)
 class CrispQP:
     """One crisp instance: minimize c'x + (1/2) x'Qx s.t. Ax <= b, x >= 0.
 
-    c must be nonempty, the shapes must agree, every entry must be finite
-    and Q symmetric within 1e-12; otherwise ValueError names the field.
+    c must be nonempty, the shapes agree, every entry finite and Q symmetric
+    within 1e-12, else ValueError names the field.  Fields are read-only copies.
     """
 
     c: np.ndarray
@@ -158,10 +165,10 @@ class CrispQP:
     b: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        Q = np.asarray(self.Q, dtype=float)
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        c = np.atleast_1d(np.array(self.c, dtype=float))
+        Q = np.array(self.Q, dtype=float)
+        A = np.atleast_2d(np.array(self.A, dtype=float))
+        b = np.atleast_1d(np.array(self.b, dtype=float))
         n = c.shape[0]
         if c.ndim != 1 or n == 0:
             raise ValueError(f"c must be a nonempty vector, got shape {c.shape}")
@@ -171,9 +178,8 @@ class CrispQP:
             raise ValueError(f"A must have {n} columns, got {A.shape}")
         if b.shape != (A.shape[0],):
             raise ValueError(f"b must have length {A.shape[0]}, got {b.shape}")
+        check_finite(c=c, Q=Q, A=A, b=b)
         for arr, name in ((c, "c"), (Q, "Q"), (A, "A"), (b, "b")):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} has a non-finite entry")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if np.max(np.abs(Q - Q.T)) > SYMMETRY_TOL:

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
-from .problem import CrispQP
+from .problem import CrispQP, check_finite
 
 UNBOUNDED_LIMIT = 1e8
 ORACLE_MAX_N = 8
@@ -79,7 +79,8 @@ class SolverOptions:
 
     projection_tol and projection_max_sweeps are deprecated no-ops: they
     are still validated but change no result, since projections are exact
-    and finite.
+    and finite.  __post_init__ is the one check of every value, the CLI's
+    flags included: a NaN or infinite tol or point raises, as does seed < 0.
     """
 
     tol: float = 1e-9
@@ -90,18 +91,20 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:  # False for a NaN too
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.projection_tol <= 0:
-            raise ValueError("projection_tol must be positive")
+        if not 0 < self.projection_tol < np.inf:
+            raise ValueError("projection_tol must be positive and finite")
         if self.projection_max_sweeps < 1:
             raise ValueError("projection_max_sweeps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.multistart is not None:
             pts = tuple(tuple(float(v) for v in p) for p in self.multistart)
-            if not pts:
-                raise ValueError("multistart must contain at least one point")
+            if not pts or not all(np.isfinite(p).all() for p in pts):
+                raise ValueError("multistart must contain at least one point, all finite")
             object.__setattr__(self, "multistart", pts)
 
 
@@ -187,8 +190,9 @@ def project(x, A, b, opts: SolverOptions | None = None,
     projection's dual is solved by a finite active-set method (see
     _Projector), so the result satisfies the KKT conditions up to
     rounding.  An empty polyhedron raises InfeasibleError carrying a
-    Farkas certificate.  opts is a deprecated no-op, accepted for
-    compatibility.  _warm is a _Projector built from the same A and b,
+    Farkas certificate.  A NaN or infinite entry in x, A or b raises
+    ValueError, in CrispQP's words.  opts is a deprecated no-op, accepted
+    for compatibility.  _warm is a _Projector built from the same A and b,
     which carries the active set from one call to the next.
     """
     if _warm is None:
@@ -200,6 +204,7 @@ def project(x, A, b, opts: SolverOptions | None = None,
             A = A.reshape(0, n)
         if A.shape[1] != n or b.shape != (A.shape[0],):
             raise ValueError("A, b dimensions do not match x")
+        check_finite(x=x, A=A, b=b)
         _warm = _Projector(A, b)
     return x if _warm.contains(x) else _warm(x)
 

@@ -62,6 +62,33 @@ class TestSolve:
         assert f"error: argument --alphas: bad --alphas spec {spec!r}" in proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--tol", "0"],
+            ["--tol", "nan"],
+            ["--max-iter", "0"],
+            # alpha 0 has an indefinite endpoint, whose multistart draws from the seed
+            ["--seed", "-1", "--alphas", "0"],
+            ["--alphas", "0:inf:0.1"],
+            ["--input", "{tmp}"],
+            ["--input", "{tmp}/latin-1.json"],
+            ["--output", "{tmp}/missing/out.csv"],
+        ],
+        ids=["tol-zero", "tol-nan", "max-iter-zero", "seed-negative", "alphas-stop-inf",
+             "input-directory", "input-not-utf8", "output-missing-dir"],
+    )
+    def test_bad_value_or_file_is_one_error_line(self, tmp_path, flags):
+        # a later --input or --alphas overrides the one given first
+        (tmp_path / "latin-1.json").write_bytes('{"name": "Müller"}'.encode("latin-1"))
+        flags = [f.format(tmp=tmp_path) for f in flags]
+        proc = run_cli("solve", "--input", FIXTURE, "--alphas", "1", *flags)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
+        if flags[0] == "--output":
+            assert f"error: no such file or directory: {flags[1]}" in proc.stderr
+
     def test_csv_matches_golden_file(self, tmp_path):
         out = tmp_path / "run.csv"
         code = main([

@@ -487,3 +487,13 @@ class TestCrispQP:
         q = CrispQP(c=[1.0], Q=[[2.0]], A=[[1.0]], b=[1.0])
         with pytest.raises(ValueError):
             q.c[0] = 5.0
+
+    def test_caller_arrays_copied(self):
+        # float64 arrays that np.asarray would have passed through and frozen
+        data = {"c": np.array([1.0, 2.0]), "Q": np.eye(2), "A": np.array([[1.0, 1.0]]),
+                "b": np.array([3.0])}
+        q = CrispQP(**data)
+        for name, arr in data.items():
+            assert arr.flags.writeable
+            arr[...] = 7.0
+            assert not np.any(getattr(q, name) == 7.0)

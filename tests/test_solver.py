@@ -209,6 +209,22 @@ class TestProject:
         x = np.array([0.5, 2.0])
         np.testing.assert_array_equal(project(x, [], []), x)
 
+    @pytest.mark.parametrize(
+        "field, args",
+        [
+            # was InfeasibleError with a Farkas "certificate" claiming b'mu = 1 < 0
+            ("x", ([np.nan, 1.0], [[1.0, 1.0]], [1.0])),
+            # returned the infeasible point [2, 2]
+            ("b", ([2.0, 2.0], [[1.0, 1.0]], [-np.inf])),
+            ("A", ([2.0, 2.0], [[np.inf, 1.0]], [1.0])),
+            ("x", ([-np.inf, 1.0], [], [])),
+        ],
+        ids=["x-nan", "b-minus-inf", "A-inf", "x-inf-no-rows"],
+    )
+    def test_non_finite_rejected(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} has a non-finite entry$"):
+            project(*args)
+
 
 def _kkt_violation(x, A, b):
     """Project x, then the worst breach of the projection's KKT conditions:
@@ -801,6 +817,13 @@ class TestSolverOptions:
             {"projection_tol": 0.0},
             {"projection_max_sweeps": 0},
             {"multistart": ()},
+            {"tol": np.nan},
+            {"tol": np.inf},
+            {"projection_tol": np.nan},
+            {"projection_tol": np.inf},
+            {"seed": -1},
+            {"multistart": ((0.0, np.nan),)},
+            {"multistart": ((1.0, 2.0), (np.inf, 0.0))},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
