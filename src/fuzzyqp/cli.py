@@ -8,6 +8,7 @@ errors (unreadable, non-UTF-8 or unwritable), parse and solver errors exit 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from .fuzzy import check_alpha
 from .problem import FuzzyQP, ProblemError, ValidationError, parse_problem
 from .solver import InfeasibleError, SolverOptions, UnboundedError
 from .sweep import CurveShapeError, MembershipCurve, check_invertible, solve_fqp
+
+_MAX_LEVELS = 100_001  # the most levels a start:stop:step range may make (as 0:1:1e-5 does)
 
 
 def _fmt(v: float) -> str:
@@ -30,12 +33,15 @@ def parse_alpha_spec(spec: str) -> list[float]:
                 raise ValueError("expected start:stop:step")
             # the ends are levels too: checked before a far one makes a huge list
             start, stop, step = check_alpha(parts[0]), check_alpha(parts[1]), float(parts[2])
-            if step <= 0:
+            if not step > 0:  # NaN too
                 raise ValueError("step must be positive")
             if stop < start:
                 raise ValueError("stop must be >= start")
-            count = int((stop - start) / step + 1e-9)
-            values = [round(start + k * step, 12) for k in range(count + 1)]
+            count = (stop - start) / step + 1e-9  # inf for a subnormal step
+            levels = int(count) + 1 if count < math.inf else count
+            if levels > _MAX_LEVELS:  # before the list is built
+                raise ValueError(f"the range makes {levels} levels, more than {_MAX_LEVELS}")
+            values = [round(start + k * step, 12) for k in range(levels)]
         else:
             values = [float(tok) for tok in spec.split(",") if tok.strip()]
             if not values:

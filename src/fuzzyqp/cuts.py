@@ -2,7 +2,9 @@
 
 The lower instance takes every coefficient at the left endpoint of its
 alpha-cut, the upper instance at the right endpoint.  At alpha = 1 both
-collapse to the modal (crisp core) problem.
+collapse to the modal (crisp core) problem.  Each cut end is affine in
+alpha up to the clamp to the mode; its end and slope arrays are built once
+per problem (FuzzyQP._cut_data), so a level costs the clamp expressions.
 """
 from __future__ import annotations
 
@@ -14,16 +16,15 @@ from .problem import CrispQP, FuzzyQP, ValidationError, validate
 
 def _extract(p: FuzzyQP, alpha: float, side: int) -> CrispQP:
     """Crisp QP at level alpha, every coefficient at its cut endpoint on side 0 (lower)
-    or 1 (upper), clamped to the mode as in TriangularFuzzyNumber.alpha_cut."""
+    or 1 (upper), clamped to the mode as in TriangularFuzzyNumber.alpha_cut.  It is
+    CrispQP._trusted: finite spreads give finite ends, and symmetric Q triples a symmetric Q."""
     alpha = check_alpha(alpha)
     violations = validate(p)  # cached on p: a FuzzyQP is validated once
     if violations:
         raise ValidationError(violations)
     if side == 0:
-        return CrispQP(*(np.minimum(t[..., 0] + alpha * (t[..., 1] - t[..., 0]), t[..., 1])
-                         for t in p._arrays))
-    return CrispQP(*(np.maximum(t[..., 2] - alpha * (t[..., 2] - t[..., 1]), t[..., 1])
-                     for t in p._arrays))
+        return CrispQP._trusted(*(np.minimum(a1 + alpha * s, a2) for a1, s, a2 in p._cut_data[0]))
+    return CrispQP._trusted(*(np.maximum(a3 - alpha * s, a2) for a3, s, a2 in p._cut_data[1]))
 
 
 def lower_qp(p: FuzzyQP, alpha: float) -> CrispQP:

@@ -120,6 +120,15 @@ class FuzzyQP:
             return tuple(_messages(e))
         return ()
 
+    @cached_property
+    def _cut_data(self):
+        """Cut ends as affine functions of alpha, for cuts._extract: per side (0 lower,
+        1 upper) the read-only (end, slope, mode) arrays of each of c, Q, A and b,
+        (a1, a2 - a1, a2) on side 0 and (a3, a3 - a2, a2) on side 1."""
+        ends = [[t[..., i].copy() for i in range(3)] for t in self._arrays]
+        return (tuple(_read_only(a1, a2 - a1, a2) for a1, a2, _ in ends),
+                tuple(_read_only(a3, a3 - a2, a2) for _, a2, a3 in ends))
+
     @property
     def n(self) -> int:
         return len(self._stored()[0])
@@ -185,6 +194,14 @@ class CrispQP:
         if np.max(np.abs(Q - Q.T)) > SYMMETRY_TOL:
             raise ValueError("Q is not symmetric within 1e-12")
 
+    @classmethod
+    def _trusted(cls, c, Q, A, b) -> "CrispQP":
+        """An instance of fresh float arrays known to pass __post_init__'s checks,
+        such as the cut ends of a validated FuzzyQP: made read-only, not copied or checked."""
+        q = object.__new__(cls)
+        q.__dict__.update(zip(_KEYS, _read_only(c, Q, A, b)))
+        return q
+
     @property
     def n(self) -> int:
         return self.c.shape[0]
@@ -222,13 +239,17 @@ def _label(key: str, idx) -> str:
 
 
 def _violations(arrays) -> list[str]:
-    """Order and symmetry violations of (c, Q, A, b) triple arrays, in label order."""
+    """Order, spread and symmetry violations of (c, Q, A, b) finite triple arrays, in label
+    order.  A spread a3 - a1 that overflows is reported: a cut end could be inf or NaN."""
     violations = []
     for key, t in zip(_KEYS, arrays):
         ordered = (t[..., 0] <= t[..., 1]) & (t[..., 1] <= t[..., 2])
-        for idx in np.argwhere(~ordered):
+        with np.errstate(over="ignore"):
+            spread = np.isfinite(t[..., 2] - t[..., 0])
+        for idx in np.argwhere(~(ordered & spread)):
             a1, a2, a3 = t[tuple(idx)].tolist()
-            violations.append(f"{_label(key, idx)} out of order: ({a1}, {a2}, {a3})")
+            rule = "spread is not finite" if ordered[tuple(idx)] else "out of order"
+            violations.append(f"{_label(key, idx)} {rule}: ({a1}, {a2}, {a3})")
     Q = arrays[1]
     asymmetric = np.triu(np.any(Q != Q.transpose(1, 0, 2), axis=-1), 1)
     for i, j in np.argwhere(asymmetric):

@@ -6,6 +6,7 @@ One eigvalsh per crisp QP, in _spectrum, gives both K and whether Q is PSD.
 Each step projects onto the feasible set {Ax <= b, x >= 0} exactly, by a
 dual active-set method (Goldfarb-Idnani) warm-started from the previous
 step's active set; an empty set is reported with a Farkas certificate.
+A face of bound rows only is built once and shared by all (_bound_face).
 A step's exact comparisons (feasibility, multiplier signs, the slack
 test, the divergence and convergence tests) scan Python lists when
 m + n <= SHORT_LEN and call numpy reductions otherwise; both decide as
@@ -28,13 +29,14 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, compress, islice
 from typing import Callable
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
-from .problem import CrispQP, check_finite
+from .problem import CrispQP, _read_only, check_finite
 
 UNBOUNDED_LIMIT = 1e8
 ORACLE_MAX_N = 8
@@ -48,6 +50,7 @@ ORACLE_BLOCK_BYTES = 1 << 20
 # for every size make fixture-cli (m + n = 4) 29% slower, lists for every
 # size make wide-interior (m + n = 120) 5% slower.
 SHORT_LEN = 32
+_BOUND_FACES, _BOUND_FACE_N = 256, 32  # the size of _bound_face's cache
 
 
 class InfeasibleError(RuntimeError):
@@ -141,6 +144,10 @@ def gradient(q: CrispQP, x) -> np.ndarray:
     return q.c + q.Q @ x
 
 
+_max = np.maximum.reduce
+_min = np.minimum.reduce
+
+
 def lipschitz_constant(Q) -> float:
     """Spectral norm of a symmetric matrix; 1.0 for the zero matrix.
 
@@ -162,11 +169,11 @@ def _spectrum(Q) -> tuple[float, bool]:
     This is the one zero test of Q; callers read K = 0 as Q = 0.
     """
     Q = np.asarray(Q, dtype=float)
-    if not Q.any():
+    q_max = float(_max(np.abs(Q), axis=None, initial=0.0))
+    if not q_max:  # Q = 0; a NaN entry is no zero
         return 0.0, True
     eig = np.linalg.eigvalsh(Q)
-    psd_tol = 1e-10 * max(1.0, float(np.max(np.abs(Q))))
-    return float(np.max(np.abs(eig))), float(eig[0]) >= -psd_tol
+    return float(_max(np.abs(eig))), float(eig[0]) >= -1e-10 * max(1.0, q_max)
 
 
 def _step_rule(q: CrispQP) -> tuple[float, bool]:
@@ -207,10 +214,6 @@ def project(x, A, b, opts: SolverOptions | None = None,
         check_finite(x=x, A=A, b=b)
         _warm = _Projector(A, b)
     return x if _warm.contains(x) else _warm(x)
-
-
-_max = np.maximum.reduce
-_min = np.minimum.reduce
 
 
 class _ListChecks:
@@ -294,8 +297,9 @@ class _Projector:
 
     For a fixed P the multipliers are affine in x, mu_P = K x - k, and
     y = x - G_P' mu_P; K and k are built once per set (by QR of G_P') and
-    cached.  Every call starts from the set the previous call ended on,
-    less any rows whose multipliers come out negative at the new x; once
+    cached; a set of bounds only takes the face that all projectors share
+    (_bound_face).  Every call starts from the set the previous call ended
+    on, less any rows whose multipliers come out negative at the new x; once
     projected gradient settles, a projection is one affine map plus a sign
     and a feasibility check.
     """
@@ -305,25 +309,30 @@ class _Projector:
         self.A, self.b = A, b
         self.checks = _ListChecks if m + n <= SHORT_LEN else _ArrayChecks
         norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-        zero = norms == 0.0
-        unsatisfiable = np.flatnonzero(zero & (b < 0.0))
-        if unsatisfiable.size:
-            i = int(unsatisfiable[0])
-            certificate = np.zeros(m + n)
-            certificate[i] = 1.0
-            raise InfeasibleError(
-                f"row {i} of A is zero and b[{i}] = {float(b[i])!r} < 0", certificate
-            )
-        keep = np.flatnonzero(~zero)
-        self.first_bound = keep.size  # rows of G from here on are the bounds -y <= 0
-        self.G = np.vstack([A[keep] / norms[keep, None], -np.eye(n)])
-        self.h = np.concatenate([b[keep] / norms[keep], np.zeros(n)])
+        keep = None
+        if not norms.all():  # zero rows are dropped, once none has b < 0
+            zero = norms == 0.0
+            if (unsatisfiable := np.flatnonzero(zero & (b < 0.0))).size:
+                i = int(unsatisfiable[0])
+                certificate = np.zeros(m + n)
+                certificate[i] = 1.0
+                raise InfeasibleError(
+                    f"row {i} of A is zero and b[{i}] = {float(b[i])!r} < 0", certificate
+                )
+            keep = np.flatnonzero(~zero)
+            A, b, norms = A[keep], b[keep], norms[keep]
+        self.first_bound = k = len(norms)  # rows of G from here on are the bounds -y <= 0
+        self.G, self.h = np.empty((k + n, n)), np.zeros(k + n)
+        np.divide(A, norms[:, None], out=self.G[:k])
+        np.divide(b, norms, out=self.h[:k])
+        self.G[k:] = -0.0  # -I, bit for bit as -np.eye(n)
+        self.G[k:].flat[::n + 1] = -1.0
         # Row i of G is row origin[i] of [A; -I] divided by scale[i].
-        self.origin = np.concatenate([keep, m + np.arange(n)])
-        self.scale = np.concatenate([norms[keep], np.ones(n)])
+        self.origin = np.arange(m + n) if keep is None else np.concatenate([keep, m + np.arange(n)])
+        self.scale = np.concatenate([norms, np.ones(n)])
         # A row counts as violated beyond tol + 1e-12 * ||x||_inf; below that
         # the residual of a tight row is rounding.
-        self.tol = 1e-12 * (1.0 + float(np.max(np.abs(self.h), initial=0.0)))
+        self.tol = 1e-12 * (1.0 + float(_max(np.abs(self.h), initial=0.0)))
         self.active: tuple[int, ...] = ()
         # The empty face needs no QR: mu is empty and y = x - 0.
         self._faces: dict[tuple[int, ...], tuple] = {
@@ -339,21 +348,21 @@ class _Projector:
         pinned lists the variables that an active bound holds at zero."""
         face = self._faces.get(P)
         if face is None:
-            rows = list(P)
-            Gt = self.G[rows].T
-            Qr, R = np.linalg.qr(Gt)
-            R_inv = np.linalg.inv(R)  # R is invertible: the rows of P are independent
-            K = R_inv @ Qr.T
-            k = R_inv @ (R_inv.T @ self.h[rows])
-            pinned = [i - self.first_bound for i in P if i >= self.first_bound]
-            face = self._faces[P] = (K, k, Gt, pinned)
+            n, first = self.G.shape[1], self.first_bound
+            if P and P[0] >= first and n <= _BOUND_FACE_N:  # bounds only (P is sorted)
+                face = _bound_face(n, tuple(i - first for i in P))
+            else:
+                rows = list(P)
+                Gt = self.G[rows].T
+                face = (*_qr_face(Gt, self.h[rows]), Gt, [i - first for i in P if i >= first])
+            self._faces[P] = face
         return face
 
     @staticmethod
     def _point(x, mu, Gt, pinned) -> np.ndarray:
         """y = x - G_P' mu_P, with pinned variables exactly zero."""
         y = x - Gt @ mu
-        if pinned:
+        if len(pinned):
             y[pinned] = 0.0
         return y
 
@@ -438,6 +447,27 @@ class _Projector:
         rows = list(self.active)
         full[self.origin[rows]] = (K @ x - k) / self.scale[rows]
         return full
+
+
+def _qr_face(Gt: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, k) with mu_P = K x - k on the face of independent normals Gt (n x |P|)
+    and offsets h, by QR of Gt."""
+    Qr, R = np.linalg.qr(Gt)
+    R_inv = np.linalg.inv(R)  # R is invertible: the rows of P are independent
+    return R_inv @ Qr.T, R_inv @ (R_inv.T @ h)
+
+
+@lru_cache(maxsize=_BOUND_FACES)
+def _bound_face(n: int, bounds: tuple[int, ...]) -> tuple:
+    """_Projector._face of the bounds -y_j <= 0, j in bounds, in n <= _BOUND_FACE_N
+    variables: G_P = -I[bounds] and h_P = 0, so one read-only face, bit for bit
+    the one _face would build, serves every projector.  The cache keeps the
+    _BOUND_FACES most recently used faces of at most 2n(n + 1) floats each,
+    under 4.5 MB in all."""
+    G_P = -np.eye(n)[list(bounds)]  # the rows of G past first_bound
+    K, k = _qr_face(G_P.T, np.zeros(len(bounds)))
+    face = _read_only(K, k, G_P, np.array(bounds, dtype=np.intp))
+    return K, k, G_P.T, face[3]
 
 
 def _default_starts(q: CrispQP, opts: SolverOptions) -> list[np.ndarray]:

@@ -136,13 +136,28 @@ def enumerate_oracle_reference(q: CrispQP) -> tuple[np.ndarray, float, int]:
 class _ReferenceProjector(_Projector):
     """_Projector deciding by numpy reductions, with a QR for every face.
 
-    __call__ is the first version of _Projector.__call__; the faces
-    (_face) and the row exchanges (_add) are shared.
+    __call__ is the first version of _Projector.__call__ and _face the first
+    version of _Projector._face, which builds every face by QR: the empty
+    face too, and a face of bounds only without the shared _bound_face.
+    The row exchanges (_add) are shared.
     """
 
     def __init__(self, A, b):
         super().__init__(A, b)
-        self._faces.clear()  # the empty face too is built by QR
+        self._faces.clear()
+
+    def _face(self, P):
+        face = self._faces.get(P)
+        if face is None:
+            rows = list(P)
+            Gt = self.G[rows].T
+            Qr, R = np.linalg.qr(Gt)
+            R_inv = np.linalg.inv(R)
+            K = R_inv @ Qr.T
+            k = R_inv @ (R_inv.T @ self.h[rows])
+            pinned = [i - self.first_bound for i in P if i >= self.first_bound]
+            face = self._faces[P] = (K, k, Gt, pinned)
+        return face
 
     def contains(self, x):
         return (self.A @ x - self.b).max(initial=0.0) <= 0.0 and x.min() >= 0.0
@@ -173,6 +188,19 @@ class _ReferenceProjector(_Projector):
         self.active = P
         K, k, Gt, pinned = self._face(P)
         return self._point(x, K @ x - k, Gt, pinned)
+
+
+def extract_reference(p: FuzzyQP, alpha: float, side: int) -> CrispQP:
+    """The cut-end extraction as first written: each clamp on views of the
+    triple arrays, through the checking CrispQP constructor.
+
+    lower_qp (side 0) and upper_qp (side 1) must reproduce it byte for byte.
+    """
+    if side == 0:
+        return CrispQP(*(np.minimum(t[..., 0] + alpha * (t[..., 1] - t[..., 0]), t[..., 1])
+                         for t in p._arrays))
+    return CrispQP(*(np.maximum(t[..., 2] - alpha * (t[..., 2] - t[..., 1]), t[..., 1])
+                     for t in p._arrays))
 
 
 def pg_reference(q: CrispQP, opts: SolverOptions | None = None, callback=None) -> QpSolution:

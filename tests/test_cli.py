@@ -1,8 +1,10 @@
 """End-to-end CLI tests."""
+import argparse
 import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,9 +54,23 @@ class TestAlphaSpec:
         with pytest.raises(Exception):
             parse_alpha_spec(spec)
 
+    def test_level_cap(self):
+        assert len(parse_alpha_spec("0:1:1e-5")) == 100_001  # the cap itself passes
+        for spec, count in (("0:1:1e-6", "1000001"), ("0:1:1e-9", "1000000000"),
+                            ("0:1:1e-320", "inf")):
+            tracemalloc.start()
+            try:
+                with pytest.raises(argparse.ArgumentTypeError,
+                                   match=f"makes {count} levels, more than 100001"):
+                    parse_alpha_spec(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000  # rejected before any list of levels is built
+
 
 class TestSolve:
-    @pytest.mark.parametrize("spec", ["0:1", ",", "0:1:0"])
+    @pytest.mark.parametrize("spec", ["0:1", ",", "0:1:0", "0:1:1e-6", "0:1:1e-9"])
     def test_bad_alpha_spec_is_a_usage_error(self, spec):
         # argparse reports it as for any bad flag: one error line, exit 2
         proc = run_cli("solve", "--input", FIXTURE, "--alphas", spec)

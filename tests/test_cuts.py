@@ -1,8 +1,12 @@
 """Extraction of the lower/upper crisp QPs at a level."""
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import crisp_problem, random_fuzzy_qp
+from helpers import crisp_problem, extract_reference, random_fuzzy_qp
 
 import fuzzyqp.problem as problem_module
 from fuzzyqp import (
@@ -10,9 +14,11 @@ from fuzzyqp import (
     TriangularFuzzyNumber,
     ValidationError,
     lower_qp,
+    parse_problem,
     upper_qp,
     validate,
 )
+from fuzzyqp.cli import parse_alpha_spec
 
 T = TriangularFuzzyNumber
 
@@ -114,6 +120,50 @@ class TestProperties:
             np.testing.assert_array_equal(q.Q, [[6.0, -2.0], [-2.0, 4.0]])
             np.testing.assert_array_equal(q.A, [[1.0, 1.0], [2.0, -1.0]])
             np.testing.assert_array_equal(q.b, [2.0, 4.0])
+
+
+def _assert_extraction_is_the_reference(p, alpha):
+    for side, extract in enumerate((lower_qp, upper_qp)):
+        got, want = extract(p, alpha), extract_reference(p, alpha, side)
+        for a, b in ((got.c, want.c), (got.Q, want.Q), (got.A, want.A), (got.b, want.b)):
+            assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+
+
+# A triple as mode minus a left spread, mode, mode plus a right spread:
+# zero spreads (a crisp entry, or the mode at an end) and magnitudes near
+# 1e307, where a3 - a1 is still finite.
+_MODES = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-4e307, 4e307)
+_SPREADS = st.just(0.0) | st.floats(0.0, 4e307) | st.floats(0.0, 1.0)
+_TRIPLES = st.tuples(_MODES, _SPREADS, _SPREADS).map(lambda t: [t[0] - t[1], t[0], t[0] + t[2]])
+
+
+@st.composite
+def _valid_problems(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    Q = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            Q[i][j] = Q[j][i] = draw(_TRIPLES)
+    rows = lambda k: [draw(_TRIPLES) for _ in range(k)]
+    doc = {"n": n, "m": m, "c": rows(n), "Q": Q, "A": [rows(n) for _ in range(m)], "b": rows(m)}
+    return parse_problem(json.dumps(doc))
+
+
+class TestBitForBit:
+    """lower_qp/upper_qp evaluate cached end and slope arrays into a trusted
+    CrispQP; the reference clamps views of the triples and checks every field."""
+
+    def test_fixture_grid(self, example_problem):
+        for alpha in parse_alpha_spec("0:1:0.01"):
+            _assert_extraction_is_the_reference(example_problem, alpha)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_problems(), st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    def test_random_valid_problems(self, p, alpha):
+        assert validate(p) == []
+        _assert_extraction_is_the_reference(p, alpha)
 
 
 class TestErrors:

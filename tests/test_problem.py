@@ -145,6 +145,21 @@ class TestValidateAgreesWithParse:
         with pytest.raises(ParseError, match=r"^A\[1\]\[0\]: non-finite"):
             parse_problem(MALFORMED["overflowing-integer-entry"])
 
+    def test_overflowing_spread_is_named(self):
+        # each entry is finite, but a3 - a1 is not: the lower cut end at
+        # alpha = 0 came out NaN and at 0.5 the mode, where it lies near 0
+        doc = _mutated(["c", 0], [-1.5e308, 1.5e308, 1.6e308])
+        with pytest.raises(ValidationError) as err:
+            parse_problem(doc)
+        assert err.value.violations == ["c[0] spread is not finite: (-1.5e+308, 1.5e+308, 1.6e+308)"]
+        assert validate(json.loads(doc)) == err.value.violations
+        d = json.loads(doc)
+        tfns = lambda row: tuple(T(*t) for t in row)
+        p = FuzzyQP(tfns(d["c"]), tuple(map(tfns, d["Q"])), tuple(map(tfns, d["A"])), tfns(d["b"]))
+        assert validate(p) == err.value.violations
+        with pytest.raises(ValidationError):
+            lower_qp(p, 0.5)
+
     def test_ragged_problem_gets_structure_violation(self):
         p = small_problem()
         ragged = FuzzyQP(p.c, p.Q, (p.A[0], p.A[1][:1]), p.b)

@@ -16,6 +16,7 @@ from helpers import (
     Z_UPPER_AT_0,
     convex_qp,
     enumerate_oracle_reference,
+    _ReferenceProjector,
     pg_reference,
     random_convex_qp,
 )
@@ -42,6 +43,7 @@ from fuzzyqp.solver import (
     _ArrayChecks,
     _ListChecks,
     _Projector,
+    _bound_face,
     _stationarity,
     _step_rule,
     is_convex,
@@ -493,6 +495,41 @@ class TestLeanPgMatchesReference:
         x = np.array([0.25, -0.0])
         K, k, Gt, pinned = prefilled
         assert proj._point(x, K @ x - k, Gt, pinned).tobytes() == x.tobytes()
+
+
+class TestSharedBoundFaces:
+    """A face of bound rows only comes from the shared _bound_face cache; it
+    must be byte for byte the face that a QR of the projector's own rows gives."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_cached_face_is_the_qr_face(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(3, n))
+        A[1] = 0.0  # a dropped zero row shifts first_bound
+        proj, fresh = _Projector(A, np.ones(3)), _ReferenceProjector(A, np.ones(3))
+        first = proj.first_bound
+        singles = [(j,) for j in range(n)]
+        pairs = [(i, j) for i, j in ((0, n - 1), (n // 3, 2 * n // 3), (0, 1)) if i < j < n]
+        for bounds in singles + pairs + [tuple(range(n))]:
+            P = tuple(first + j for j in bounds)
+            shared, built = proj._face(P), fresh._face(P)
+            assert shared is _bound_face(n, bounds)
+            for a, b in zip(shared[:3], built[:3]):
+                assert (a.shape, a.strides) == (b.shape, b.strides)
+                assert a.tobytes() == b.tobytes()
+            assert shared[3].tolist() == built[3] == list(bounds)
+
+    def test_shared_arrays_are_read_only(self):
+        for arr in _bound_face(3, (0, 2)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    def test_faces_with_rows_of_a_are_not_shared(self):
+        proj = _Projector(np.array([[1.0, 2.0]]), np.ones(1))
+        _bound_face.cache_clear()
+        proj._face((0, 2))
+        proj._face((2,))
+        assert _bound_face.cache_info().currsize == 1
 
 
 class TestChecks:

@@ -204,3 +204,73 @@ class TestMembershipOfObjective:
         curve = _fake_curve([0.0, 0.5, 1.0], [-4.0, -4.5, -2.0], [-1.0, -1.5, -2.0])
         with pytest.raises(CurveShapeError):
             polyline(curve)
+
+
+class TestSetUpPaidOnce:
+    """A sweep builds the cut data once per problem and each shared bound
+    face once per process; the per-level work is the clamps and the solve."""
+
+    def test_fixture_sweep_call_counts(self, fixture_text, monkeypatch):
+        import fuzzyqp.solver as solver_module
+        from fuzzyqp import parse_problem
+        from fuzzyqp.cli import parse_alpha_spec
+
+        calls = {"qr": 0, "eigvalsh": 0, "post_init": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "qr", counting("qr", np.linalg.qr))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(CrispQP, "__post_init__", counting("post_init", CrispQP.__post_init__))
+        solver_module._bound_face.cache_clear()
+        p = parse_problem(fixture_text)
+        curve = solve_fqp(p, parse_alpha_spec("0:1:0.01"))
+        assert len(curve.records) == 101
+        assert calls["qr"] <= 72  # 272 when every solve built each face by QR
+        assert calls["eigvalsh"] == 202  # one per crisp QP
+        assert calls["post_init"] == 0  # the cut ends of a validated problem are trusted
+
+    def test_cached_and_trusted_arrays_are_read_only(self, example_problem):
+        q = lower_qp(example_problem, 0.3)
+        arrays = [q.c, q.Q, q.A, q.b]
+        for side in example_problem._cut_data:
+            for field in side:
+                arrays.extend(field)
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    def test_concurrent_sweeps_share_the_caches(self, fixture_text):
+        # threads racing to build one problem's cut data and the shared
+        # bound faces must each get the sequential sweep, bit for bit
+        import sys
+        import threading
+
+        import fuzzyqp.solver as solver_module
+        from fuzzyqp import parse_problem
+
+        grid = [k / 20 for k in range(21)]
+        key = lambda curve: [(r.x_lower.tobytes(), r.x_upper.tobytes(), r.z_lower, r.z_upper,
+                              r.lower_diag.iterations, r.upper_diag.iterations)
+                             for r in curve.records]
+        want = key(solve_fqp(parse_problem(fixture_text), grid))
+        solver_module._bound_face.cache_clear()
+        shared = parse_problem(fixture_text)
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(key(solve_fqp(shared, grid))))
+                   for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * len(threads)
