@@ -33,8 +33,8 @@ def parse_alpha_spec(spec: str) -> list[float]:
                 raise ValueError("expected start:stop:step")
             # the ends are levels too: checked before a far one makes a huge list
             start, stop, step = check_alpha(parts[0]), check_alpha(parts[1]), float(parts[2])
-            if not step > 0:  # NaN too
-                raise ValueError("step must be positive")
+            if not 0 < step < math.inf:  # NaN too
+                raise ValueError("step must be positive and finite")
             if stop < start:
                 raise ValueError("stop must be >= start")
             count = (stop - start) / step + 1e-9  # inf for a subnormal step

@@ -14,7 +14,8 @@ numpy's max/min would, NaN included, so the iterates do not depend on the
 choice.
 
 solve_oracle independently enumerates active-set candidates (stationarity
-systems over every subset of at most n of the m + n constraints), which
+systems over every subset of at most n of the m + n constraints, less the
+subsets that pin one variable to two values no candidate can meet), which
 yields the global optimum for convex instances with n <= ORACLE_MAX_N and
 serves as the verification route for solve_pg.  The subsets are solved in
 blocks of a fixed byte size (ORACLE_BLOCK_BYTES), so memory does not grow
@@ -30,7 +31,8 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, islice
+from itertools import compress
+from math import comb
 from typing import Callable
 
 import numpy as np
@@ -51,6 +53,9 @@ ORACLE_BLOCK_BYTES = 1 << 20
 # size make wide-interior (m + n = 120) 5% slower.
 SHORT_LEN = 32
 _BOUND_FACES, _BOUND_FACE_N = 256, 32  # the size of _bound_face's cache
+# Two objective values closer than this tie (_beats).
+_TIE = 1e-12
+_U = np.finfo(float).eps / 2  # the unit roundoff
 
 
 class InfeasibleError(RuntimeError):
@@ -553,9 +558,9 @@ def _better_run(run, best) -> bool:
 
 
 def _beats(x, z, x_best, z_best) -> bool:
-    """The tie rule of both solvers: the lower z beyond 1e-12 wins, and
+    """The tie rule of both solvers: the lower z beyond _TIE wins, and
     otherwise the lexicographically smaller x."""
-    if abs(z - z_best) > 1e-12:
+    if abs(z - z_best) > _TIE:
         return z < z_best
     return tuple(x) < tuple(x_best)
 
@@ -576,12 +581,19 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     lexicographically smallest x.  For PSD Q this is the global optimum;
     for indefinite Q it is the best stationary/vertex point.
 
-    The subsets of each size are taken in blocks of about
-    ORACLE_BLOCK_BYTES of stacked KKT matrices, so memory stays bounded
-    at every n <= ORACLE_MAX_N.  Each block is one batched call of the
-    gufunc behind np.linalg.solve, which does not raise on a singular
-    system: one gesv per system finds a zero pivot and solves.  Singular
-    systems are dropped; iterations counts them.
+    Subsets that can yield no candidate are skipped: those holding a
+    conflict pair (_conflict_pairs), two rows that pin one variable to
+    values the residual filter never accepts together.  iterations still
+    counts every subset of at most n constraints, skipped or solved.  The
+    subsets of each size are built from those of the size before
+    (_next_level), in the lexicographic order of itertools.combinations,
+    and solved in blocks of about ORACLE_BLOCK_BYTES of stacked KKT
+    matrices, so memory stays bounded at every n <= ORACLE_MAX_N.  Each
+    block is one batched call of the gufunc behind np.linalg.solve, which
+    does not raise on a singular system: one gesv per system finds a zero
+    pivot and solves, and a singular system is dropped.  Only the
+    candidates of a block whose batched objective could still win
+    (_contenders) go through the tie rule one by one.
 
     converged is True when the winner is a fixed point of the projected
     gradient map, stationarity <= 1e-8 * (1 + max|x|).  On an instance
@@ -598,19 +610,25 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     # Constraint catalogue: row i < m is row i of A, row m + j is x_j >= 0.
     rows = np.vstack([q.A, np.eye(n)])
     bounds = np.concatenate([q.b, np.zeros(n)])
+    conflict = _conflict_pairs(q, rows, bounds)
     best_x = best_z = None
-    examined = 0
+    level = np.empty((1, 0), dtype=np.intp)  # the one subset of size 0
     for size in range(0, n + 1):
+        if size:
+            level = _next_level(level, conflict)
         dim = n + size
-        subsets = combinations(range(m + n), size)
         block = max(1, ORACLE_BLOCK_BYTES // (8 * dim * dim))
-        while chunk := list(islice(subsets, block)):
-            examined += len(chunk)
-            S = np.array(chunk, dtype=np.intp)  # shape (len(chunk), size), also for size 0
-            for x in _kkt_candidates(q, rows[S], bounds[S]):
-                z = objective(q, x)
-                if best_x is None or _beats(x, z, best_x, best_z):
-                    best_x, best_z = x, z
+        for start in range(0, len(level), block):
+            S = level[start:start + block]
+            x = _kkt_candidates(q, rows[S], bounds[S])
+            if not len(x):
+                continue
+            if best_x is None:
+                best_x, best_z = x[0], objective(q, x[0])
+            for i in _contenders(q, x, best_z):
+                z = objective(q, x[i])
+                if _beats(x[i], z, best_x, best_z):
+                    best_x, best_z = x[i], z
 
     if best_x is None:
         project(np.zeros(n), q.A, q.b)  # an empty polyhedron raises with a certificate here
@@ -619,10 +637,91 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     step, convex = _step_rule(q)
     stationarity = _stationarity(q, best_x, step)
     return QpSolution(
-        x=best_x, z=best_z, iterations=examined,
+        x=best_x, z=best_z, iterations=sum(comb(m + n, k) for k in range(n + 1)),
         converged=stationarity <= 1e-8 * (1.0 + float(np.max(np.abs(best_x)))),
         stationarity=stationarity, convex=convex,
     )
+
+
+def _conflict_pairs(q: CrispQP, rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """(N, N) bool over the N rows of [A; I]: True where two rows have their
+    one nonzero in the same column j and pin x_j to values d/a that no
+    candidate of _kkt_candidates can meet together.
+
+    Its residual filter keeps a solution only if every row of the computed
+    residual is at most t = fl(1e-8 * (1 + max|rhs|)), and rhs = [-c; d]
+    with d drawn from [b; 0], so t <= tau (1 + u)^2 with
+    tau = 1e-8 * (1 + max(||c||, ||b||)) (infinity norms, u the unit
+    roundoff).  A row pinning x_j by a x_j = d has the residual entry
+    fl(fl(a x_j) - d): the other terms of its product with the KKT matrix
+    are exact zeros.  So |fl(a x_j) - d| <= t / (1 - u), and with
+    |a x_j - fl(a x_j)| <= u |a x_j|,
+
+        |x_j - v| <= t / ((1 - u)^2 |a|) + u |v| / (1 - u) < 1.01 (tau / |a| + u |v|)
+
+    for v = d / a.  Two rows both met by one x_j thus have
+    |v1 - v2| < 1.01 (tau (1/|a1| + 1/|a2|) + u (|v1| + |v2|)).  The test
+    below asks for more than twice that, 2 tau / |a| + 4 u |v| per row,
+    which covers the rounding of v and of the test itself; the absolute
+    term 4 * tiny covers results that fall below the normal range.  A NaN
+    or infinite term never conflicts.  Rows that can both be met, such as
+    equal pinned values, are never paired: pruning one of those subsets
+    could change which rounding artefact wins a tie.
+    """
+    N = len(rows)
+    nonzero = rows != 0
+    j = nonzero.argmax(axis=1)
+    col = np.where(nonzero.sum(axis=1) == 1, j, -1 - np.arange(N))  # no shared column unless single
+    a = rows[np.arange(N), j]
+    tau = 1e-8 * (1.0 + max(_max(np.abs(q.c), initial=0.0), _max(np.abs(q.b), initial=0.0)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        v = bounds / a
+        reach = 2.0 * tau / np.abs(a) + 4.0 * _U * np.abs(v) + 4.0 * np.finfo(float).tiny
+        return (col[:, None] == col[None, :]) & (
+            np.abs(v[:, None] - v[None, :]) > reach[:, None] + reach[None, :]
+        )
+
+
+def _next_level(level: np.ndarray, conflict: np.ndarray) -> np.ndarray:
+    """The subsets one larger than the rows of level, without those that
+    hold a conflict pair.
+
+    level holds increasing index rows in lexicographic order.  Each row is
+    followed by every larger index in turn, which is the order of
+    itertools.combinations, and a pruned subset is never extended, so no
+    superset of a conflict pair is built.
+    """
+    k, s = level.shape
+    last = level[:, -1] if s else np.full(k, -1)
+    counts = len(conflict) - 1 - last
+    parent = np.repeat(np.arange(k), counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)  # where each parent's run starts
+    added = last[parent] + 1 + (np.arange(len(parent)) - first)
+    nxt = np.empty((len(parent), s + 1), dtype=np.intp)
+    nxt[:, :s] = level[parent]
+    nxt[:, s] = added
+    return nxt[~conflict[nxt[:, :s], added[:, None]].any(axis=1)]
+
+
+def _contenders(q: CrispQP, x: np.ndarray, z_ref: float) -> np.ndarray:
+    """Indices of the candidates x (one per row, in order) that can still
+    win against a best of objective z_ref, the best before them.
+
+    The tie rule (_beats) lets a candidate replace the best with a z up to
+    _TIE above it, so over k candidates the best's z rises by at most
+    k * _TIE (times 1 + 2u for the rounding of each difference) above
+    z_ref.  A candidate beats it only within another _TIE, so one whose z
+    exceeds z_ref + (k + 2) * _TIE can never replace the best and leaves
+    the outcome unchanged when skipped.  z is taken here in one batched
+    expression, whose value and objective()'s each lie within
+    gamma_{2n+2} (|c|'|x| + 1/2 |x|'|Q||x|) of the exact objective; err
+    is more than twice that bound.  A NaN z is kept.
+    """
+    k, n = x.shape
+    z = x @ q.c + 0.5 * ((x @ q.Q) * x).sum(axis=1)
+    ax = np.abs(x)
+    err = (8 * n + 32) * _U * (ax @ np.abs(q.c) + 0.5 * ((ax @ np.abs(q.Q)) * ax).sum(axis=1))
+    return np.flatnonzero(~(z - z_ref > (k + 2) * _TIE + err))
 
 
 def _kkt_candidates(q: CrispQP, E: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -54,6 +54,11 @@ class TestAlphaSpec:
         with pytest.raises(Exception):
             parse_alpha_spec(spec)
 
+    @pytest.mark.parametrize("spec", ["0:1:inf", "0:1:nan", "0:1:-inf"])
+    def test_non_finite_step_is_a_bad_step(self, spec):
+        with pytest.raises(argparse.ArgumentTypeError, match="step must be positive and finite"):
+            parse_alpha_spec(spec)
+
     def test_level_cap(self):
         assert len(parse_alpha_spec("0:1:1e-5")) == 100_001  # the cap itself passes
         for spec, count in (("0:1:1e-6", "1000001"), ("0:1:1e-9", "1000000000"),
@@ -70,7 +75,7 @@ class TestAlphaSpec:
 
 
 class TestSolve:
-    @pytest.mark.parametrize("spec", ["0:1", ",", "0:1:0", "0:1:1e-6", "0:1:1e-9"])
+    @pytest.mark.parametrize("spec", ["0:1", ",", "0:1:0", "0:1:1e-6", "0:1:1e-9", "0:1:inf"])
     def test_bad_alpha_spec_is_a_usage_error(self, spec):
         # argparse reports it as for any bad flag: one error line, exit 2
         proc = run_cli("solve", "--input", FIXTURE, "--alphas", spec)

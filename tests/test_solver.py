@@ -1,5 +1,6 @@
 """Projected gradient solver, exact projection, and the enumeration oracle."""
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -44,6 +45,8 @@ from fuzzyqp.solver import (
     _ListChecks,
     _Projector,
     _bound_face,
+    _conflict_pairs,
+    _next_level,
     _stationarity,
     _step_rule,
     is_convex,
@@ -651,6 +654,45 @@ def _box_instance(rng, n, convex):
     return CrispQP(c=rng.normal(size=n), Q=Q, A=A, b=rng.uniform(1.0, 2.0, n))
 
 
+def _catalogue(q):
+    """The rows and right-hand sides of [A; I] that solve_oracle pins."""
+    return np.vstack([q.A, np.eye(q.n)]), np.concatenate([q.b, np.zeros(q.n)])
+
+
+def _count_systems(monkeypatch):
+    """Patch the oracle's batched solve to count the systems it is given."""
+    count = [0]
+    solve1 = solver_module._solve1
+
+    def counting(kkt, rhs, **kwargs):
+        count[0] += len(kkt)
+        return solve1(kkt, rhs, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_solve1", counting)
+    return count
+
+
+def _tie_lp(tilt):
+    """min -tilt x1 + x3 over a prism: its bottom face x3 = 0 is the polygon
+    with the vertices P_k = (7 - k, (3 - k)^2 + 1), k = 0..6.
+
+    Row k < 6 of A is the edge P_k P_{k+1}, row 6 the closing edge x2 <= 10,
+    so the bottom vertices come in the order P_1, P_0, P_2, ..., P_6, with
+    x1 falling from P_1 on.  Every bottom vertex has z = -tilt x1.
+    """
+    P = np.array([(7.0 - k, (3.0 - k) ** 2 + 1.0) for k in range(7)])
+    rows, rhs = [], []
+    for k in range(6):
+        normal = np.array([P[k + 1, 1] - P[k, 1], P[k, 0] - P[k + 1, 0]])
+        if normal @ (P.mean(axis=0) - P[k]) > 0:
+            normal = -normal
+        rows.append([normal[0], normal[1], 0.0])
+        rhs.append(normal @ P[k])
+    rows.append([0.0, 1.0, 0.0])
+    rhs.append(10.0)
+    return CrispQP(c=[-tilt, 0.0, 1.0], Q=np.zeros((3, 3)), A=rows, b=rhs)
+
+
 class TestOracle:
     def test_lower_qp_at_zero(self, example_problem):
         s = solve_oracle(lower_qp(example_problem, 0.0))
@@ -766,6 +808,88 @@ class TestOracle:
                 examined_total += examined
         # 2348 of the 6706 systems have an exact zero pivot
         assert singular > examined_total // 4
+
+    def test_box_instances_solve_one_system_per_choice(self, monkeypatch):
+        # Row i of A pins its variable to b_i / a_i > 0 and that variable's
+        # bound pins it to 0, so no subset holding both is solved: each
+        # variable is free, pinned by its row or pinned by its bound.
+        systems = _count_systems(monkeypatch)
+        rng = np.random.default_rng(21)
+        for n in range(1, ORACLE_MAX_N):
+            for convex in (True, False):
+                q = _box_instance(rng, n, convex)
+                systems[0] = 0
+                s = solve_oracle(q)
+                assert systems[0] == 3 ** n
+                assert s.iterations == sum(comb(2 * n, k) for k in range(n + 1))
+
+    def test_consistent_parallel_pair_is_not_pruned(self):
+        # Draw 198 of the equivalence family.  Row 5 of A pins x_3 to 0, as
+        # its bound does; both can hold, so the pair is no conflict.  The
+        # winner's x_3 is a rounding artefact, and skipping the subsets that
+        # hold both rows hands the lexicographic tie to another candidate.
+        rng = np.random.default_rng(505)
+        for i in range(199):
+            q = _oracle_instance(rng, i % 5)
+        assert q.b[5] == 0.0 and np.flatnonzero(q.A[5]).tolist() == [2]
+        assert not _conflict_pairs(q, *_catalogue(q)).any()
+        s = solve_oracle(q)
+        x, z, examined = enumerate_oracle_reference(q)
+        assert s.x.tobytes() == x.tobytes() and s.z == z
+        assert s.iterations == examined
+        assert 0.0 < abs(s.x[2]) < 1e-15
+
+    @pytest.mark.parametrize("gap, pruned", [(0.99, False), (1.01, True)])
+    def test_conflict_bound(self, monkeypatch, gap, pruned):
+        # x_1 <= 1 and 2 x_1 <= 2 v pin x_1 to 1 and v; they conflict only
+        # when v - 1 exceeds 2 tau (1/1 + 1/2) + 4u (1 + v), where
+        # tau = 1e-8 (1 + max(||c||, ||b||)) = 4e-8
+        tau = 1e-8 * (1.0 + 3.0)
+        u = np.finfo(float).eps / 2
+        v = 1.0 + gap * (3.0 * tau + 8.0 * u) / (1.0 - 4.0 * gap * u)
+        q = CrispQP(c=[3.0, -1.0], Q=np.eye(2), A=[[1.0, 0.0], [2.0, 0.0]], b=[1.0, 2.0 * v])
+        assert _conflict_pairs(q, *_catalogue(q))[0, 1] == pruned
+        systems = _count_systems(monkeypatch)
+        s = solve_oracle(q)
+        # of the 11 subsets, the two that pin x_1 by a row and its bound
+        # (1 or v against 0) are never solved; {row 0, row 1} is, unless pruned
+        assert systems[0] == 9 - pruned
+        x, z, examined = enumerate_oracle_reference(q)
+        assert s.x.tobytes() == x.tobytes() and s.z == z
+        assert s.iterations == examined == 11
+
+    def test_levels_without_conflicts_are_the_combinations(self):
+        for N in range(1, 17):
+            level = np.empty((1, 0), dtype=np.intp)
+            for size in range(1, N + 1):
+                level = _next_level(level, np.zeros((N, N), dtype=bool))
+                expected = np.array(list(combinations(range(N), size)), dtype=np.intp)
+                assert np.array_equal(level, expected)
+
+    def test_levels_skip_every_superset_of_a_conflict_pair(self):
+        rng = np.random.default_rng(16)
+        for N in (5, 9, 12):
+            conflict = np.triu(rng.uniform(size=(N, N)) < 0.2, 1)
+            conflict |= conflict.T
+            level = np.empty((1, 0), dtype=np.intp)
+            for size in range(1, N + 1):
+                level = _next_level(level, conflict)
+                expected = [S for S in combinations(range(N), size)
+                            if not any(conflict[i, j] for i, j in combinations(S, 2))]
+                assert level.tolist() == [list(S) for S in expected]
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.9e-12])
+    def test_tie_heavy_lp_matches_per_subset_reference(self, tilt):
+        # With no tilt the bottom vertices tie exactly.  With a tilt of
+        # 0.9e-12 each one ties with the one before and has a smaller x1, so
+        # the tie rule walks from P_1 to P_6, 4.5e-12 above P_1: a screen
+        # with a slack of a few _TIE, not one per candidate, would cut it short.
+        q = _tie_lp(tilt)
+        s = solve_oracle(q)
+        x, z, examined = enumerate_oracle_reference(q)
+        assert s.x.tobytes() == x.tobytes() and s.z == z
+        assert s.iterations == examined
+        np.testing.assert_allclose(s.x, [1.0, 10.0, 0.0], atol=1e-12)
 
     def test_each_system_is_factorised_once(self, monkeypatch):
         def refuse(*args, **kwargs):
