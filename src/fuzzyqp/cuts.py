@@ -2,9 +2,11 @@
 
 The lower instance takes every coefficient at the left endpoint of its
 alpha-cut, the upper instance at the right endpoint.  At alpha = 1 both
-collapse to the modal (crisp core) problem.  Each cut end is affine in
-alpha up to the clamp to the mode; its end and slope arrays are built once
-per problem (FuzzyQP._cut_data), so a level costs the clamp expressions.
+are one instance, the modal (crisp core) problem with every coefficient
+exactly its mode (FuzzyQP._core), so lower_qp(p, 1.0) is upper_qp(p, 1.0).
+Below 1 each cut end is affine in alpha up to the clamp to the mode; its
+end and slope arrays are built once per problem (FuzzyQP._cut_data), so a
+level costs the clamp expressions.
 """
 from __future__ import annotations
 
@@ -16,12 +18,17 @@ from .problem import CrispQP, FuzzyQP, ValidationError, validate
 
 def _extract(p: FuzzyQP, alpha: float, side: int) -> CrispQP:
     """Crisp QP at level alpha, every coefficient at its cut endpoint on side 0 (lower)
-    or 1 (upper), clamped to the mode as in TriangularFuzzyNumber.alpha_cut.  It is
-    CrispQP._trusted: finite spreads give finite ends, and symmetric Q triples a symmetric Q."""
+    or 1 (upper), clamped to the mode as in TriangularFuzzyNumber.alpha_cut, and the
+    one core instance of the modes on both sides at alpha = 1.  It is CrispQP._trusted:
+    finite spreads give finite ends, and symmetric Q triples a symmetric Q."""
     alpha = check_alpha(alpha)
     violations = validate(p)  # cached on p: a FuzzyQP is validated once
     if violations:
         raise ValidationError(violations)
+    if alpha == 1.0:
+        # a1 + 1.0*(a2 - a1) and a3 - 1.0*(a3 - a2) can round an ulp off the mode
+        # into the cut, which the clamps let through
+        return p._core
     if side == 0:
         return CrispQP._trusted(*(np.minimum(a1 + alpha * s, a2) for a1, s, a2 in p._cut_data[0]))
     return CrispQP._trusted(*(np.maximum(a3 - alpha * s, a2) for a3, s, a2 in p._cut_data[1]))

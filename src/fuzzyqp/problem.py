@@ -129,6 +129,12 @@ class FuzzyQP:
         return (tuple(_read_only(a1, a2 - a1, a2) for a1, a2, _ in ends),
                 tuple(_read_only(a3, a3 - a2, a2) for _, a2, a3 in ends))
 
+    @cached_property
+    def _core(self) -> "CrispQP":
+        """The crisp core, cuts._extract's one instance for both sides at alpha = 1:
+        the mode arrays of _cut_data exactly, never an affine cut end rounded off them."""
+        return CrispQP._trusted(*(a2 for _, _, a2 in self._cut_data[0]))
+
     @property
     def n(self) -> int:
         return len(self._stored()[0])
@@ -196,8 +202,8 @@ class CrispQP:
 
     @classmethod
     def _trusted(cls, c, Q, A, b) -> "CrispQP":
-        """An instance of fresh float arrays known to pass __post_init__'s checks,
-        such as the cut ends of a validated FuzzyQP: made read-only, not copied or checked."""
+        """An instance of fresh or read-only float arrays known to pass __post_init__'s
+        checks, such as the cut ends of a validated FuzzyQP: made read-only, not copied or checked."""
         q = object.__new__(cls)
         q.__dict__.update(zip(_KEYS, _read_only(c, Q, A, b)))
         return q

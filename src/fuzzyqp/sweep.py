@@ -3,18 +3,20 @@ membership curve of the fuzzy optimal objective.
 
 Every requested level is solved even after the lower and upper values
 coincide; the coincidence level is reported as a flag so downstream
-consumers still see the whole curve.
+consumers still see the whole curve.  At alpha = 1 both endpoints are one
+instance, the crisp core (cuts), solved once for both bounds, which there
+coincide exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .cuts import lower_qp, upper_qp
 from .fuzzy import check_alpha
-from .problem import FuzzyQP
+from .problem import CrispQP, FuzzyQP
 from .solver import InfeasibleError, QpSolution, SolverOptions, solve_pg
 
 COINCIDENCE_TOL = 1e-6
@@ -70,7 +72,8 @@ def solve_fqp(
     alphas: Sequence[float],
     opts: SolverOptions | None = None,
 ) -> MembershipCurve:
-    """Solve the lower and upper endpoint QP at every requested level.
+    """Solve the lower and upper endpoint QP at every requested level; at
+    alpha = 1 they are one instance, the crisp core, solved once.
 
     Levels are sorted ascending and deduplicated.  An infeasible endpoint
     instance raises InfeasibleError naming the level and endpoint.
@@ -83,16 +86,14 @@ def solve_fqp(
     records = []
     coincidence_alpha = None
     for alpha in grid:
-        sols = {}
-        for endpoint, extract in (("lower", lower_qp), ("upper", upper_qp)):
-            try:
-                sols[endpoint] = solve_pg(extract(p, alpha), opts)
-            except InfeasibleError as e:
-                raise InfeasibleError(
-                    f"{endpoint} endpoint QP infeasible at alpha={alpha:g}: {e}",
-                    e.certificate,
-                ) from e
-        lo, up = sols["lower"], sols["upper"]
+        lo_q = lower_qp(p, alpha)
+        lo = _solve_endpoint(lo_q, opts, "lower", alpha)
+        up_q = upper_qp(p, alpha)
+        if up_q is lo_q:
+            # its own x, so that writing to one side's argmin leaves the other's
+            up = replace(lo, x=lo.x.copy())
+        else:
+            up = _solve_endpoint(up_q, opts, "upper", alpha)
         record = AlphaRecord(
             alpha=alpha,
             z_lower=lo.z,
@@ -106,6 +107,17 @@ def solve_fqp(
             coincidence_alpha = alpha
         records.append(record)
     return MembershipCurve(records=tuple(records), coincidence_alpha=coincidence_alpha)
+
+
+def _solve_endpoint(q: CrispQP, opts: SolverOptions, endpoint: str, alpha: float) -> QpSolution:
+    """solve_pg(q, opts), an InfeasibleError naming the level and the endpoint."""
+    try:
+        return solve_pg(q, opts)
+    except InfeasibleError as e:
+        raise InfeasibleError(
+            f"{endpoint} endpoint QP infeasible at alpha={alpha:g}: {e}",
+            e.certificate,
+        ) from e
 
 
 def check_invertible(curve: MembershipCurve, slack: float = 1e-9) -> None:

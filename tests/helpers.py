@@ -195,7 +195,10 @@ def extract_reference(p: FuzzyQP, alpha: float, side: int) -> CrispQP:
     triple arrays, through the checking CrispQP constructor.
 
     lower_qp (side 0) and upper_qp (side 1) must reproduce it byte for byte.
+    At alpha = 1 both sides are the core: the modes, never a rounded cut end.
     """
+    if alpha == 1.0:
+        return CrispQP(*(t[..., 1] for t in p._arrays))
     if side == 0:
         return CrispQP(*(np.minimum(t[..., 0] + alpha * (t[..., 1] - t[..., 0]), t[..., 1])
                          for t in p._arrays))

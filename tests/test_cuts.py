@@ -67,7 +67,7 @@ class TestProperties:
         p = random_fuzzy_qp(np.random.default_rng(seed))
         lo, up = lower_qp(p, 1.0), upper_qp(p, 1.0)
         for a, b in ((lo.c, up.c), (lo.Q, up.Q), (lo.A, up.A), (lo.b, up.b)):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7, 1.0])
     def test_componentwise_ordering(self, alpha, example_problem):
@@ -164,6 +164,30 @@ class TestBitForBit:
     def test_random_valid_problems(self, p, alpha):
         assert validate(p) == []
         _assert_extraction_is_the_reference(p, alpha)
+
+
+def _assert_core_is_the_modes(p):
+    core = lower_qp(p, 1.0)
+    assert upper_qp(p, 1.0) is core
+    for got, t in zip((core.c, core.Q, core.A, core.b), p._arrays):
+        assert got.tobytes() == np.ascontiguousarray(t[..., 1]).tobytes()
+        assert not got.flags.writeable
+
+
+class TestCore:
+    """At alpha = 1 both sides are one instance of the modes, not cut ends
+    that can round an ulp off them."""
+
+    def test_ends_that_round_off_the_mode(self):
+        t = T(-0.7, 0.1, 1.1)  # a1 + 1.0*(a2 - a1) < 0.1 < a3 - 1.0*(a3 - a2)
+        p = FuzzyQP(c=(t, t), Q=((t, t), (t, t)), A=((t, t),), b=(t,))
+        _assert_core_is_the_modes(p)
+        assert lower_qp(p, 1.0).c.tolist() == [0.1, 0.1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_problems())
+    def test_random_valid_problems(self, p):
+        _assert_core_is_the_modes(p)
 
 
 class TestErrors:

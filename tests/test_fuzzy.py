@@ -35,11 +35,17 @@ class TestAlphaCut:
         assert TriangularFuzzyNumber(-6, -5, -4).alpha_cut(0.0) == Interval(-6, -4)
 
     def test_core_is_exactly_the_mode(self):
-        # 0 + 1.0 * (1e-6 - 0) rounds below 1e-6; the cut is clamped to the mode
+        # 0 + 1.0 * (1e-6 - 0) is exactly 1e-6, and 9 - 1.0 * (9 - 1e-6) is clamped up to it
         t = TriangularFuzzyNumber(0.0, 1e-6, 9.0)
         cut = t.alpha_cut(1.0)
         assert cut == Interval(1e-6, 1e-6)
         assert t.membership(cut.lo) == 1.0
+
+    def test_core_of_ends_that_round_off_the_mode(self):
+        # -0.7 + 1.0 * (0.1 - -0.7) rounds below 0.1 and 1.1 - 1.0 * (1.1 - 0.1)
+        # above it: both land inside the cut, where no clamp reaches
+        t = TriangularFuzzyNumber(-0.7, 0.1, 1.1)
+        assert t.alpha_cut(1.0) == Interval(0.1, 0.1)
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.1, 2.0, -1e-9])
     def test_alpha_out_of_range(self, alpha):

@@ -206,6 +206,30 @@ class TestMembershipOfObjective:
             polyline(curve)
 
 
+class TestCoreSolvedOnce:
+    """At alpha = 1 the lower and upper instance are one, so one solve serves both."""
+
+    def test_solve_count(self, example_problem, monkeypatch):
+        import fuzzyqp.sweep as sweep_module
+
+        solved = []
+        real = sweep_module.solve_pg
+        monkeypatch.setattr(sweep_module, "solve_pg", lambda q, opts: solved.append(q) or real(q, opts))
+        curve = solve_fqp(example_problem, [0.0, 0.5, 1.0])
+        assert len(solved) == 5
+        top = curve.records[-1]
+        assert top.alpha == 1.0
+        assert top.z_lower == top.z_upper
+        assert top.x_lower.tobytes() == top.x_upper.tobytes()
+
+    def test_argmins_are_not_aliased(self, example_problem):
+        top = solve_fqp(example_problem, [1.0]).records[0]
+        want = top.x_upper.copy()
+        top.x_lower[...] = -1.0
+        assert top.x_upper.tobytes() == want.tobytes()
+        assert top.upper_diag.x is top.x_upper
+
+
 class TestSetUpPaidOnce:
     """A sweep builds the cut data once per problem and each shared bound
     face once per process; the per-level work is the clamps and the solve."""
@@ -231,7 +255,7 @@ class TestSetUpPaidOnce:
         curve = solve_fqp(p, parse_alpha_spec("0:1:0.01"))
         assert len(curve.records) == 101
         assert calls["qr"] <= 72  # 272 when every solve built each face by QR
-        assert calls["eigvalsh"] == 202  # one per crisp QP
+        assert calls["eigvalsh"] == 201  # one per distinct crisp QP: the core is solved once
         assert calls["post_init"] == 0  # the cut ends of a validated problem are trusted
 
     def test_cached_and_trusted_arrays_are_read_only(self, example_problem):
