@@ -76,14 +76,17 @@ class TriangularFuzzyNumber:
 
         The cut at alpha = 1 is the core [a2, a2] exactly.  Below it, rounding
         can carry an endpoint an ulp past the mode a2, which the exact cut
-        always contains; each endpoint is clamped to its side of a2.
+        always contains; each endpoint is clamped to its side of a2 as numpy's
+        minimum and maximum clamp lower_qp and upper_qp, so both give the same
+        bytes: a tie, such as 0.0 against -0.0, keeps a2, and a NaN stays.
         """
         alpha = check_alpha(alpha)
+        a2 = self.a2
         if alpha == 1.0:
-            return Interval(self.a2, self.a2)
-        lo = min(self.a1 + alpha * (self.a2 - self.a1), self.a2)
-        hi = max(self.a3 - alpha * (self.a3 - self.a2), self.a2)
-        return Interval(lo, hi)
+            return Interval(a2, a2)
+        lo = self.a1 + alpha * (a2 - self.a1)
+        hi = self.a3 - alpha * (self.a3 - a2)
+        return Interval(a2 if a2 <= lo else lo, a2 if a2 >= hi else hi)
 
     def membership(self, x: float) -> float:
         """Membership grade of x: 0 outside [a1, a3], 1 at a2, linear between.

@@ -6,7 +6,7 @@ One eigvalsh per crisp QP, in _spectrum, gives both K and whether Q is PSD.
 Each step projects onto the feasible set {Ax <= b, x >= 0} exactly, by a
 dual active-set method (Goldfarb-Idnani) warm-started from the previous
 step's active set; an empty set is reported with a Farkas certificate.
-A face of bound rows only is built once and shared by all (_bound_face).
+A face with no row of A is written down, not factored (_bound_face).
 A step's exact comparisons (feasibility, multiplier signs, the slack
 test, the divergence and convergence tests) scan Python lists when
 m + n <= SHORT_LEN and call numpy reductions otherwise; both decide as
@@ -156,8 +156,7 @@ _min = np.minimum.reduce
 def lipschitz_constant(Q) -> float:
     """Spectral norm of a symmetric matrix; 1.0 for the zero matrix.
 
-    Computed by eigvalsh, not by power iteration: one decomposition per
-    crisp QP gives both K and convexity (see is_convex).
+    One eigvalsh per crisp QP gives both K and convexity (see is_convex).
     """
     return _spectrum(Q)[0] or 1.0
 
@@ -301,12 +300,13 @@ class _Projector:
     InfeasibleError is raised.
 
     For a fixed P the multipliers are affine in x, mu_P = K x - k, and
-    y = x - G_P' mu_P; K and k are built once per set (by QR of G_P') and
-    cached; a set of bounds only takes the face that all projectors share
-    (_bound_face).  Every call starts from the set the previous call ended
-    on, less any rows whose multipliers come out negative at the new x; once
-    projected gradient settles, a projection is one affine map plus a sign
-    and a feasibility check.
+    y = x - G_P' mu_P; K and k are built once per set and cached: by QR of
+    G_P' for a set that holds a row of A, and in closed form by _bound_face
+    (shared by all projectors for n <= 32) for the empty set or bounds only.
+    Every call starts from the set the previous call ended on, less any
+    rows whose multipliers come out negative at the new x; once projected
+    gradient settles, a projection is one affine map plus a sign and a
+    feasibility check.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -339,10 +339,7 @@ class _Projector:
         # the residual of a tight row is rounding.
         self.tol = 1e-12 * (1.0 + float(_max(np.abs(self.h), initial=0.0)))
         self.active: tuple[int, ...] = ()
-        # The empty face needs no QR: mu is empty and y = x - 0.
-        self._faces: dict[tuple[int, ...], tuple] = {
-            (): (np.zeros((0, n)), np.zeros(0), np.zeros((n, 0)), [])
-        }
+        self._faces: dict[tuple[int, ...], tuple] = {}
 
     def contains(self, x: np.ndarray) -> bool:
         """Ax <= b and x >= 0, exactly."""
@@ -354,12 +351,16 @@ class _Projector:
         face = self._faces.get(P)
         if face is None:
             n, first = self.G.shape[1], self.first_bound
-            if P and P[0] >= first and n <= _BOUND_FACE_N:  # bounds only (P is sorted)
-                face = _bound_face(n, tuple(i - first for i in P))
+            if not P or P[0] >= first:  # no row of A (P is sorted)
+                build = _bound_face if n <= _BOUND_FACE_N else _bound_face.__wrapped__
+                face = build(n, tuple(i - first for i in P))
             else:
                 rows = list(P)
                 Gt = self.G[rows].T
-                face = (*_qr_face(Gt, self.h[rows]), Gt, [i - first for i in P if i >= first])
+                Qr, R = np.linalg.qr(Gt)
+                R_inv = np.linalg.inv(R)  # R is invertible: the rows of P are independent
+                face = (R_inv @ Qr.T, R_inv @ (R_inv.T @ self.h[rows]), Gt,
+                        [i - first for i in P if i >= first])
             self._faces[P] = face
         return face
 
@@ -454,25 +455,21 @@ class _Projector:
         return full
 
 
-def _qr_face(Gt: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K, k) with mu_P = K x - k on the face of independent normals Gt (n x |P|)
-    and offsets h, by QR of Gt."""
-    Qr, R = np.linalg.qr(Gt)
-    R_inv = np.linalg.inv(R)  # R is invertible: the rows of P are independent
-    return R_inv @ Qr.T, R_inv @ (R_inv.T @ h)
-
-
 @lru_cache(maxsize=_BOUND_FACES)
 def _bound_face(n: int, bounds: tuple[int, ...]) -> tuple:
-    """_Projector._face of the bounds -y_j <= 0, j in bounds, in n <= _BOUND_FACE_N
-    variables: G_P = -I[bounds] and h_P = 0, so one read-only face, bit for bit
-    the one _face would build, serves every projector.  The cache keeps the
-    _BOUND_FACES most recently used faces of at most 2n(n + 1) floats each,
-    under 4.5 MB in all."""
-    G_P = -np.eye(n)[list(bounds)]  # the rows of G past first_bound
-    K, k = _qr_face(G_P.T, np.zeros(len(bounds)))
-    face = _read_only(K, k, G_P, np.array(bounds, dtype=np.intp))
-    return K, k, G_P.T, face[3]
+    """_Projector._face, read-only, of the bounds -y_j <= 0, j in bounds (none
+    for the empty face), in n variables: G_P = -I[bounds] and h_P = 0, so
+    mu_P = -x[bounds], K = -I[bounds] with +0.0 elsewhere and k = +0.0.
+    That is byte for byte the face a QR of G_P' gives: each Householder
+    reflector of a signed unit column is an exact signed swap, so R is
+    diagonal +-1 and R^-1 Q' is exact.  For n <= _BOUND_FACE_N one face
+    serves every projector: the cache keeps the _BOUND_FACES most recently
+    used faces of at most 2n(n + 1) floats each, under 4.5 MB in all."""
+    j = list(bounds)
+    K = np.zeros((len(j), n))
+    K[np.arange(len(j)), j] = -1.0
+    G_P = -np.eye(n)[j]  # the rows of G past first_bound
+    return _read_only(K, np.zeros(len(j)), G_P.T, np.array(j, dtype=np.intp))
 
 
 def _default_starts(q: CrispQP, opts: SolverOptions) -> list[np.ndarray]:

@@ -142,10 +142,6 @@ class _ReferenceProjector(_Projector):
     The row exchanges (_add) are shared.
     """
 
-    def __init__(self, A, b):
-        super().__init__(A, b)
-        self._faces.clear()
-
     def _face(self, P):
         face = self._faces.get(P)
         if face is None:

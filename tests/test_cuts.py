@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import crisp_problem, extract_reference, random_fuzzy_qp
@@ -188,6 +188,26 @@ class TestCore:
     @given(_valid_problems())
     def test_random_valid_problems(self, p):
         _assert_core_is_the_modes(p)
+
+
+class TestScalarCut:
+    """TriangularFuzzyNumber.alpha_cut clamps as lower_qp and upper_qp do:
+    the cut of a triple is its pair of entries in a 1 x 1 problem, byte for
+    byte, signed zeros included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_TRIPLES, min_size=4, max_size=4),
+           st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    @example([[-0.0, -0.0, 0.0]] * 4, 0.5)  # both ends reach the mode -0.0 as +0.0
+    def test_cut_is_the_extracted_entry(self, triples, alpha):
+        c, Q, A, b = (T(*t) for t in triples)
+        p = FuzzyQP(c=(c,), Q=((Q,),), A=((A,),), b=(b,))
+        lo, hi = lower_qp(p, alpha), upper_qp(p, alpha)
+        for t, lo_entry, hi_entry in zip((c, Q, A, b), (lo.c, lo.Q, lo.A, lo.b),
+                                         (hi.c, hi.Q, hi.A, hi.b)):
+            cut = t.alpha_cut(alpha)
+            assert (np.array([cut.lo, cut.hi]).tobytes()
+                    == np.array([lo_entry.item(), hi_entry.item()]).tobytes())
 
 
 class TestErrors:

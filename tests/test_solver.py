@@ -41,6 +41,7 @@ from fuzzyqp.cli import parse_alpha_spec
 from fuzzyqp.solver import (
     ORACLE_MAX_N,
     SHORT_LEN,
+    _BOUND_FACE_N,
     _ArrayChecks,
     _ListChecks,
     _Projector,
@@ -463,8 +464,9 @@ def _pg_instance(rng, kind, n, m):
 
 class TestLeanPgMatchesReference:
     """solve_pg decides its comparisons without numpy reductions on short
-    vectors and prefills the empty face; it must match pg_reference, which
-    reduces every vector in numpy and runs a QR for every face, bit for bit."""
+    vectors and writes down every face with no row of A; it must match
+    pg_reference, which reduces every vector in numpy and runs a QR for
+    every face, bit for bit."""
 
     def test_fixture_grid(self, example_problem):
         for alpha in parse_alpha_spec("0:1:0.01"):
@@ -491,20 +493,23 @@ class TestLeanPgMatchesReference:
     def test_empty_face_is_the_qr_face(self):
         A, b = np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 1.0]]), np.ones(3)
         proj = _Projector(A, b)
-        prefilled = proj._faces.pop(())
-        built = proj._face(())
-        for a, c in zip(prefilled, built):
-            assert np.shape(a) == np.shape(c) and np.array_equal(a, c)
+        assert proj._faces == {}  # a projector builds each face when it first needs it
+        face, built = proj._face(()), _ReferenceProjector(A, b)._face(())
+        for a, c in zip(face[:3], built[:3]):
+            assert (a.shape, a.strides, a.tobytes()) == (c.shape, c.strides, c.tobytes())
+        assert face[3].tolist() == built[3] == []
         x = np.array([0.25, -0.0])
-        K, k, Gt, pinned = prefilled
+        K, k, Gt, pinned = face
         assert proj._point(x, K @ x - k, Gt, pinned).tobytes() == x.tobytes()
 
 
 class TestSharedBoundFaces:
-    """A face of bound rows only comes from the shared _bound_face cache; it
-    must be byte for byte the face that a QR of the projector's own rows gives."""
+    """A face with no row of A (the empty set, or bounds only) comes from
+    _bound_face, in closed form: cached and shared for n <= _BOUND_FACE_N,
+    built per projector above.  It must be byte for byte the face that a QR
+    of the projector's own rows gives."""
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", [*range(1, 13), 33, 40, 64])
     def test_cached_face_is_the_qr_face(self, n):
         rng = np.random.default_rng(n)
         A = rng.normal(size=(3, n))
@@ -513,14 +518,30 @@ class TestSharedBoundFaces:
         first = proj.first_bound
         singles = [(j,) for j in range(n)]
         pairs = [(i, j) for i, j in ((0, n - 1), (n // 3, 2 * n // 3), (0, 1)) if i < j < n]
-        for bounds in singles + pairs + [tuple(range(n))]:
+        _bound_face.cache_clear()
+        for bounds in [()] + singles + pairs + [tuple(range(n))]:
             P = tuple(first + j for j in bounds)
             shared, built = proj._face(P), fresh._face(P)
-            assert shared is _bound_face(n, bounds)
+            if n <= _BOUND_FACE_N:
+                assert shared is _bound_face(n, bounds)
             for a, b in zip(shared[:3], built[:3]):
                 assert (a.shape, a.strides) == (b.shape, b.strides)
                 assert a.tobytes() == b.tobytes()
             assert shared[3].tolist() == built[3] == list(bounds)
+        if n > _BOUND_FACE_N:  # built for this projector alone
+            assert _bound_face.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_only_faces_with_rows_of_a_take_a_qr(self, n, monkeypatch):
+        qr_calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: qr_calls.append(a.shape) or qr(a))
+        proj = _Projector(np.ones((2, n)), np.ones(2))
+        for P in (), (2,), (2, n + 1), tuple(range(2, n + 2)):
+            proj._face(P)
+        assert qr_calls == []
+        proj._face((0, 2))
+        assert qr_calls == [(n, 2)]
 
     def test_shared_arrays_are_read_only(self):
         for arr in _bound_face(3, (0, 2)):

@@ -254,7 +254,7 @@ class TestSetUpPaidOnce:
         p = parse_problem(fixture_text)
         curve = solve_fqp(p, parse_alpha_spec("0:1:0.01"))
         assert len(curve.records) == 101
-        assert calls["qr"] <= 72  # 272 when every solve built each face by QR
+        assert calls["qr"] == 70  # one per face that holds a row of A; 272 when every face took a QR
         assert calls["eigvalsh"] == 201  # one per distinct crisp QP: the core is solved once
         assert calls["post_init"] == 0  # the cut ends of a validated problem are trusted
 
