@@ -4,9 +4,12 @@ The lower instance takes every coefficient at the left endpoint of its
 alpha-cut, the upper instance at the right endpoint.  At alpha = 1 both
 are one instance, the modal (crisp core) problem with every coefficient
 exactly its mode (FuzzyQP._core), so lower_qp(p, 1.0) is upper_qp(p, 1.0).
-Below 1 each cut end is affine in alpha up to the clamp to the mode; its
-end and slope arrays are built once per problem (FuzzyQP._cut_data), so a
-level costs the clamp expressions.
+Below 1 each cut end is affine in alpha up to the clamp to the mode.  Its
+end, slope and mode arrays are built once per problem (FuzzyQP._cut_data),
+each flat over the entries of c, Q, A and b concatenated, so a level costs
+one affine step and one clamp of the flat arrays; the result is made
+read-only and split into the views that are the crisp instance's c, Q, A
+and b (FuzzyQP._crisp).  The core is split from the flat modes alike.
 """
 from __future__ import annotations
 
@@ -30,8 +33,13 @@ def _extract(p: FuzzyQP, alpha: float, side: int) -> CrispQP:
         # into the cut, which the clamps let through
         return p._core
     if side == 0:
-        return CrispQP._trusted(*(np.minimum(a1 + alpha * s, a2) for a1, s, a2 in p._cut_data[0]))
-    return CrispQP._trusted(*(np.maximum(a3 - alpha * s, a2) for a3, s, a2 in p._cut_data[1]))
+        a1, slope, a2 = p._cut_data[0]
+        flat = np.minimum(a1 + alpha * slope, a2)
+    else:
+        a3, slope, a2 = p._cut_data[1]
+        flat = np.maximum(a3 - alpha * slope, a2)
+    flat.setflags(write=False)
+    return p._crisp(flat)
 
 
 def lower_qp(p: FuzzyQP, alpha: float) -> CrispQP:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,17 @@ class TriangularFuzzyNumber:
         always contains; each endpoint is clamped to its side of a2 as numpy's
         minimum and maximum clamp lower_qp and upper_qp, so both give the same
         bytes: a tie, such as 0.0 against -0.0, keeps a2, and a NaN stays.
+
+        A triple whose spread a3 - a1 overflows has no finite cut ends below
+        alpha = 1 (0 * inf in the affine step); there it raises ValueError in
+        FuzzyQP validation's words, "spread is not finite".
         """
         alpha = check_alpha(alpha)
         a2 = self.a2
         if alpha == 1.0:
             return Interval(a2, a2)
+        if not isfinite(self.a3 - self.a1):
+            raise ValueError(f"spread is not finite: ({self.a1}, {self.a2}, {self.a3})")
         lo = self.a1 + alpha * (a2 - self.a1)
         hi = self.a3 - alpha * (self.a3 - a2)
         return Interval(a2 if a2 <= lo else lo, a2 if a2 >= hi else hi)

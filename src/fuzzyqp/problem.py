@@ -123,17 +123,25 @@ class FuzzyQP:
     @cached_property
     def _cut_data(self):
         """Cut ends as affine functions of alpha, for cuts._extract: per side (0 lower,
-        1 upper) the read-only (end, slope, mode) arrays of each of c, Q, A and b,
-        (a1, a2 - a1, a2) on side 0 and (a3, a3 - a2, a2) on side 1."""
-        ends = [[t[..., i].copy() for i in range(3)] for t in self._arrays]
-        return (tuple(_read_only(a1, a2 - a1, a2) for a1, a2, _ in ends),
-                tuple(_read_only(a3, a3 - a2, a2) for _, a2, a3 in ends))
+        1 upper) one read-only flat (end, slope, mode) triple over the entries of c, Q,
+        A and b concatenated (_crisp splits such a flat array), (a1, a2 - a1, a2) on
+        side 0 and (a3, a3 - a2, a2) on side 1.  Both sides hold the one mode array."""
+        a1, a2, a3 = (np.concatenate([t[..., i].ravel() for t in self._arrays]) for i in range(3))
+        return _read_only(a1, a2 - a1, a2), _read_only(a3, a3 - a2, a2)
 
     @cached_property
     def _core(self) -> "CrispQP":
         """The crisp core, cuts._extract's one instance for both sides at alpha = 1:
-        the mode arrays of _cut_data exactly, never an affine cut end rounded off them."""
-        return CrispQP._trusted(*(a2 for _, _, a2 in self._cut_data[0]))
+        the modes of _cut_data exactly, never an affine cut end rounded off them."""
+        return self._crisp(self._cut_data[0][2])
+
+    def _crisp(self, flat: np.ndarray) -> "CrispQP":
+        """The trusted CrispQP whose c, Q, A and b are views of the read-only flat
+        array of their entries, concatenated as in _cut_data."""
+        n, m = len(self._arrays[0]), len(self._arrays[3])
+        q = n + n * n
+        a = q + m * n
+        return CrispQP._trusted(flat[:n], flat[n:q].reshape(n, n), flat[q:a].reshape(m, n), flat[a:])
 
     @property
     def n(self) -> int:
@@ -153,6 +161,23 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
     return arrays
+
+
+def _product(M: np.ndarray):
+    """M's matrix-vector product v -> M @ v, for aligned unit-stride vectors v.
+
+    It is M.dot, which dispatches faster, where that gives the bytes of M @ v:
+    M has at least two columns and is aligned and either F-contiguous or of
+    unit column stride with rows at least a row's length apart.  Both then
+    reach the same BLAS kernel.  Else it is M @ v itself: on one column dot
+    can keep a zero's sign where @ gives +0.0, and on other layouts either
+    may copy or take its own loop and round differently.
+    """
+    rows, cols = M.strides
+    if M.shape[1] >= 2 and M.flags.aligned and (
+            M.flags.f_contiguous or cols == M.itemsize and rows >= cols * M.shape[1]):
+        return M.dot
+    return M.__matmul__
 
 
 def _symmetrize(Q: np.ndarray) -> np.ndarray:
@@ -202,11 +227,16 @@ class CrispQP:
 
     @classmethod
     def _trusted(cls, c, Q, A, b) -> "CrispQP":
-        """An instance of fresh or read-only float arrays known to pass __post_init__'s
-        checks, such as the cut ends of a validated FuzzyQP: made read-only, not copied or checked."""
+        """An instance of read-only float arrays known to pass __post_init__'s checks,
+        such as the cut ends of a validated FuzzyQP (FuzzyQP._crisp): not copied or checked."""
         q = object.__new__(cls)
-        q.__dict__.update(zip(_KEYS, _read_only(c, Q, A, b)))
+        q.__dict__.update(zip(_KEYS, (c, Q, A, b)))
         return q
+
+    @cached_property
+    def _Qx(self):
+        """v -> Qv for an aligned unit-stride v, chosen once (see _product)."""
+        return _product(self.Q)
 
     @property
     def n(self) -> int:

@@ -13,6 +13,21 @@ m + n <= SHORT_LEN and call numpy reductions otherwise; both decide as
 numpy's max/min would, NaN included, so the iterates do not depend on the
 choice.
 
+On tiny problems numpy's per-call overhead costs more than the arithmetic,
+so a step makes as few numpy calls as give the same bits:
+  - The kernel rule (problem._product): a matrix-vector product goes
+    through ndarray.dot, which dispatches faster than @, where the matrix
+    has at least two columns and unit stride and the vector is aligned and
+    of unit stride; there both reach the same BLAS kernel.  Every other
+    product keeps @: on one column dot can keep a zero's sign where @ gives
+    +0.0.  The product is chosen once per CrispQP (Qx), per projector (Ax,
+    Gy) and per face (Kx), never per call.
+  - The held face: a projector keeps the face its last call ended on with
+    its product (_kernel), so a settled call looks nothing up.
+  - Certificate data on demand: the map from G's rows back to the rows of
+    [A; -I] (origin, scale) is built only for a Farkas certificate or
+    multipliers, which no solve asks for.
+
 solve_oracle independently enumerates active-set candidates (stationarity
 systems over every subset of at most n of the m + n constraints, less the
 subsets that pin one variable to two values no candidate can meet), which
@@ -30,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from math import comb
 from typing import Callable
@@ -38,7 +53,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
-from .problem import CrispQP, _read_only, check_finite
+from .problem import CrispQP, _product, _read_only, check_finite
 
 UNBOUNDED_LIMIT = 1e8
 ORACLE_MAX_N = 8
@@ -144,9 +159,11 @@ def objective(q: CrispQP, x) -> float:
 def gradient(q: CrispQP, x) -> np.ndarray:
     """c + Qx."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (q.n,):
+    if x.shape != q.c.shape:
         raise ValueError(f"x must have shape ({q.n},), got {x.shape}")
-    return q.c + q.Q @ x
+    # the kernel rule's product wants an aligned unit-stride x; carray also
+    # asks for a writeable one, which every iterate is
+    return q.c + (q._Qx(x) if x.flags.carray else q.Q @ x)
 
 
 _max = np.maximum.reduce
@@ -177,7 +194,8 @@ def _spectrum(Q) -> tuple[float, bool]:
     if not q_max:  # Q = 0; a NaN entry is no zero
         return 0.0, True
     eig = np.linalg.eigvalsh(Q)
-    return float(_max(np.abs(eig))), float(eig[0]) >= -1e-10 * max(1.0, q_max)
+    lo, hi = float(eig[0]), float(eig[-1])  # ascending: max|eig| is at an end
+    return max(abs(lo), abs(hi)), lo >= -1e-10 * max(1.0, q_max)
 
 
 def _step_rule(q: CrispQP) -> tuple[float, bool]:
@@ -190,7 +208,7 @@ def _stationarity(q: CrispQP, x: np.ndarray, step: float,
                   warm: _Projector | None = None) -> float:
     """Fixed-point residual ||x - P(x - step * grad)||_inf of the PG map."""
     y = project(x - step * gradient(q, x), q.A, q.b, _warm=warm)
-    return float(np.max(np.abs(x - y)))
+    return float(_max(np.abs(x - y)))
 
 
 def project(x, A, b, opts: SolverOptions | None = None,
@@ -223,53 +241,61 @@ def project(x, A, b, opts: SolverOptions | None = None,
 class _ListChecks:
     """The exact comparisons of a projected-gradient step, on short vectors.
 
-    Each scans v.tolist() in a Python loop, which costs less than a numpy
-    reduction's call overhead while v has a few dozen entries.  Each
-    decides as the numpy reduction does: False when a NaN is involved
-    (Python's max() can step over a NaN, so none is used), and max_le and
-    min_ge hold for an empty v.
+    Each takes its vectors in this class's form, vector(v) = v.tolist(), and
+    scans them in a Python loop, which costs less than a numpy call's
+    overhead while v has a few dozen entries.  Python's float arithmetic is
+    numpy's, so diff_max_le's u - v has numpy's bits.  Each decides as the
+    numpy reduction does: False when a NaN is involved (Python's max() can
+    step over a NaN, so none is used), and diff_max_le and min_ge hold for
+    an empty vector.
     """
 
+    vector = staticmethod(np.ndarray.tolist)
+
     @staticmethod
-    def max_le(v: np.ndarray, t: float) -> bool:
-        """max(v) <= t."""
-        for e in v.tolist():
-            if not e <= t:
+    def diff_max_le(u: list, v: list, t: float) -> bool:
+        """max(u - v) <= t."""
+        for a, b in zip(u, v):
+            if not a - b <= t:
                 return False
         return True
 
     @staticmethod
-    def min_ge(v: np.ndarray, t: float) -> bool:
+    def min_ge(v: list, t: float) -> bool:
         """min(v) >= t."""
-        for e in v.tolist():
+        for e in v:
             if not e >= t:
                 return False
         return True
 
     @staticmethod
-    def abs_max_gt(v: np.ndarray, t: float) -> bool:
+    def abs_max_gt(v: list, t: float) -> bool:
         """max|v| > t."""
-        v = v.tolist()
         for e in v:
             if not abs(e) <= t:  # beyond t, or NaN
                 return all(e == e for e in v)  # numpy's max is NaN if any entry is
         return False
 
     @staticmethod
-    def dist_le(u: np.ndarray, v: np.ndarray, t: float) -> bool:
+    def dist_le(u: list, v: list, t: float) -> bool:
         """max|u - v| <= t."""
-        for a, b in zip(u.tolist(), v.tolist()):
+        for a, b in zip(u, v):
             if not abs(a - b) <= t:
                 return False
         return True
 
 
 class _ArrayChecks:
-    """_ListChecks by numpy reductions, for vectors too long to scan in Python."""
+    """_ListChecks by numpy reductions, for vectors too long to scan in
+    Python: the vector form of an array is the array."""
 
     @staticmethod
-    def max_le(v: np.ndarray, t: float) -> bool:
-        return _max(v, initial=-np.inf) <= t
+    def vector(v: np.ndarray) -> np.ndarray:
+        return v
+
+    @staticmethod
+    def diff_max_le(u: np.ndarray, v: np.ndarray, t: float) -> bool:
+        return _max(u - v, initial=-np.inf) <= t
 
     @staticmethod
     def min_ge(v: np.ndarray, t: float) -> bool:
@@ -307,6 +333,14 @@ class _Projector:
     rows whose multipliers come out negative at the new x; once projected
     gradient settles, a projection is one affine map plus a sign and a
     feasibility check.
+
+    The projector holds that face as _kernel gives it, with the product
+    v -> Kv chosen once by the kernel rule (problem._product; Ax and Gy
+    likewise, in the constructor), so a settled call does no lookup.  Both
+    ways out of a call, settled or after rows are added, take their point
+    from the held face by _point.  origin and scale, which map G's rows back
+    to [A; -I] for the Farkas certificate and multipliers, are built on
+    demand.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -314,8 +348,8 @@ class _Projector:
         self.A, self.b = A, b
         self.checks = _ListChecks if m + n <= SHORT_LEN else _ArrayChecks
         norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-        keep = None
-        if not norms.all():  # zero rows are dropped, once none has b < 0
+        self._keep = None
+        if np.count_nonzero(norms) < m:  # zero rows are dropped, once none has b < 0
             zero = norms == 0.0
             if (unsatisfiable := np.flatnonzero(zero & (b < 0.0))).size:
                 i = int(unsatisfiable[0])
@@ -324,26 +358,45 @@ class _Projector:
                 raise InfeasibleError(
                     f"row {i} of A is zero and b[{i}] = {float(b[i])!r} < 0", certificate
                 )
-            keep = np.flatnonzero(~zero)
+            self._keep = keep = np.flatnonzero(~zero)
             A, b, norms = A[keep], b[keep], norms[keep]
+        self._norms = norms
         self.first_bound = k = len(norms)  # rows of G from here on are the bounds -y <= 0
         self.G, self.h = np.empty((k + n, n)), np.zeros(k + n)
         np.divide(A, norms[:, None], out=self.G[:k])
         np.divide(b, norms, out=self.h[:k])
-        self.G[k:] = -0.0  # -I, bit for bit as -np.eye(n)
-        self.G[k:].flat[::n + 1] = -1.0
-        # Row i of G is row origin[i] of [A; -I] divided by scale[i].
-        self.origin = np.arange(m + n) if keep is None else np.concatenate([keep, m + np.arange(n)])
-        self.scale = np.concatenate([norms, np.ones(n)])
+        self.G[k:] = (_neg_eye if n <= _BOUND_FACE_N else _neg_eye.__wrapped__)(n)
         # A row counts as violated beyond tol + 1e-12 * ||x||_inf; below that
         # the residual of a tight row is rounding.
-        self.tol = 1e-12 * (1.0 + float(_max(np.abs(self.h), initial=0.0)))
-        self.active: tuple[int, ...] = ()
+        self.tol = 1e-12 * (1.0 + max(map(abs, self.h.tolist())))
+        self._Ax, self._Gy = _product(self.A), _product(self.G)
+        # b and h in the form the checks compare them in
+        self._b, self._h = self.checks.vector(self.b), self.checks.vector(self.h)
+        self._held = None  # the empty face until a call ends on another
         self._faces: dict[tuple[int, ...], tuple] = {}
+        self._kernels: dict[tuple[int, ...], tuple] = {}
+
+    @cached_property
+    def origin(self) -> np.ndarray:
+        """Row i of G is row origin[i] of [A; -I] divided by scale[i]; both
+        are built on demand, for a Farkas certificate or multipliers."""
+        m, n = self.A.shape
+        return np.arange(m + n) if self._keep is None else np.concatenate([self._keep, m + np.arange(n)])
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        return np.concatenate([self._norms, np.ones(self.A.shape[1])])
+
+    @property
+    def active(self) -> tuple[int, ...]:
+        """The active set the last call ended on."""
+        return self._held[0] if self._held else ()
 
     def contains(self, x: np.ndarray) -> bool:
         """Ax <= b and x >= 0, exactly."""
-        return self.checks.max_le(self.A @ x - self.b, 0.0) and self.checks.min_ge(x, 0.0)
+        vector = self.checks.vector
+        return (self.checks.diff_max_le(vector(self._Ax(x)), self._b, 0.0)
+                and self.checks.min_ge(vector(x), 0.0))
 
     def _face(self, P: tuple[int, ...]) -> tuple:
         """(K, k, G_P', pinned) for the active set P: mu_P = K x - k, and
@@ -364,6 +417,15 @@ class _Projector:
             self._faces[P] = face
         return face
 
+    def _kernel(self, P: tuple[int, ...]) -> tuple:
+        """(P, v -> Kv, k, G_P', pinned): the face of P as the projector holds
+        it, its product chosen once by the kernel rule."""
+        kernel = self._kernels.get(P)
+        if kernel is None:
+            K, k, Gt, pinned = self._face(P)
+            kernel = self._kernels[P] = (P, _product(K), k, Gt, pinned)
+        return kernel
+
     @staticmethod
     def _point(x, mu, Gt, pinned) -> np.ndarray:
         """y = x - G_P' mu_P, with pinned variables exactly zero."""
@@ -374,18 +436,18 @@ class _Projector:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         checks = self.checks
-        P = self.active
+        held = self._held or self._kernel(())
         while True:
-            K, k, Gt, pinned = self._face(P)
-            mu = K @ x - k
-            if checks.min_ge(mu, 0.0):
+            P, Kx, k, Gt, pinned = held
+            mu = Kx(x) - k
+            if checks.min_ge(checks.vector(mu), 0.0):
                 break
-            P = tuple(compress(P, (mu >= 0.0).tolist()))
+            held = self._kernel(tuple(compress(P, (mu >= 0.0).tolist())))
         y = self._point(x, mu, Gt, pinned)
-        s = self.G @ y - self.h
-        if checks.max_le(s, self.tol):
-            self.active = P
+        if checks.diff_max_le(checks.vector(self._Gy(y)), self._h, self.tol):
+            self._held = held
             return y
+        s = self._Gy(y) - self.h
         tol = self.tol + 1e-12 * float(np.abs(x).max())
         # Each added row raises the dual objective, so no set repeats; the
         # bound only stops a cycle that rounding might cause.
@@ -395,20 +457,19 @@ class _Projector:
             if s[p] <= tol:
                 break
             P, mu, y = self._add(P, mu, y, p, float(s[p]))
-            s = self.G @ y - self.h
+            s = self._Gy(y) - self.h
         else:
             raise RuntimeError("active-set projection is cycling")
-        self.active = P
-        K, k, Gt, pinned = self._face(P)
-        return self._point(x, K @ x - k, Gt, pinned)
+        P, Kx, k, Gt, pinned = self._held = self._kernel(P)
+        return self._point(x, Kx(x) - k, Gt, pinned)
 
     def _add(self, P, mu, y, p, violation):
         """Make row p tight, dropping rows whose multipliers reach zero on the way."""
         g = self.G[p]
         mu_p = 0.0
         while True:
-            K, _, Gt, _ = self._face(P)
-            r = K @ g
+            _, Kx, _, Gt, _ = self._kernel(P)
+            r = Kx(g)
             z = g - Gt @ r
             zz = float(z @ z)
             step = violation / zz if zz > 1e-24 else np.inf
@@ -435,7 +496,7 @@ class _Projector:
         lam = np.zeros(len(self.h))
         lam[list(P)] = -r
         lam[p] = 1.0
-        certificate = np.zeros(len(self.origin))
+        certificate = np.zeros(sum(self.A.shape))  # over the m + n rows of [A; -I]
         certificate[self.origin] = lam / self.scale
         raise InfeasibleError(
             "the polyhedron is empty: Farkas certificate mu >= 0 over the rows "
@@ -448,10 +509,10 @@ class _Projector:
 
         With y the projection of x: x - y = A'mu_A - mu_I.
         """
-        K, k, _, _ = self._face(self.active)
-        full = np.zeros(len(self.origin))
-        rows = list(self.active)
-        full[self.origin[rows]] = (K @ x - k) / self.scale[rows]
+        P, Kx, k, _, _ = self._held or self._kernel(())
+        full = np.zeros(sum(self.A.shape))
+        rows = list(P)
+        full[self.origin[rows]] = (Kx(x) - k) / self.scale[rows]
         return full
 
 
@@ -472,6 +533,13 @@ def _bound_face(n: int, bounds: tuple[int, ...]) -> tuple:
     return _read_only(K, np.zeros(len(j)), G_P.T, np.array(j, dtype=np.intp))
 
 
+@lru_cache(maxsize=_BOUND_FACE_N)
+def _neg_eye(n: int) -> np.ndarray:
+    """-I in n variables, read-only, -0.0 off the diagonal: the bound rows of
+    G, copied from here into each projector for n <= _BOUND_FACE_N."""
+    return _read_only(-np.eye(n))[0]
+
+
 def _default_starts(q: CrispQP, opts: SolverOptions) -> list[np.ndarray]:
     rng = np.random.default_rng(opts.seed)
     scale = max(1.0, float(np.max(np.abs(q.b))) if q.b.size else 1.0)
@@ -485,19 +553,22 @@ def _pg_run(q, x0, step, opts, callback, warm):
         callback(x)
     # float: a Python float compared with a float32 tol would round to float32
     checks, tol = warm.checks, float(opts.tol)
+    vector = checks.vector
+    v = vector(x)  # x in the checks' form, taken once per iterate
     for k in range(opts.max_iter):
         y = x - step * gradient(q, x)
         x_new = project(y, q.A, q.b, _warm=warm)
         if callback is not None:
             callback(x_new)
-        if checks.abs_max_gt(x_new, UNBOUNDED_LIMIT):
+        v_new = vector(x_new)
+        if checks.abs_max_gt(v_new, UNBOUNDED_LIMIT):
             raise UnboundedError(
                 f"iterate magnitude exceeded {UNBOUNDED_LIMIT:.0e}; "
                 "instance appears unbounded below"
             )
-        if checks.dist_le(x_new, x, tol):
+        if checks.dist_le(v_new, v, tol):
             return x_new, k + 1, True
-        x = x_new
+        x, v = x_new, v_new
     return x, opts.max_iter, False
 
 

@@ -1,8 +1,15 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from helpers import FIXTURE_PATH, REPO_ROOT
+
+# The kernel rule (tests/test_kernels.py) holds only while numpy sends dot and
+# @ to one kernel, which is numpy's to change; CI runs those tests and
+# TestLeanPgMatchesReference on every numpy leg with
+# pytest --hypothesis-profile=kernel-rule, a larger example budget.
+settings.register_profile("kernel-rule", max_examples=2000, deadline=None)
 
 # Tests that run `python -m fuzzyqp` in a subprocess import the package from
 # this checkout, installed or not, as the in-process tests do.

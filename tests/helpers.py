@@ -1,4 +1,5 @@
 """Shared generators and frozen reference values for the test suite."""
+from bisect import bisect
 from itertools import combinations, compress
 from pathlib import Path
 
@@ -12,7 +13,6 @@ from fuzzyqp import (
     SolverOptions,
     TriangularFuzzyNumber,
     UnboundedError,
-    gradient,
     objective,
 )
 from fuzzyqp.solver import UNBOUNDED_LIMIT, _better_run, _default_starts, _Projector, _spectrum
@@ -136,11 +136,26 @@ def enumerate_oracle_reference(q: CrispQP) -> tuple[np.ndarray, float, int]:
 class _ReferenceProjector(_Projector):
     """_Projector deciding by numpy reductions, with a QR for every face.
 
-    __call__ is the first version of _Projector.__call__ and _face the first
-    version of _Projector._face, which builds every face by QR: the empty
-    face too, and a face of bounds only without the shared _bound_face.
-    The row exchanges (_add) are shared.
+    Only the set-up of G, h and tol is shared.  __call__ is the first version
+    of _Projector.__call__, _face the first version of _Projector._face,
+    which builds every face by QR: the empty face too, and a face of bounds
+    only without the shared _bound_face.  _add is the first version of the
+    row exchanges, multipliers the first version of the multipliers (sized
+    m + n, the rows of [A; -I]), and origin and scale, which the Farkas
+    certificate and multipliers read, are built eagerly, as first written.
+    Every product is written with @, so the reference does not move with
+    _Projector's choice of kernels.
     """
+
+    active = ()  # the set the last call ended on, a plain attribute here
+
+    def __init__(self, A, b):
+        super().__init__(A, b)
+        m, n = A.shape
+        norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+        keep = None if norms.all() else np.flatnonzero(norms != 0.0)
+        self.origin = np.arange(m + n) if keep is None else np.concatenate([keep, m + np.arange(n)])
+        self.scale = np.concatenate([norms if keep is None else norms[keep], np.ones(n)])
 
     def _face(self, P):
         face = self._faces.get(P)
@@ -157,6 +172,13 @@ class _ReferenceProjector(_Projector):
 
     def contains(self, x):
         return (self.A @ x - self.b).max(initial=0.0) <= 0.0 and x.min() >= 0.0
+
+    @staticmethod
+    def _point(x, mu, Gt, pinned):
+        y = x - Gt @ mu
+        if len(pinned):
+            y[pinned] = 0.0
+        return y
 
     def __call__(self, x):
         P = self.active
@@ -185,6 +207,41 @@ class _ReferenceProjector(_Projector):
         K, k, Gt, pinned = self._face(P)
         return self._point(x, K @ x - k, Gt, pinned)
 
+    def _add(self, P, mu, y, p, violation):
+        g = self.G[p]
+        mu_p = 0.0
+        while True:
+            K, _, Gt, _ = self._face(P)
+            r = K @ g
+            z = g - Gt @ r
+            zz = float(z @ z)
+            step = violation / zz if zz > 1e-24 else np.inf
+            shrinking = np.flatnonzero(r > 0.0)
+            drop = None
+            if shrinking.size:
+                ratios = mu[shrinking] / r[shrinking]
+                j = int(np.argmin(ratios))
+                if ratios[j] < step:
+                    step, drop = float(ratios[j]), int(shrinking[j])
+            if step == np.inf:
+                self._raise_infeasible(P, r, p)
+            y = y - step * z
+            mu = mu - step * r
+            mu_p += step
+            violation -= step * zz
+            if drop is None:
+                at = bisect(P, p)
+                return P[:at] + (p,) + P[at:], np.concatenate((mu[:at], [mu_p], mu[at:])), y
+            P = P[:drop] + P[drop + 1:]
+            mu = np.concatenate((mu[:drop], mu[drop + 1:]))
+
+    def multipliers(self, x):
+        K, k, _, _ = self._face(self.active)
+        full = np.zeros(sum(self.A.shape))
+        rows = list(self.active)
+        full[self.origin[rows]] = (K @ x - k) / self.scale[rows]
+        return full
+
 
 def extract_reference(p: FuzzyQP, alpha: float, side: int) -> CrispQP:
     """The cut-end extraction as first written: each clamp on views of the
@@ -203,7 +260,8 @@ def extract_reference(p: FuzzyQP, alpha: float, side: int) -> CrispQP:
 
 
 def pg_reference(q: CrispQP, opts: SolverOptions | None = None, callback=None) -> QpSolution:
-    """solve_pg as first written: every exact comparison by a numpy reduction.
+    """solve_pg as first written: every exact comparison by a numpy reduction
+    and every product with @.
 
     The lean solve_pg must reproduce it bit for bit, callback iterates
     included.
@@ -227,6 +285,12 @@ def pg_reference(q: CrispQP, opts: SolverOptions | None = None, callback=None) -
     def project(x):
         return x if warm.contains(x) else warm(x)
 
+    def grad(x):
+        return q.c + q.Q @ x
+
+    def value(x):
+        return float(q.c @ x + 0.5 * (x @ q.Q @ x))
+
     best = None
     for x in starts:
         x = project(x)
@@ -234,7 +298,7 @@ def pg_reference(q: CrispQP, opts: SolverOptions | None = None, callback=None) -
             callback(x)
         iters, converged = opts.max_iter, False
         for k in range(opts.max_iter):
-            x_new = project(x - step * gradient(q, x))
+            x_new = project(x - step * grad(x))
             if callback is not None:
                 callback(x_new)
             if np.abs(x_new).max() > UNBOUNDED_LIMIT:
@@ -243,12 +307,12 @@ def pg_reference(q: CrispQP, opts: SolverOptions | None = None, callback=None) -
                 x, iters, converged = x_new, k + 1, True
                 break
             x = x_new
-        run = (x, objective(q, x), iters, converged)
+        run = (x, value(x), iters, converged)
         if best is None or _better_run(run, best):
             best = run
 
     x, z, iters, converged = best
-    stationarity = float(np.max(np.abs(x - project(x - step * gradient(q, x)))))
+    stationarity = float(np.max(np.abs(x - project(x - step * grad(x)))))
     return QpSolution(
         x=x, z=z, iterations=iters, converged=converged,
         stationarity=stationarity, convex=convex,

@@ -34,6 +34,17 @@ class TestAlphaCut:
     def test_bottom_is_support(self):
         assert TriangularFuzzyNumber(-6, -5, -4).alpha_cut(0.0) == Interval(-6, -4)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_overflowing_spread_is_named(self, alpha):
+        # each entry is finite, a3 - a1 is not: 0 * inf made the lower end NaN
+        t = TriangularFuzzyNumber(-1e308, 1e308, 1e308)
+        with pytest.raises(ValueError, match=r"^spread is not finite: \(-1e\+308, 1e\+308, 1e\+308\)$"):
+            t.alpha_cut(alpha)
+
+    @pytest.mark.parametrize("triple", [(-1e308, 1e308, 1e308), (0.0, 1.0, float("inf"))])
+    def test_core_of_an_overflowing_spread_is_the_mode(self, triple):
+        assert TriangularFuzzyNumber(*triple).alpha_cut(1.0) == Interval(triple[1], triple[1])
+
     def test_core_is_exactly_the_mode(self):
         # 0 + 1.0 * (1e-6 - 0) is exactly 1e-6, and 9 - 1.0 * (9 - 1e-6) is clamped up to it
         t = TriangularFuzzyNumber(0.0, 1e-6, 9.0)

@@ -317,6 +317,55 @@ class TestExactProjection:
             assert np.max(np.abs(A.T @ mu[:m + 1] - mu[m + 1:])) <= 1e-9 * scale
             assert b @ mu[:m + 1] < 0.0
 
+    @staticmethod
+    def _with_zero_rows(rng, n, m, zero_rows):
+        A = rng.normal(size=(m, n))
+        A[zero_rows] = 0.0  # dropped from G: origin and scale map G's rows back
+        return A, rng.uniform(0.1, 2.0, size=m)
+
+    @pytest.mark.parametrize("zero_rows", [[], [1], [0, 2]])
+    def test_certificate_data_on_demand_is_the_eager_data(self, zero_rows):
+        """origin and scale are built only when a certificate or multipliers
+        ask; the reference builds them in its constructor, as first written."""
+        rng = np.random.default_rng(len(zero_rows))
+        A, b = self._with_zero_rows(rng, 3, 4, zero_rows)
+        proj, ref = _Projector(A, b), _ReferenceProjector(A, b)
+        assert "origin" not in vars(proj) and "scale" not in vars(proj)
+        for got, want in (proj.origin, ref.origin), (proj.scale, ref.scale):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+    @pytest.mark.parametrize("zero_rows", [[1], [0, 2]])
+    def test_farkas_certificate_with_dropped_zero_rows(self, zero_rows):
+        rng = np.random.default_rng(40 + len(zero_rows))
+        for _ in range(50):
+            A, b = self._with_zero_rows(rng, 3, 4, zero_rows)
+            lam = rng.uniform(0.1, 2.0, size=4)
+            A, b = np.vstack([A, -lam @ A]), np.append(b, -lam @ b - rng.uniform(0.01, 1.0))
+            x = 3.0 * rng.normal(size=3)
+            certificates = []
+            for build in _Projector, _ReferenceProjector:
+                with pytest.raises(InfeasibleError) as err:
+                    build(A, b)(x)
+                certificates.append(err.value.certificate.tobytes())
+            assert certificates[0] == certificates[1]
+            _assert_farkas(A, b, err.value.certificate)
+            assert not err.value.certificate[zero_rows].any()
+
+    @pytest.mark.parametrize("zero_rows", [[1], [0, 2]])
+    def test_multipliers_with_dropped_zero_rows(self, zero_rows):
+        rng = np.random.default_rng(50 + len(zero_rows))
+        for _ in range(50):
+            A, b = self._with_zero_rows(rng, 3, 4, zero_rows)
+            x = 3.0 * rng.normal(size=3)
+            proj, ref = _Projector(A, b), _ReferenceProjector(A, b)
+            y = proj(x)
+            assert y.tobytes() == ref(x).tobytes()
+            mu = proj.multipliers(x)
+            assert mu.tobytes() == ref.multipliers(x).tobytes()
+            # one multiplier per row of [A; -I], zero on the dropped rows
+            assert mu.shape == (4 + 3,) and not mu[zero_rows].any()
+            np.testing.assert_allclose(x - y, A.T @ mu[:4] - mu[4:], atol=1e-9)
+
     @pytest.mark.parametrize("eps", [0.01, 0.003])
     def test_thin_wedge(self, eps):
         # The wedge eps*(x1 - 1) <= x2 - 1 <= 2*eps*(x1 - 1) has its apex at
@@ -557,12 +606,16 @@ class TestSharedBoundFaces:
 
 
 class TestChecks:
-    """_ListChecks and _ArrayChecks decide as numpy's reductions do, NaN included."""
+    """_ListChecks and _ArrayChecks decide as numpy's reductions do, NaN
+    included, on vectors given in their own form (checks.vector)."""
 
     REFERENCE = {
-        "max_le": lambda v, t: v.max() <= t,
         "min_ge": lambda v, t: v.min() >= t,
         "abs_max_gt": lambda v, t: np.abs(v).max() > t,
+    }
+    PAIRS = {
+        "diff_max_le": lambda u, v, t: (u - v).max() <= t,
+        "dist_le": lambda u, v, t: np.abs(u - v).max() <= t,
     }
 
     @staticmethod
@@ -582,24 +635,34 @@ class TestChecks:
         for v in self._vectors():
             for t in (0.0, 1e-12, 1.0, 1e8):
                 for name, reference in self.REFERENCE.items():
-                    assert getattr(checks, name)(v, t) == reference(v, t), (name, v, t)
+                    got = getattr(checks, name)(checks.vector(v), t)
+                    assert got == reference(v, t), (name, v, t)
 
-    @pytest.mark.parametrize("checks", [_ListChecks, _ArrayChecks])
-    def test_distance_check(self, checks):
-        vectors = list(self._vectors())
+    @staticmethod
+    def _pairs(checks, name):
+        vectors = list(TestChecks._vectors())
         with np.errstate(invalid="ignore"):  # inf - inf
             for u in vectors:
                 for v in vectors:
                     if u.shape == v.shape:
                         for t in (0.0, 1e-9, 1.0):
-                            expected = np.abs(u - v).max() <= t
-                            assert checks.dist_le(u, v, t) == expected, (u, v, t)
+                            got = getattr(checks, name)(checks.vector(u), checks.vector(v), t)
+                            assert got == TestChecks.PAIRS[name](u, v, t), (name, u, v, t)
+
+    @pytest.mark.parametrize("checks", [_ListChecks, _ArrayChecks])
+    def test_distance_check(self, checks):
+        self._pairs(checks, "dist_le")
+
+    @pytest.mark.parametrize("checks", [_ListChecks, _ArrayChecks])
+    def test_difference_check(self, checks):
+        self._pairs(checks, "diff_max_le")
 
     @pytest.mark.parametrize("checks", [_ListChecks, _ArrayChecks])
     def test_empty_vector_passes(self, checks):
         # as max(initial=0.0) <= 0.0 and min(initial=0.0) >= 0.0 do, for
         # m = 0 rows and for the multipliers of the empty face
-        assert checks.max_le(np.zeros(0), 0.0) and checks.min_ge(np.zeros(0), 0.0)
+        empty = checks.vector(np.zeros(0))
+        assert checks.diff_max_le(empty, empty, 0.0) and checks.min_ge(empty, 0.0)
 
 
 class TestTracedNames:

@@ -259,11 +259,10 @@ class TestSetUpPaidOnce:
         assert calls["post_init"] == 0  # the cut ends of a validated problem are trusted
 
     def test_cached_and_trusted_arrays_are_read_only(self, example_problem):
-        q = lower_qp(example_problem, 0.3)
-        arrays = [q.c, q.Q, q.A, q.b]
-        for side in example_problem._cut_data:
-            for field in side:
-                arrays.extend(field)
+        q, core = lower_qp(example_problem, 0.3), lower_qp(example_problem, 1.0)
+        arrays = [q.c, q.Q, q.A, q.b, core.c, core.Q, core.A, core.b]
+        for side in example_problem._cut_data:  # flat (end, slope, mode) arrays
+            arrays.extend(side)
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
