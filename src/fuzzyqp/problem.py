@@ -196,7 +196,8 @@ class CrispQP:
     """One crisp instance: minimize c'x + (1/2) x'Qx s.t. Ax <= b, x >= 0.
 
     c must be nonempty, the shapes agree, every entry finite and Q symmetric
-    within 1e-12, else ValueError names the field.  Fields are read-only copies.
+    within 1e-12, else ValueError names the field.  Fields are read-only
+    copies in C order.
     """
 
     c: np.ndarray
@@ -205,10 +206,12 @@ class CrispQP:
     b: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.array(self.c, dtype=float))
-        Q = np.array(self.Q, dtype=float)
-        A = np.atleast_2d(np.array(self.A, dtype=float))
-        b = np.atleast_1d(np.array(self.b, dtype=float))
+        # C-ordered copies: a product or a row norm of another layout can
+        # round differently, and the result must not depend on the caller's
+        c = np.atleast_1d(np.array(self.c, dtype=float, order="C"))
+        Q = np.array(self.Q, dtype=float, order="C")
+        A = np.atleast_2d(np.array(self.A, dtype=float, order="C"))
+        b = np.atleast_1d(np.array(self.b, dtype=float, order="C"))
         n = c.shape[0]
         if c.ndim != 1 or n == 0:
             raise ValueError(f"c must be a nonempty vector, got shape {c.shape}")

@@ -8,10 +8,10 @@ dual active-set method (Goldfarb-Idnani) warm-started from the previous
 step's active set; an empty set is reported with a Farkas certificate.
 A face with no row of A is written down, not factored (_bound_face).
 A step's exact comparisons (feasibility, multiplier signs, the slack
-test, the divergence and convergence tests) scan Python lists when
-m + n <= SHORT_LEN and call numpy reductions otherwise; both decide as
-numpy's max/min would, NaN included, so the iterates do not depend on the
-choice.
+test, the divergence and convergence tests) scan Python lists, deciding as
+numpy's max/min would, NaN included: numpy's per-call overhead outweighs a
+scan on small vectors, and at m + n = 120 (perfbench's wide-interior) the
+scans cost about 2% of the wall time that numpy reductions would save.
 
 On tiny problems numpy's per-call overhead costs more than the arithmetic,
 so a step makes as few numpy calls as give the same bits:
@@ -60,13 +60,6 @@ ORACLE_MAX_N = 8
 # Stacked KKT matrices per batched solve in solve_oracle: 1 MB keeps the
 # per-call overhead small without letting memory grow with C(m + n, n).
 ORACLE_BLOCK_BYTES = 1 << 20
-# A crisp QP with m + n at most this makes its projected-gradient
-# comparisons by _ListChecks, a longer one by _ArrayChecks.  Measured per
-# call, a Python scan beats a numpy reduction up to about 32 entries and
-# loses from 48 on.  Either form alone slows a perfbench workload: arrays
-# for every size make fixture-cli (m + n = 4) 29% slower, lists for every
-# size make wide-interior (m + n = 120) 5% slower.
-SHORT_LEN = 32
 _BOUND_FACES, _BOUND_FACE_N = 256, 32  # the size of _bound_face's cache
 # Two objective values closer than this tie (_beats).
 _TIE = 1e-12
@@ -167,7 +160,6 @@ def gradient(q: CrispQP, x) -> np.ndarray:
 
 
 _max = np.maximum.reduce
-_min = np.minimum.reduce
 
 
 def lipschitz_constant(Q) -> float:
@@ -226,8 +218,9 @@ def project(x, A, b, opts: SolverOptions | None = None,
     """
     if _warm is None:
         x = np.asarray(x, dtype=float).copy()
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
+        # C order, as CrispQP keeps them: the row norms sum in memory order
+        A = np.atleast_2d(np.ascontiguousarray(A, dtype=float))
+        b = np.atleast_1d(np.ascontiguousarray(b, dtype=float))
         n = x.shape[0]
         if A.size == 0:
             A = A.reshape(0, n)
@@ -238,76 +231,42 @@ def project(x, A, b, opts: SolverOptions | None = None,
     return x if _warm.contains(x) else _warm(x)
 
 
-class _ListChecks:
-    """The exact comparisons of a projected-gradient step, on short vectors.
+# The exact comparisons of a projected-gradient step, on Python lists
+# (v.tolist()).  Python's float arithmetic is numpy's, so _diff_max_le's
+# a - b has numpy's bits.  Each decides as the numpy reduction does: False
+# when a NaN is involved (Python's max() can step over a NaN, so none is
+# used), and _diff_max_le, _min_ge and _dist_le hold for empty lists.
 
-    Each takes its vectors in this class's form, vector(v) = v.tolist(), and
-    scans them in a Python loop, which costs less than a numpy call's
-    overhead while v has a few dozen entries.  Python's float arithmetic is
-    numpy's, so diff_max_le's u - v has numpy's bits.  Each decides as the
-    numpy reduction does: False when a NaN is involved (Python's max() can
-    step over a NaN, so none is used), and diff_max_le and min_ge hold for
-    an empty vector.
-    """
-
-    vector = staticmethod(np.ndarray.tolist)
-
-    @staticmethod
-    def diff_max_le(u: list, v: list, t: float) -> bool:
-        """max(u - v) <= t."""
-        for a, b in zip(u, v):
-            if not a - b <= t:
-                return False
-        return True
-
-    @staticmethod
-    def min_ge(v: list, t: float) -> bool:
-        """min(v) >= t."""
-        for e in v:
-            if not e >= t:
-                return False
-        return True
-
-    @staticmethod
-    def abs_max_gt(v: list, t: float) -> bool:
-        """max|v| > t."""
-        for e in v:
-            if not abs(e) <= t:  # beyond t, or NaN
-                return all(e == e for e in v)  # numpy's max is NaN if any entry is
-        return False
-
-    @staticmethod
-    def dist_le(u: list, v: list, t: float) -> bool:
-        """max|u - v| <= t."""
-        for a, b in zip(u, v):
-            if not abs(a - b) <= t:
-                return False
-        return True
+def _diff_max_le(u: list, v: list, t: float) -> bool:
+    """max(u - v) <= t."""
+    for a, b in zip(u, v):
+        if not a - b <= t:
+            return False
+    return True
 
 
-class _ArrayChecks:
-    """_ListChecks by numpy reductions, for vectors too long to scan in
-    Python: the vector form of an array is the array."""
+def _min_ge(v: list, t: float) -> bool:
+    """min(v) >= t."""
+    for e in v:
+        if not e >= t:
+            return False
+    return True
 
-    @staticmethod
-    def vector(v: np.ndarray) -> np.ndarray:
-        return v
 
-    @staticmethod
-    def diff_max_le(u: np.ndarray, v: np.ndarray, t: float) -> bool:
-        return _max(u - v, initial=-np.inf) <= t
+def _abs_max_gt(v: list, t: float) -> bool:
+    """max|v| > t."""
+    for e in v:
+        if not abs(e) <= t:  # beyond t, or NaN
+            return all(e == e for e in v)  # numpy's max is NaN if any entry is
+    return False
 
-    @staticmethod
-    def min_ge(v: np.ndarray, t: float) -> bool:
-        return _min(v, initial=np.inf) >= t
 
-    @staticmethod
-    def abs_max_gt(v: np.ndarray, t: float) -> bool:
-        return _max(np.abs(v)) > t
-
-    @staticmethod
-    def dist_le(u: np.ndarray, v: np.ndarray, t: float) -> bool:
-        return _max(np.abs(u - v)) <= t
+def _dist_le(u: list, v: list, t: float) -> bool:
+    """max|u - v| <= t."""
+    for a, b in zip(u, v):
+        if not abs(a - b) <= t:
+            return False
+    return True
 
 
 class _Projector:
@@ -326,27 +285,28 @@ class _Projector:
     InfeasibleError is raised.
 
     For a fixed P the multipliers are affine in x, mu_P = K x - k, and
-    y = x - G_P' mu_P; K and k are built once per set and cached: by QR of
-    G_P' for a set that holds a row of A, and in closed form by _bound_face
-    (shared by all projectors for n <= 32) for the empty set or bounds only.
+    y = x - G_P' mu_P; _face builds K and k: by QR of G_P' for a set that
+    holds a row of A, and in closed form by _bound_face (shared by all
+    projectors for n <= 32) for the empty set or bounds only.
     Every call starts from the set the previous call ended on, less any
     rows whose multipliers come out negative at the new x; once projected
     gradient settles, a projection is one affine map plus a sign and a
     feasibility check.
 
-    The projector holds that face as _kernel gives it, with the product
-    v -> Kv chosen once by the kernel rule (problem._product; Ax and Gy
-    likewise, in the constructor), so a settled call does no lookup.  Both
-    ways out of a call, settled or after rows are added, take their point
-    from the held face by _point.  origin and scale, which map G's rows back
-    to [A; -I] for the Farkas certificate and multipliers, are built on
-    demand.
+    _faces holds each face built so far once, as _kernel gives it, with the
+    product v -> Kv chosen by the kernel rule (problem._product; Ax and Gy
+    likewise, in the constructor).  The projector holds the face its last
+    call ended on, so a settled call does no lookup.  Both ways out of a
+    call, settled or after rows are added, take their point from the held
+    face by _point.  The checks compare Python lists (_diff_max_le and the
+    rest), b and h taken once as lists here.  origin and scale, which map
+    G's rows back to [A; -I] for the Farkas certificate and multipliers,
+    are built on demand.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         m, n = A.shape
         self.A, self.b = A, b
-        self.checks = _ListChecks if m + n <= SHORT_LEN else _ArrayChecks
         norms = np.sqrt(np.einsum("ij,ij->i", A, A))
         self._keep = None
         if np.count_nonzero(norms) < m:  # zero rows are dropped, once none has b < 0
@@ -366,15 +326,13 @@ class _Projector:
         np.divide(A, norms[:, None], out=self.G[:k])
         np.divide(b, norms, out=self.h[:k])
         self.G[k:] = (_neg_eye if n <= _BOUND_FACE_N else _neg_eye.__wrapped__)(n)
+        self._b, self._h = self.b.tolist(), self.h.tolist()
         # A row counts as violated beyond tol + 1e-12 * ||x||_inf; below that
         # the residual of a tight row is rounding.
-        self.tol = 1e-12 * (1.0 + max(map(abs, self.h.tolist())))
+        self.tol = 1e-12 * (1.0 + max(map(abs, self._h)))
         self._Ax, self._Gy = _product(self.A), _product(self.G)
-        # b and h in the form the checks compare them in
-        self._b, self._h = self.checks.vector(self.b), self.checks.vector(self.h)
         self._held = None  # the empty face until a call ends on another
-        self._faces: dict[tuple[int, ...], tuple] = {}
-        self._kernels: dict[tuple[int, ...], tuple] = {}
+        self._faces: dict[tuple[int, ...], tuple] = {}  # P -> _kernel(P)
 
     @cached_property
     def origin(self) -> np.ndarray:
@@ -394,36 +352,29 @@ class _Projector:
 
     def contains(self, x: np.ndarray) -> bool:
         """Ax <= b and x >= 0, exactly."""
-        vector = self.checks.vector
-        return (self.checks.diff_max_le(vector(self._Ax(x)), self._b, 0.0)
-                and self.checks.min_ge(vector(x), 0.0))
+        return _diff_max_le(self._Ax(x).tolist(), self._b, 0.0) and _min_ge(x.tolist(), 0.0)
 
     def _face(self, P: tuple[int, ...]) -> tuple:
-        """(K, k, G_P', pinned) for the active set P: mu_P = K x - k, and
-        pinned lists the variables that an active bound holds at zero."""
-        face = self._faces.get(P)
-        if face is None:
-            n, first = self.G.shape[1], self.first_bound
-            if not P or P[0] >= first:  # no row of A (P is sorted)
-                build = _bound_face if n <= _BOUND_FACE_N else _bound_face.__wrapped__
-                face = build(n, tuple(i - first for i in P))
-            else:
-                rows = list(P)
-                Gt = self.G[rows].T
-                Qr, R = np.linalg.qr(Gt)
-                R_inv = np.linalg.inv(R)  # R is invertible: the rows of P are independent
-                face = (R_inv @ Qr.T, R_inv @ (R_inv.T @ self.h[rows]), Gt,
-                        [i - first for i in P if i >= first])
-            self._faces[P] = face
-        return face
+        """(K, k, G_P', pinned) for the active set P, built anew: mu_P = K x - k,
+        and pinned lists the variables that an active bound holds at zero."""
+        n, first = self.G.shape[1], self.first_bound
+        if not P or P[0] >= first:  # no row of A (P is sorted)
+            build = _bound_face if n <= _BOUND_FACE_N else _bound_face.__wrapped__
+            return build(n, tuple(i - first for i in P))
+        rows = list(P)
+        Gt = self.G[rows].T
+        Qr, R = np.linalg.qr(Gt)
+        R_inv = np.linalg.inv(R)  # R is invertible: the rows of P are independent
+        return (R_inv @ Qr.T, R_inv @ (R_inv.T @ self.h[rows]), Gt,
+                [i - first for i in P if i >= first])
 
     def _kernel(self, P: tuple[int, ...]) -> tuple:
-        """(P, v -> Kv, k, G_P', pinned): the face of P as the projector holds
-        it, its product chosen once by the kernel rule."""
-        kernel = self._kernels.get(P)
+        """(P, v -> Kv, k, G_P', pinned): the face of P as a step reads it,
+        its product chosen once by the kernel rule, built once per P."""
+        kernel = self._faces.get(P)
         if kernel is None:
             K, k, Gt, pinned = self._face(P)
-            kernel = self._kernels[P] = (P, _product(K), k, Gt, pinned)
+            kernel = self._faces[P] = (P, _product(K), k, Gt, pinned)
         return kernel
 
     @staticmethod
@@ -435,16 +386,15 @@ class _Projector:
         return y
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        checks = self.checks
         held = self._held or self._kernel(())
         while True:
             P, Kx, k, Gt, pinned = held
             mu = Kx(x) - k
-            if checks.min_ge(checks.vector(mu), 0.0):
+            if _min_ge(mu.tolist(), 0.0):
                 break
             held = self._kernel(tuple(compress(P, (mu >= 0.0).tolist())))
         y = self._point(x, mu, Gt, pinned)
-        if checks.diff_max_le(checks.vector(self._Gy(y)), self._h, self.tol):
+        if _diff_max_le(self._Gy(y).tolist(), self._h, self.tol):
             self._held = held
             return y
         s = self._Gy(y) - self.h
@@ -551,22 +501,20 @@ def _pg_run(q, x0, step, opts, callback, warm):
     x = x0
     if callback is not None:
         callback(x)
-    # float: a Python float compared with a float32 tol would round to float32
-    checks, tol = warm.checks, float(opts.tol)
-    vector = checks.vector
-    v = vector(x)  # x in the checks' form, taken once per iterate
+    tol = float(opts.tol)  # a Python float compared with a float32 tol would round to float32
+    v = x.tolist()  # x as the checks take it, once per iterate
     for k in range(opts.max_iter):
         y = x - step * gradient(q, x)
         x_new = project(y, q.A, q.b, _warm=warm)
         if callback is not None:
             callback(x_new)
-        v_new = vector(x_new)
-        if checks.abs_max_gt(v_new, UNBOUNDED_LIMIT):
+        v_new = x_new.tolist()
+        if _abs_max_gt(v_new, UNBOUNDED_LIMIT):
             raise UnboundedError(
                 f"iterate magnitude exceeded {UNBOUNDED_LIMIT:.0e}; "
                 "instance appears unbounded below"
             )
-        if checks.dist_le(v_new, v, tol):
+        if _dist_le(v_new, v, tol):
             return x_new, k + 1, True
         x, v = x_new, v_new
     return x, opts.max_iter, False

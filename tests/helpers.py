@@ -151,6 +151,7 @@ class _ReferenceProjector(_Projector):
 
     def __init__(self, A, b):
         super().__init__(A, b)
+        self._faces = {}  # P -> _face(P), its own cache
         m, n = A.shape
         norms = np.sqrt(np.einsum("ij,ij->i", A, A))
         keep = None if norms.all() else np.flatnonzero(norms != 0.0)

@@ -150,7 +150,9 @@ def _strided(a: np.ndarray, kind: str) -> np.ndarray:
 class TestPublicFunctionsOnStridedInputs:
     """gradient, objective and project take any layout of x (and of A for
     project) and return what they returned before the kernel rule: dot is
-    used only for an aligned unit-stride x, where it is @ byte for byte."""
+    used only for an aligned unit-stride x, where it is @ byte for byte.
+    project and CrispQP copy A and b (and Q) to C order, so any layout of
+    them gives the bytes of C order."""
 
     @pytest.mark.parametrize("kind", ["negative", "stepped"])
     def test_gradient_and_objective(self, kind):
@@ -168,9 +170,24 @@ class TestPublicFunctionsOnStridedInputs:
             q = random_convex_qp(rng, n_max=6, m_max=4)
             x = rng.normal(size=q.n) * 3.0
             A, b = _strided(q.A, kind), _strided(q.b, kind)
-            # the reference takes the same layout: the row norms of A (einsum)
-            # can round differently in another layout, before and after the rule
-            ref = _ReferenceProjector(A, b)
+            ref = _ReferenceProjector(np.ascontiguousarray(A), np.ascontiguousarray(b))
             want = x if ref.contains(x) else ref(x.copy())
             assert project(_strided(x, kind), A, b).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("kind", ["negative", "stepped", "fortran"])
+    def test_solve_pg(self, kind):
+        """CrispQP copies Q and A to C order, so solve_pg's result does not
+        depend on their layout: the row norms of A (einsum) and a product
+        through dot sum in memory order."""
+        rng = np.random.default_rng(31)
+        for i in range(100):
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            M = rng.normal(size=(n, n))
+            Q = M.T @ M + 0.1 * np.eye(n) if i % 2 else 0.5 * (M + M.T)
+            A = np.vstack([rng.normal(size=(m, n)) * 10.0 ** rng.integers(-2, 3, size=(m, n)),
+                           np.eye(n)])  # the box x <= 2 bounds every instance
+            c, b = 3.0 * rng.normal(size=n), np.append(rng.uniform(0.1, 2.0, size=m), np.full(n, 2.0))
+            want = solve_pg(CrispQP(c, Q, A, b))
+            got = solve_pg(CrispQP(c, _strided(Q, kind), _strided(A, kind), b))
+            assert (got.x.tobytes(), got.z, got.iterations, got.stationarity) == (
+                want.x.tobytes(), want.z, want.iterations, want.stationarity)
