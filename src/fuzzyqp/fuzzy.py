@@ -98,10 +98,11 @@ class TriangularFuzzyNumber:
     def membership(self, x: float) -> float:
         """Membership grade of x: 0 outside [a1, a3], 1 at a2, linear between.
 
-        Degenerate sides (a1 == a2 or a2 == a3) grade their single point 1.
+        Degenerate sides (a1 == a2 or a2 == a3) grade their single point 1,
+        and NaN, which lies in no support, grades 0.
         """
         x = float(x)
-        if x < self.a1 or x > self.a3:
+        if not self.a1 <= x <= self.a3:
             return 0.0
         if x <= self.a2:
             if self.a1 == self.a2:

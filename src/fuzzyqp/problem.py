@@ -164,20 +164,16 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _product(M: np.ndarray):
-    """M's matrix-vector product v -> M @ v, for aligned unit-stride vectors v.
+    """M's matrix-vector product v -> M @ v, for aligned C-ordered vectors v.
 
-    It is M.dot, which dispatches faster, where that gives the bytes of M @ v:
-    M has at least two columns and is aligned and either F-contiguous or of
-    unit column stride with rows at least a row's length apart.  Both then
-    reach the same BLAS kernel.  Else it is M @ v itself: on one column dot
-    can keep a zero's sign where @ gives +0.0, and on other layouts either
-    may copy or take its own loop and round differently.
+    Every matrix the package hands it is aligned and C-ordered: CrispQP
+    copies its inputs and _trusted holds views of one contiguous flat array,
+    project's cold path copies A and b, and _Projector builds G and every
+    face.  There M.dot, which dispatches faster, reaches @'s BLAS kernel and
+    gives its bytes from two columns on; on one column dot can keep a zero's
+    sign where @ gives +0.0, so that product stays M @ v.
     """
-    rows, cols = M.strides
-    if M.shape[1] >= 2 and M.flags.aligned and (
-            M.flags.f_contiguous or cols == M.itemsize and rows >= cols * M.shape[1]):
-        return M.dot
-    return M.__matmul__
+    return M.dot if M.shape[1] >= 2 else M.__matmul__
 
 
 def _symmetrize(Q: np.ndarray) -> np.ndarray:
@@ -238,7 +234,7 @@ class CrispQP:
 
     @cached_property
     def _Qx(self):
-        """v -> Qv for an aligned unit-stride v, chosen once (see _product)."""
+        """v -> Qv for an aligned C-ordered v, chosen once (see _product)."""
         return _product(self.Q)
 
     @property

@@ -16,12 +16,12 @@ scans cost about 2% of the wall time that numpy reductions would save.
 On tiny problems numpy's per-call overhead costs more than the arithmetic,
 so a step makes as few numpy calls as give the same bits:
   - The kernel rule (problem._product): a matrix-vector product goes
-    through ndarray.dot, which dispatches faster than @, where the matrix
-    has at least two columns and unit stride and the vector is aligned and
-    of unit stride; there both reach the same BLAS kernel.  Every other
-    product keeps @: on one column dot can keep a zero's sign where @ gives
-    +0.0.  The product is chosen once per CrispQP (Qx), per projector (Ax,
-    Gy) and per face (Kx), never per call.
+    through ndarray.dot, which dispatches faster than @ and gives its
+    bytes, from two columns on; a one-column product keeps @.  Arrays
+    enter the package aligned and in C order (CrispQP, project and
+    _vector copy any other layout), so no result depends on a caller's
+    layout.  The product is chosen once per CrispQP (Qx), per projector
+    (Ax, Gy) and per face (Kx), never per call.
   - The held face: a projector keeps the face its last call ended on with
     its product (_kernel), so a settled call looks nothing up.
   - Certificate data on demand: the map from G's rows back to the rows of
@@ -96,7 +96,9 @@ class SolverOptions:
     projection_tol and projection_max_sweeps are deprecated no-ops: they
     are still validated but change no result, since projections are exact
     and finite.  __post_init__ is the one check of every value, the CLI's
-    flags included: a NaN or infinite tol or point raises, as does seed < 0.
+    flags included: a NaN or infinite tol or point raises, as do seed < 0
+    and a count or seed that is not an integer (a bool is none; a numpy
+    integer is one).
     """
 
     tol: float = 1e-9
@@ -107,6 +109,10 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_iter", "projection_max_sweeps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.tol < np.inf:  # False for a NaN too
             raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
@@ -141,22 +147,26 @@ class QpSolution:
     convex: bool
 
 
+def _vector(x, shape: tuple[int], name: str) -> np.ndarray:
+    """x as an aligned C-ordered float array of the given shape, (n,) for a
+    vector, copied only if it is not one already, so that no product's
+    rounding depends on the caller's layout."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {x.shape}")
+    flags = x.flags
+    return x if flags.c_contiguous and flags.aligned else x.copy()
+
+
 def objective(q: CrispQP, x) -> float:
     """c'x + (1/2) x'Qx."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (q.n,):
-        raise ValueError(f"x must have shape ({q.n},), got {x.shape}")
+    x = _vector(x, q.c.shape, "x")
     return float(q.c @ x + 0.5 * (x @ q.Q @ x))
 
 
 def gradient(q: CrispQP, x) -> np.ndarray:
     """c + Qx."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != q.c.shape:
-        raise ValueError(f"x must have shape ({q.n},), got {x.shape}")
-    # the kernel rule's product wants an aligned unit-stride x; carray also
-    # asks for a writeable one, which every iterate is
-    return q.c + (q._Qx(x) if x.flags.carray else q.Q @ x)
+    return q.c + q._Qx(_vector(x, q.c.shape, "x"))
 
 
 _max = np.maximum.reduce
@@ -211,16 +221,19 @@ def project(x, A, b, opts: SolverOptions | None = None,
     projection's dual is solved by a finite active-set method (see
     _Projector), so the result satisfies the KKT conditions up to
     rounding.  An empty polyhedron raises InfeasibleError carrying a
-    Farkas certificate.  A NaN or infinite entry in x, A or b raises
-    ValueError, in CrispQP's words.  opts is a deprecated no-op, accepted
-    for compatibility.  _warm is a _Projector built from the same A and b,
-    which carries the active set from one call to the next.
+    Farkas certificate.  An x that is not a nonempty vector raises
+    ValueError, as does a NaN or infinite entry in x, A or b, in CrispQP's
+    words.  opts is a deprecated no-op, accepted for compatibility.  _warm
+    is a _Projector built from the same A and b, which carries the active
+    set from one call to the next.
     """
     if _warm is None:
         x = np.asarray(x, dtype=float).copy()
-        # C order, as CrispQP keeps them: the row norms sum in memory order
-        A = np.atleast_2d(np.ascontiguousarray(A, dtype=float))
-        b = np.atleast_1d(np.ascontiguousarray(b, dtype=float))
+        if x.ndim != 1 or not x.size:
+            raise ValueError(f"x must be a nonempty vector, got shape {x.shape}")
+        # aligned copies in C order, as CrispQP keeps them (see problem._product)
+        A = np.atleast_2d(np.array(A, dtype=float, order="C"))
+        b = np.atleast_1d(np.array(b, dtype=float, order="C"))
         n = x.shape[0]
         if A.size == 0:
             A = A.reshape(0, n)
@@ -538,7 +551,7 @@ def solve_pg(
     step, convex = _step_rule(q)
 
     if opts.multistart is not None:
-        starts = [np.asarray(p, dtype=float) for p in opts.multistart]
+        starts = opts.multistart
     elif convex:
         starts = [np.zeros(q.n)]  # the first default start; the random ones serve indefinite Q
     else:
@@ -549,9 +562,7 @@ def solve_pg(
     warm = _Projector(q.A, q.b)
     best = None
     for x0 in starts:
-        if x0.shape != (q.n,):
-            raise ValueError(f"start point must have shape ({q.n},), got {x0.shape}")
-        x0 = project(x0, q.A, q.b, _warm=warm)
+        x0 = project(_vector(x0, q.c.shape, "start point"), q.A, q.b, _warm=warm)
         x, iters, converged = _pg_run(q, x0, step, opts, callback, warm)
         z = objective(q, x)
         run = (x, z, iters, converged)

@@ -299,3 +299,12 @@ class TestReadme:
         for line in runnable:
             assert main(shlex.split(line)[1:]) == 0, line
             assert capsys.readouterr().err == "", line
+
+    def test_library_example_runs(self, monkeypatch):
+        """README's Library block runs as written from the repository root,
+        so it keeps up with the API."""
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        assert "fq.solve_pg(q)" in block
+        monkeypatch.chdir(REPO_ROOT)
+        exec(compile(block, "README.md", "exec"), {})

@@ -1,7 +1,7 @@
 """Unit and property tests for triangular fuzzy numbers and intervals."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fuzzyqp import Interval, TriangularFuzzyNumber, alpha_cut, membership
@@ -201,6 +201,19 @@ def test_crisp_tfn_behaves_like_a_real(c, alpha, x):
     assert t.alpha_cut(alpha) == Interval(c, c)
     assert t.membership(x) == (1.0 if x == c else 0.0)
     assert t.is_crisp
+
+
+# few distinct values, so that crisp and one-sided triples are common
+_corner = st.one_of(st.sampled_from([-1.0, 0.0, 2.0]), _coord)
+
+
+@given(st.tuples(_corner, _corner, _corner))
+@example((0.0, 0.0, 0.0))
+@example((1.0, 2.0, 2.0))
+@example((1.0, 1.0, 2.0))
+@example((1.0, 2.0, 3.0))
+def test_nan_lies_in_no_support(triple):
+    assert TriangularFuzzyNumber(*sorted(triple)).membership(float("nan")) == 0.0
 
 
 @given(_coord, _coord, _coord, _coord)

@@ -1,8 +1,10 @@
-"""The kernel rule: which matrix-vector products go through ndarray.dot.
+"""The kernel rule and the layout rule at the package's boundary.
 
-A product goes through M.dot only where that gives M @ v byte for byte:
-M has at least two columns and is aligned and either F-contiguous or of
-unit column stride (problem._product), and v is aligned and of unit stride.
+Arrays enter the package aligned and in C order: CrispQP and project copy
+their inputs, and gradient, objective and solve_pg's start points copy an x
+of any other layout.  So no result depends on a caller's memory layout, and
+every matrix-vector product is taken on C-ordered arrays, through ndarray.dot
+from two columns on (problem._product), where dot gives M @ v byte for byte.
 Whether dot and matmul reach the same kernel is numpy's to change, so CI
 also runs this file under the "kernel-rule" hypothesis profile
 (tests/conftest.py), with a larger example budget, on every numpy leg.
@@ -70,20 +72,6 @@ class TestKernelRule:
         M, v = np.array([[1.0]]), np.array([-0.0])
         assert M.dot(v).tobytes() != (M @ v).tobytes()
 
-    @pytest.mark.parametrize("layout", ["negative rows", "every other column", "unaligned"])
-    def test_other_layouts_keep_matmul(self, layout):
-        M = np.arange(12.0).reshape(3, 4)
-        if layout == "negative rows":
-            M = M[::-1]
-        elif layout == "every other column":
-            M = np.arange(24.0).reshape(3, 8)[:, ::2]
-        else:
-            raw = np.zeros(M.nbytes + 1, dtype=np.uint8)
-            M = np.ndarray(M.shape, float, raw, 1)
-            M[...] = np.arange(12.0).reshape(3, 4)
-            assert not M.flags.aligned
-        assert _product(M) == M.__matmul__
-
     def test_every_chosen_product_is_matmul(self):
         """Each product a CrispQP, a projector and its faces choose gives @'s
         bytes on signed zeros and on products that underflow, n = 1 and a
@@ -105,6 +93,7 @@ class TestKernelRule:
                 proj = _Projector(np.zeros((2, 1)), np.ones(2))
                 products.append((proj.G, proj._Gy))
             for M, product in products:
+                assert M.flags.c_contiguous and M.flags.aligned, M
                 for v in vectors:
                     v = np.resize(np.array(v), M.shape[1])
                     assert _bytes(product(v)) == _bytes(M @ v), (M, v)
@@ -137,22 +126,52 @@ class TestSignedZeros:
 
 def _strided(a: np.ndarray, kind: str) -> np.ndarray:
     """a's values in another layout: rows (entries) in reverse memory order,
-    every other row of a taller array, or Fortran order."""
+    every other row of a taller array, Fortran order, or at an address that
+    is not a multiple of 8."""
     if kind == "negative":
         return np.ascontiguousarray(a[::-1])[::-1]
     if kind == "stepped":
         tall = np.zeros((2 * len(a),) + a.shape[1:])
         tall[::2] = a
         return tall[::2]
-    return np.asfortranarray(a)
+    if kind == "fortran":
+        return np.asfortranarray(a)
+    raw = np.zeros(a.nbytes + 1, dtype=np.uint8)
+    out = np.ndarray(a.shape, float, raw, 1)
+    out[...] = a
+    assert not out.flags.aligned
+    return out
+
+
+@st.composite
+def _boundary_case(draw):
+    """(kind, c, Q, x, A, b): entries from the finite SPECIAL values or
+    moderate floats (every public entry point rejects a NaN or an infinity),
+    Q symmetric, x, A and b to be laid out as kind."""
+    values = st.one_of(st.sampled_from([v for v in SPECIAL if np.isfinite(v)]), st.floats(-1e3, 1e3))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    Q = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            Q[i, j] = Q[j, i] = draw(values)
+    c, x = (np.array(draw(st.lists(values, min_size=n, max_size=n))) for _ in range(2))
+    A = np.array(draw(st.lists(values, min_size=m * n, max_size=m * n))).reshape(m, n)
+    b = np.array(draw(st.lists(values, min_size=m, max_size=m)))
+    return draw(st.sampled_from(["negative", "stepped", "unaligned"])), c, Q, x, A, b
+
+
+def _outcome(f, *args):
+    """f(*args) as bytes, or the type and message of what it raised."""
+    try:
+        return np.asarray(f(*args)).tobytes()
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
 
 
 class TestPublicFunctionsOnStridedInputs:
-    """gradient, objective and project take any layout of x (and of A for
-    project) and return what they returned before the kernel rule: dot is
-    used only for an aligned unit-stride x, where it is @ byte for byte.
-    project and CrispQP copy A and b (and Q) to C order, so any layout of
-    them gives the bytes of C order."""
+    """gradient, objective, project and CrispQP take any layout of their
+    arrays and return the bytes of the aligned C-ordered copy: the public
+    entry points copy every other layout to C order."""
 
     @pytest.mark.parametrize("kind", ["negative", "stepped"])
     def test_gradient_and_objective(self, kind):
@@ -160,8 +179,25 @@ class TestPublicFunctionsOnStridedInputs:
         for _ in range(300):
             q = random_convex_qp(rng, n_max=6, m_max=4)
             x = _strided(rng.normal(size=q.n) * 10.0 ** rng.integers(-3, 4, size=q.n), kind)
-            assert gradient(q, x).tobytes() == (q.c + q.Q @ x).tobytes()
-            assert objective(q, x) == float(q.c @ x + 0.5 * (x @ q.Q @ x))
+            xc = np.ascontiguousarray(x)
+            assert gradient(q, x).tobytes() == (q.c + q.Q @ xc).tobytes()
+            assert objective(q, x) == float(q.c @ xc + 0.5 * (xc @ q.Q @ xc))
+
+    @given(_boundary_case())
+    @example(("negative", np.zeros(4),  # Qx of a reversed x can round its first entry
+              np.array([[-1.0, -1e308, 5e-324, -1e308], [-1e308, 1e308, 3.0, 0.1],
+                        [5e-324, 3.0, 0.0, 1e308], [-1e308, 0.1, 1e308, 0.1]]),
+              np.array([0.0, -1.0, 1e308, 1.0]), np.ones((1, 4)), np.ones(1)))
+    def test_every_layout_gives_c_order_bytes(self, case):
+        kind, c, Q, x, A, b = case
+        q = CrispQP(c, Q, A, b)
+        with np.errstate(all="ignore"):  # 1e308 overflows, inf - inf
+            for f, args, relaid in [
+                (gradient, (q, x), (q, _strided(x, kind))),
+                (objective, (q, x), (q, _strided(x, kind))),
+                (project, (x, A, b), (_strided(x, kind), _strided(A, kind), _strided(b, kind))),
+            ]:
+                assert _outcome(f, *relaid) == _outcome(f, *args), f.__name__
 
     @pytest.mark.parametrize("kind", ["negative", "stepped", "fortran"])
     def test_project(self, kind):

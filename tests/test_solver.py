@@ -1,4 +1,5 @@
 """Projected gradient solver, exact projection, and the enumeration oracle."""
+import re
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -232,6 +233,19 @@ class TestProject:
     )
     def test_non_finite_rejected(self, field, args):
         with pytest.raises(ValueError, match=f"^{field} has a non-finite entry$"):
+            project(*args)
+
+    @pytest.mark.parametrize(
+        "args, shape",
+        [
+            ((1.0, [[1.0]], [1.0]), "()"),  # was a bare IndexError
+            ((np.ones((2, 2)), [[1.0, 1.0]], [1.0]), "(2, 2)"),  # was a TypeError in a list scan
+            (([], np.zeros((0, 0)), []), "(0,)"),  # was "max() arg is an empty sequence"
+        ],
+        ids=["scalar", "matrix", "empty"],
+    )
+    def test_x_must_be_a_nonempty_vector(self, args, shape):
+        with pytest.raises(ValueError, match=rf"^x must be a nonempty vector, got shape {re.escape(shape)}$"):
             project(*args)
 
 
@@ -1081,11 +1095,22 @@ class TestSolverOptions:
             {"seed": -1},
             {"multistart": ((0.0, np.nan),)},
             {"multistart": ((1.0, 2.0), (np.inf, 0.0))},
+            {"max_iter": 2.5},
+            {"max_iter": True},
+            {"max_iter": 10.0},
+            {"projection_max_sweeps": 1.5},
+            {"seed": 1.5},
+            {"seed": False},
+            {"seed": "1"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverOptions(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        opts = SolverOptions(max_iter=np.int64(5), projection_max_sweeps=np.int32(3), seed=np.uint8(7))
+        assert (opts.max_iter, opts.projection_max_sweeps, opts.seed) == (5, 3, 7)
 
     def test_multistart_normalized(self):
         opts = SolverOptions(multistart=[np.array([1.0, 2.0])])
