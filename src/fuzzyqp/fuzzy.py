@@ -118,11 +118,11 @@ class TriangularFuzzyNumber:
 
 
 def check_alpha(alpha: float) -> float:
-    """Validate a level value, returning it as a float in [0, 1]."""
+    """Validate a level value, returning it as a float in [0, 1], -0.0 as 0.0."""
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
+    return alpha + 0.0
 
 
 def alpha_cut(t: TriangularFuzzyNumber, alpha: float) -> Interval:

@@ -61,7 +61,7 @@ ORACLE_MAX_N = 8
 # per-call overhead small without letting memory grow with C(m + n, n).
 ORACLE_BLOCK_BYTES = 1 << 20
 _BOUND_FACES, _BOUND_FACE_N = 256, 32  # the size of _bound_face's cache
-# Two objective values closer than this tie (_beats).
+# Objectives within _TIE of the least one tie; the smallest x wins (_least).
 _TIE = 1e-12
 _U = np.finfo(float).eps / 2  # the unit roundoff
 
@@ -435,7 +435,8 @@ class _Projector:
             r = Kx(g)
             z = g - Gt @ r
             zz = float(z @ z)
-            step = violation / zz if zz > 1e-24 else np.inf
+            # n independent rows span R^n: any zz left then is rounding
+            step = violation / zz if zz > 1e-24 and len(P) < len(g) else np.inf
             shrinking = np.flatnonzero(r > 0.0)
             drop = None
             if shrinking.size:
@@ -542,10 +543,11 @@ def solve_pg(
 
     The step is 1/K with K the spectral norm of Q (for Q = 0 the instance
     is an LP and the step falls back to 1/max(||c||, 1)).  A PSD Q runs a
-    single start; an indefinite Q runs every multistart point and the best
-    objective among converged runs is returned, ties broken toward the
-    lexicographically smallest argmin.  Non-convergence is reported via
-    the converged flag, never hidden.
+    single start; an indefinite Q runs every multistart point.  Of the
+    converged runs (all runs if none converged) within 1e-12 of the least
+    objective, the one with the lexicographically smallest x is returned,
+    whatever the order of the starts.  Non-convergence is reported via the
+    converged flag, never hidden.
     """
     opts = opts or SolverOptions()
     step, convex = _step_rule(q)
@@ -560,36 +562,29 @@ def solve_pg(
         starts = starts[:1]
 
     warm = _Projector(q.A, q.b)
-    best = None
+    runs = []
     for x0 in starts:
+        warm._held = None  # from the empty face: no run's bits depend on the run before
         x0 = project(_vector(x0, q.c.shape, "start point"), q.A, q.b, _warm=warm)
         x, iters, converged = _pg_run(q, x0, step, opts, callback, warm)
-        z = objective(q, x)
-        run = (x, z, iters, converged)
-        if best is None or _better_run(run, best):
-            best = run
+        runs.append((x, objective(q, x), iters, converged, warm._held))
 
-    x, z, iters, converged = best
+    # the winner's stationarity is taken from the face its own run ended on
+    x, z, iters, converged, warm._held = _least([run for run in runs if run[3]] or runs)
     return QpSolution(
         x=x, z=z, iterations=iters, converged=converged,
         stationarity=_stationarity(q, x, step, warm), convex=convex,
     )
 
 
-def _better_run(run, best) -> bool:
-    x, z, _, converged = run
-    x_best, z_best, _, conv_best = best
-    if converged != conv_best:
-        return converged
-    return _beats(x, z, x_best, z_best)
-
-
-def _beats(x, z, x_best, z_best) -> bool:
-    """The tie rule of both solvers: the lower z beyond _TIE wins, and
-    otherwise the lexicographically smaller x."""
-    if abs(z - z_best) > _TIE:
-        return z < z_best
-    return tuple(x) < tuple(x_best)
+def _least(candidates: list) -> tuple:
+    """The tie rule of both solvers, over a set of (x, z, ...) tuples: of the
+    candidates whose z lies within _TIE of the least z, the one with the
+    lexicographically smallest x, the first of those on an exact tie.  A
+    NaN z is never near the least, unless every z is NaN."""
+    z_min = min((c[1] for c in candidates if c[1] == c[1]), default=np.nan)
+    near = [c for c in candidates if c[1] <= z_min + _TIE] or candidates
+    return min(near, key=lambda c: c[0].tolist())  # tolist orders as tuple(x), faster
 
 
 def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
@@ -603,10 +598,11 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
 
     is solved, where E x = d pins the members of S.  Solutions that are
     finite, solve their system to a relative residual of 1e-8 and are
-    feasible to 1e-9 are kept (vertices arise as the |S| = n systems);
-    the one with the least objective wins, ties within 1e-12 going to the
-    lexicographically smallest x.  For PSD Q this is the global optimum;
-    for indefinite Q it is the best stationary/vertex point.
+    feasible to 1e-9 are kept (vertices arise as the |S| = n systems).  Of
+    those within 1e-12 of the least objective, the lexicographically
+    smallest x wins, whatever the order in which they were found.  For PSD
+    Q this is the global optimum; for indefinite Q it is the best
+    stationary/vertex point.
 
     Subsets that can yield no candidate are skipped: those holding a
     conflict pair (_conflict_pairs), two rows that pin one variable to
@@ -620,7 +616,7 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     does not raise on a singular system: one gesv per system finds a zero
     pivot and solves, and a singular system is dropped.  Only the
     candidates of a block whose batched objective could still win
-    (_contenders) go through the tie rule one by one.
+    (_contenders) are kept, and the tie rule (_least) picks among them.
 
     converged is True when the winner is a fixed point of the projected
     gradient map, stationarity <= 1e-8 * (1 + max|x|).  On an instance
@@ -638,7 +634,7 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     rows = np.vstack([q.A, np.eye(n)])
     bounds = np.concatenate([q.b, np.zeros(n)])
     conflict = _conflict_pairs(q, rows, bounds)
-    best_x = best_z = None
+    pool, z_ref = [], np.inf  # the contenders as (x, z), and their least z
     level = np.empty((1, 0), dtype=np.intp)  # the one subset of size 0
     for size in range(0, n + 1):
         if size:
@@ -648,18 +644,15 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
         for start in range(0, len(level), block):
             S = level[start:start + block]
             x = _kkt_candidates(q, rows[S], bounds[S])
-            if not len(x):
-                continue
-            if best_x is None:
-                best_x, best_z = x[0], objective(q, x[0])
-            for i in _contenders(q, x, best_z):
+            for i in _contenders(q, x, z_ref):
                 z = objective(q, x[i])
-                if _beats(x[i], z, best_x, best_z):
-                    best_x, best_z = x[i], z
+                pool.append((x[i], z))
+                z_ref = min(z_ref, z)  # a NaN z leaves it
 
-    if best_x is None:
+    if not pool:
         project(np.zeros(n), q.A, q.b)  # an empty polyhedron raises with a certificate here
         raise InfeasibleError("no feasible stationary or vertex candidate found")
+    best_x, best_z = _least(pool)
 
     step, convex = _step_rule(q)
     stationarity = _stationarity(q, best_x, step)
@@ -731,24 +724,22 @@ def _next_level(level: np.ndarray, conflict: np.ndarray) -> np.ndarray:
 
 
 def _contenders(q: CrispQP, x: np.ndarray, z_ref: float) -> np.ndarray:
-    """Indices of the candidates x (one per row, in order) that can still
-    win against a best of objective z_ref, the best before them.
+    """Indices of the candidates x (one per row, in order) that the tie rule
+    (_least) could still pick, given z_ref, the least objective kept so far.
 
-    The tie rule (_beats) lets a candidate replace the best with a z up to
-    _TIE above it, so over k candidates the best's z rises by at most
-    k * _TIE (times 1 + 2u for the rounding of each difference) above
-    z_ref.  A candidate beats it only within another _TIE, so one whose z
-    exceeds z_ref + (k + 2) * _TIE can never replace the best and leaves
-    the outcome unchanged when skipped.  z is taken here in one batched
-    expression, whose value and objective()'s each lie within
-    gamma_{2n+2} (|c|'|x| + 1/2 |x|'|Q||x|) of the exact objective; err
-    is more than twice that bound.  A NaN z is kept.
+    z is taken here in one batched expression, whose value and objective()'s
+    each lie within gamma_{2n+2} (|c|'|x| + 1/2 |x|'|Q||x|) of the exact
+    objective; err is more than twice that bound.  So the least objective
+    kept is at most ref = min(z_ref, min(z + err)), and a candidate whose z
+    exceeds ref by more than _TIE + err can never be within _TIE of it.  A
+    NaN z is kept, and with it the whole block.
     """
-    k, n = x.shape
+    n = x.shape[1]
     z = x @ q.c + 0.5 * ((x @ q.Q) * x).sum(axis=1)
     ax = np.abs(x)
     err = (8 * n + 32) * _U * (ax @ np.abs(q.c) + 0.5 * ((ax @ np.abs(q.Q)) * ax).sum(axis=1))
-    return np.flatnonzero(~(z - z_ref > (k + 2) * _TIE + err))
+    ref = np.minimum.reduce(z + err, initial=z_ref)
+    return np.flatnonzero(~(z - ref > _TIE + err))
 
 
 def _kkt_candidates(q: CrispQP, E: np.ndarray, d: np.ndarray) -> np.ndarray:

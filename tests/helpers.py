@@ -15,7 +15,7 @@ from fuzzyqp import (
     UnboundedError,
     objective,
 )
-from fuzzyqp.solver import UNBOUNDED_LIMIT, _better_run, _default_starts, _Projector, _spectrum
+from fuzzyqp.solver import UNBOUNDED_LIMIT, _default_starts, _least, _Projector, _spectrum
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_PATH = REPO_ROOT / "fixtures" / "liu2009-example.json"
@@ -126,10 +126,10 @@ def enumerate_oracle_reference(q: CrispQP) -> tuple[np.ndarray, float, int]:
                 candidates.append((x, objective(q, x)))
     if not candidates:
         raise InfeasibleError("no feasible stationary or vertex candidate found")
-    best_x, best_z = candidates[0]
-    for x, z in candidates[1:]:
-        if z < best_z - 1e-12 or (abs(z - best_z) <= 1e-12 and tuple(x) < tuple(best_x)):
-            best_x, best_z = x, z
+    # the tie rule: of the candidates within 1e-12 of the least z, the
+    # lexicographically smallest x, the first of those on an exact tie
+    z_min = min(z for _, z in candidates)
+    best_x, best_z = min((c for c in candidates if c[1] <= z_min + 1e-12), key=lambda c: tuple(c[0]))
     return best_x, best_z, examined
 
 
@@ -292,8 +292,9 @@ def pg_reference(q: CrispQP, opts: SolverOptions | None = None, callback=None) -
     def value(x):
         return float(q.c @ x + 0.5 * (x @ q.Q @ x))
 
-    best = None
+    runs = []
     for x in starts:
+        warm.active = ()
         x = project(x)
         if callback is not None:
             callback(x)
@@ -308,11 +309,9 @@ def pg_reference(q: CrispQP, opts: SolverOptions | None = None, callback=None) -
                 x, iters, converged = x_new, k + 1, True
                 break
             x = x_new
-        run = (x, value(x), iters, converged)
-        if best is None or _better_run(run, best):
-            best = run
+        runs.append((x, value(x), iters, converged, warm.active))
 
-    x, z, iters, converged = best
+    x, z, iters, converged, warm.active = _least([run for run in runs if run[3]] or runs)
     stationarity = float(np.max(np.abs(x - project(x - step * grad(x)))))
     return QpSolution(
         x=x, z=z, iterations=iters, converged=converged,

@@ -1,6 +1,7 @@
 """End-to-end CLI tests."""
 import argparse
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -118,6 +119,17 @@ class TestSolve:
         ])
         assert code == 0
         assert out.read_text(encoding="utf-8") == GOLDEN_CSV_PATH.read_text(encoding="utf-8")
+
+    def test_negative_zero_level_is_zero(self, capsys):
+        # -0 passes the [0, 1] check; it was printed as "-0", and which zero
+        # a grid kept depended on which came first in the spec
+        assert math.copysign(1.0, parse_alpha_spec("-0")[0]) == 1.0
+        outputs = []
+        for spec in ("-0,1", "0,1", "0,-0,1", "-0,0,1"):
+            assert main(["solve", "--input", FIXTURE, f"--alphas={spec}", "--format", "csv"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(set(outputs)) == 1
+        assert outputs[0].splitlines()[1].startswith("0,")
 
     def test_csv_values_match_reference_table(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -3,10 +3,11 @@ import re
 import tracemalloc
 from itertools import combinations
 from math import comb
+from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -44,12 +45,14 @@ from fuzzyqp.cli import parse_alpha_spec
 from fuzzyqp.solver import (
     ORACLE_MAX_N,
     _BOUND_FACE_N,
+    _TIE,
     _Projector,
     _abs_max_gt,
     _bound_face,
     _conflict_pairs,
     _diff_max_le,
     _dist_le,
+    _least,
     _min_ge,
     _next_level,
     _stationarity,
@@ -315,6 +318,17 @@ class TestExactProjection:
         np.testing.assert_allclose(A.T @ mu[:2] - mu[2:], 0.0, atol=1e-12)
         assert b @ mu[:2] < 0.0
 
+    def test_empty_polyhedron_with_a_full_active_set(self):
+        # The active set reaches n = 4 independent rows, which span R^4, and
+        # rounding leaves the next row's normal a residual above 1e-24: it
+        # took a fifth row and a QR of a 4 x 5 G_P' raised numpy's LinAlgError
+        A = np.vstack([[[0.42, 49, 0.0062, 13], [130, 4.4, -0.18, -0.011],
+                        [-0.11, 160, -0.0094, -0.68]], np.eye(4)])
+        b = np.array([0.72, -0.49, 1.0, 2, 2, 2, 2])
+        with pytest.raises(InfeasibleError) as err:
+            project(np.zeros(4), A, b)
+        _assert_farkas(A, b, err.value.certificate)
+
     def test_farkas_certificates_on_random_empty_polyhedra(self):
         # the last row is a negative combination of the others with a bound
         # below what that combination allows, so no point satisfies all rows
@@ -498,6 +512,89 @@ class TestSolvePg:
         assert (far.x.tolist(), far.z, far.iterations, far.converged) == ([4.0], -8.0, 2, False)
         s = solve_pg(q, SolverOptions(max_iter=2, multistart=starts))
         assert s.x.tolist() == [0.0] and s.z == 0.0 and s.converged
+
+
+def _tie_qp(tilt):
+    """_tie_lp made indefinite: Q = diag(0, 0, -1) with the row x3 <= 0, so
+    the feasible set is the bottom polygon and its seven vertices are
+    stationary, each with z = -tilt x1."""
+    q = _tie_lp(tilt)
+    return CrispQP(c=q.c, Q=np.diag([0.0, 0.0, -1.0]),
+                   A=np.vstack([q.A, [0.0, 0.0, 1.0]]), b=np.append(q.b, 0.0))
+
+
+_TIE_VERTICES = [(7.0 - k, (3.0 - k) ** 2 + 1.0, 0.0) for k in range(7)]
+
+
+class TestTieRule:
+    """Of the candidates within _TIE of the least objective the one with the
+    lexicographically smallest x wins, whatever the order they come in."""
+
+    @pytest.mark.parametrize("order", [
+        list(range(7)), list(range(7))[::-1], [1, 2, 3, 4, 5, 6, 0], [3, 6, 0, 5, 1, 4, 2],
+    ])
+    def test_multistart_order_does_not_pick_the_winner(self, order):
+        # Started at the vertices P_k, the runs end with z = -0.9e-12 (7 - k)
+        # plus rounding.  Only P_0 (the least z, -6.3e-12) and P_1 lie within
+        # _TIE of it, and P_1 = (6, 5, 0) has the smaller x.  A pairwise rule
+        # returns P_6, P_0 or P_2 for these orders.
+        starts = tuple(_TIE_VERTICES[k] for k in order)
+        s = solve_pg(_tie_qp(0.9e-12), SolverOptions(multistart=starts))
+        np.testing.assert_allclose(s.x, [6.0, 5.0, 0.0], atol=1e-11)
+        assert s.converged and not s.convex
+        assert -6.3e-12 <= s.z <= -6.3e-12 + _TIE
+
+    @given(
+        st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 8)),
+                 min_size=1, max_size=12, unique_by=lambda c: c[0]),
+        st.sampled_from([0.9 * _TIE, 0.5 * _TIE, _TIE, 1.1 * _TIE, 3 * _TIE]),
+        st.sampled_from([0.0, -6.3e-12, 1.0, -3.0, 1e4]),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    @example([((k, 0), 7 - k) for k in range(7)], 0.9 * _TIE, 0.0, False, Random(0))
+    @example([((7 - k, 0), k) for k in range(7)], 0.9 * _TIE, -6.3e-12, False, Random(1))
+    @example([((k % 3, k), k) for k in range(9)], 0.9 * _TIE, 1.0, True, Random(2))
+    def test_least_is_order_free(self, cells, spacing, base, nan, rnd):
+        # z values spaced about _TIE apart, every third one NaN if nan.  Each
+        # x is distinct, and the first candidate is repeated as an exact tie.
+        candidates = [(np.array(x, dtype=float), np.nan if nan and i % 3 == 0 else base + k * spacing)
+                      for i, (x, k) in enumerate(cells)]
+        candidates.append((candidates[0][0].copy(), candidates[0][1]))
+        x, z = _least(candidates)
+        for order in candidates[::-1], rnd.sample(candidates, len(candidates)):
+            x_o, z_o = _least(order)
+            assert x_o.tobytes() == x.tobytes() and (z_o == z or z_o != z_o and z != z)
+        finite = [c[1] for c in candidates if c[1] == c[1]]
+        if finite:
+            assert z <= min(finite) + _TIE
+            assert all(x.tolist() <= c[0].tolist() for c in candidates if c[1] <= min(finite) + _TIE)
+        else:
+            assert all(x.tolist() <= c[0].tolist() for c in candidates)
+
+    @given(
+        st.lists(st.one_of(st.sampled_from(_TIE_VERTICES),
+                           st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 11.0), st.floats(-1.0, 1.0))),
+                 min_size=1, max_size=9),
+        st.integers(0, 7),
+        st.randoms(use_true_random=False),
+    )
+    @example(_TIE_VERTICES, 2, Random(0))
+    @example(_TIE_VERTICES[::-1], 2, Random(1))
+    @settings(deadline=None)
+    def test_solve_pg_is_order_free(self, starts, instance, rnd):
+        # Instances 0-3 are _tie_qp at tilts 0, 0.5, 0.9 and 1.1 _TIE; 4-7
+        # are random indefinite ones.  Each run starts from the empty face,
+        # so not even a run's rounding depends on the runs before it.  Two
+        # runs may end on the same x, and then the first one's iterations
+        # and stationarity are reported, so only the solution is compared.
+        if instance < 4:
+            q = _tie_qp([0.0, 0.45e-12, 0.9e-12, 1.1e-12][instance])
+        else:
+            q = _pg_instance(np.random.default_rng(instance), 1, 3, 2)
+        solutions = [solve_pg(q, SolverOptions(multistart=order))
+                     for order in (starts, rnd.sample(starts, len(starts)))]
+        assert len({(s.x.tobytes(), s.z, s.converged) for s in solutions}) == 1
 
 
 def _outcome(solve, q, opts=None):
@@ -990,16 +1087,20 @@ class TestOracle:
 
     @pytest.mark.parametrize("tilt", [0.0, 0.9e-12])
     def test_tie_heavy_lp_matches_per_subset_reference(self, tilt):
-        # With no tilt the bottom vertices tie exactly.  With a tilt of
-        # 0.9e-12 each one ties with the one before and has a smaller x1, so
-        # the tie rule walks from P_1 to P_6, 4.5e-12 above P_1: a screen
-        # with a slack of a few _TIE, not one per candidate, would cut it short.
+        # With no tilt the bottom vertices tie exactly and P_6 = (1, 10, 0)
+        # has the smallest x.  With a tilt of 0.9e-12 each one ties with the
+        # one before, but only P_1 = (6, 5, 0) lies within _TIE of the least
+        # z, -6.3e-12 at P_0: a pairwise rule chained down to P_6.
         q = _tie_lp(tilt)
         s = solve_oracle(q)
         x, z, examined = enumerate_oracle_reference(q)
         assert s.x.tobytes() == x.tobytes() and s.z == z
         assert s.iterations == examined
-        np.testing.assert_allclose(s.x, [1.0, 10.0, 0.0], atol=1e-12)
+        if tilt:
+            np.testing.assert_allclose(s.x, [6.0, 5.0, 0.0], atol=1e-12)
+            assert -6.3e-12 <= s.z <= -6.3e-12 + _TIE
+        else:
+            np.testing.assert_allclose(s.x, [1.0, 10.0, 0.0], atol=1e-12)
 
     def test_each_system_is_factorised_once(self, monkeypatch):
         def refuse(*args, **kwargs):
