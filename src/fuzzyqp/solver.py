@@ -28,6 +28,12 @@ so a step makes as few numpy calls as give the same bits:
     [A; -I] (origin, scale) is built only for a Farkas certificate or
     multipliers, which no solve asks for.
 
+An indefinite Q runs 9 starts: the origin and the 8 rows of
+numpy.random.default_rng(seed).uniform(0, max(1, max|b|), (8, n)), drawn
+by a pure-Python copy of that stream (_pcg64) with numpy's bits, so no
+solve imports numpy.random and the points are the same on every numpy
+version.
+
 solve_oracle independently enumerates active-set candidates (stationarity
 systems over every subset of at most n of the m + n constraints, less the
 subsets that pin one variable to two values no candidate can meet), which
@@ -53,6 +59,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
+from ._pcg64 import uniform
 from .problem import CrispQP, _product, _read_only, check_finite
 
 UNBOUNDED_LIMIT = 1e8
@@ -88,8 +95,11 @@ class SolverOptions:
     """Tuning knobs for solve_pg and project.
 
     multistart is an optional explicit list of start points; when None,
-    indefinite instances use the origin plus 8 pseudorandom points drawn
-    from `seed` and projected onto the feasible set.  Convex instances
+    indefinite instances use the origin plus 8 pseudorandom points, each
+    projected onto the feasible set: the stream of
+    numpy.random.default_rng(seed).uniform(0, max(1, max|b|), (8, n)),
+    drawn without importing numpy.random and the same on every numpy
+    version (fuzzyqp._pcg64).  Convex instances
     always run a single start (the first multistart point if given, else
     the origin).
 
@@ -159,9 +169,28 @@ def _vector(x, shape: tuple[int], name: str) -> np.ndarray:
 
 
 def objective(q: CrispQP, x) -> float:
-    """c'x + (1/2) x'Qx."""
+    """c'x + (1/2) x'Qx.
+
+    When the two terms overflow with opposite signs at a finite x, which
+    rounds to NaN, the exact sum is rounded instead: to +-inf if it lies
+    beyond the float range.
+    """
     x = _vector(x, q.c.shape, "x")
-    return float(q.c @ x + 0.5 * (x @ q.Q @ x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = float(q.c @ x + 0.5 * (x @ q.Q @ x))
+    if z != z and np.isfinite(x).all():
+        from fractions import Fraction  # only here, so no other path imports it
+
+        v = [Fraction(e) for e in x.tolist()]
+        exact = sum(Fraction(ci) * vi for ci, vi in zip(q.c.tolist(), v)) + sum(
+            Fraction(qij) * vi * vj
+            for row, vi in zip(q.Q.tolist(), v) for qij, vj in zip(row, v)
+        ) / 2
+        try:
+            z = float(exact)
+        except OverflowError:
+            z = np.inf if exact > 0 else -np.inf
+    return z
 
 
 def gradient(q: CrispQP, x) -> np.ndarray:
@@ -407,10 +436,11 @@ class _Projector:
                 break
             held = self._kernel(tuple(compress(P, (mu >= 0.0).tolist())))
         y = self._point(x, mu, Gt, pinned)
-        if _diff_max_le(self._Gy(y).tolist(), self._h, self.tol):
+        Gy = self._Gy(y)
+        if _diff_max_le(Gy.tolist(), self._h, self.tol):
             self._held = held
             return y
-        s = self._Gy(y) - self.h
+        s = Gy - self.h
         tol = self.tol + 1e-12 * float(np.abs(x).max())
         # Each added row raises the dual objective, so no set repeats; the
         # bound only stops a cycle that rounding might cause.
@@ -505,10 +535,9 @@ def _neg_eye(n: int) -> np.ndarray:
 
 
 def _default_starts(q: CrispQP, opts: SolverOptions) -> list[np.ndarray]:
-    rng = np.random.default_rng(opts.seed)
+    """The origin and the 8 pseudorandom points of the module docstring."""
     scale = max(1.0, float(np.max(np.abs(q.b))) if q.b.size else 1.0)
-    random_pts = rng.uniform(0.0, scale, size=(8, q.n))
-    return [np.zeros(q.n), *random_pts]
+    return [np.zeros(q.n), *np.array(uniform(opts.seed, scale, 8, q.n))]
 
 
 def _pg_run(q, x0, step, opts, callback, warm):
@@ -735,11 +764,12 @@ def _contenders(q: CrispQP, x: np.ndarray, z_ref: float) -> np.ndarray:
     NaN z is kept, and with it the whole block.
     """
     n = x.shape[1]
-    z = x @ q.c + 0.5 * ((x @ q.Q) * x).sum(axis=1)
     ax = np.abs(x)
-    err = (8 * n + 32) * _U * (ax @ np.abs(q.c) + 0.5 * ((ax @ np.abs(q.Q)) * ax).sum(axis=1))
-    ref = np.minimum.reduce(z + err, initial=z_ref)
-    return np.flatnonzero(~(z - ref > _TIE + err))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an inf or NaN, read below
+        z = x @ q.c + 0.5 * ((x @ q.Q) * x).sum(axis=1)
+        err = (8 * n + 32) * _U * (ax @ np.abs(q.c) + 0.5 * ((ax @ np.abs(q.Q)) * ax).sum(axis=1))
+        ref = np.minimum.reduce(z + err, initial=z_ref)
+        return np.flatnonzero(~(z - ref > _TIE + err))
 
 
 def _kkt_candidates(q: CrispQP, E: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from fuzzyqp import (
     UnboundedError,
     objective,
 )
-from fuzzyqp.solver import UNBOUNDED_LIMIT, _default_starts, _least, _Projector, _spectrum
+from fuzzyqp.solver import UNBOUNDED_LIMIT, _least, _Projector, _spectrum
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_PATH = REPO_ROOT / "fixtures" / "liu2009-example.json"
@@ -261,8 +261,9 @@ def extract_reference(p: FuzzyQP, alpha: float, side: int) -> CrispQP:
 
 
 def pg_reference(q: CrispQP, opts: SolverOptions | None = None, callback=None) -> QpSolution:
-    """solve_pg as first written: every exact comparison by a numpy reduction
-    and every product with @.
+    """solve_pg as first written: every exact comparison by a numpy reduction,
+    every product with @, and the default start points drawn by
+    numpy.random's Generator.
 
     The lean solve_pg must reproduce it bit for bit, callback iterates
     included.
@@ -277,7 +278,9 @@ def pg_reference(q: CrispQP, opts: SolverOptions | None = None, callback=None) -
     elif convex:
         starts = [np.zeros(q.n)]
     else:
-        starts = _default_starts(q, opts)
+        scale = max(1.0, float(np.max(np.abs(q.b))) if q.b.size else 1.0)
+        random_pts = np.random.default_rng(opts.seed).uniform(0.0, scale, size=(8, q.n))
+        starts = [np.zeros(q.n), *random_pts]
     if convex:
         starts = starts[:1]
 

@@ -33,6 +33,10 @@ def run_cli(*argv):
     )
 
 
+def run_python(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
 def read_csv_rows(text):
     lines = text.strip().splitlines()
     header = lines[0].split(",")
@@ -217,6 +221,23 @@ class TestSolve:
         assert captured.err == (
             "invalid: Q[0][1] != Q[1][0]: (-4.0, -3.0, -2.0) vs (-3.0, -2.0, -1.0)\n"
         )
+
+
+class TestFootprint:
+    def test_solve_does_not_import_numpy_random(self, tmp_path):
+        # the fixture at level 0 has an indefinite endpoint, which draws the
+        # default multistart points
+        loaded = "import sys, numpy; print('numpy.random' in sys.modules)"
+        if run_python(loaded).stdout.strip() == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        script = (
+            "import sys; from fuzzyqp.cli import main; "
+            f"code = main(['solve', '--input', {FIXTURE!r}, '--alphas', '0:1:0.01', "
+            f"'--format', 'csv', '--output', {str(tmp_path / 'out.csv')!r}]); "
+            "assert code == 0; assert 'numpy.random' not in sys.modules, 'numpy.random imported'"
+        )
+        proc = run_python(script)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPlotData:

@@ -85,6 +85,21 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective(modal_qp(), [1.0, 2.0, 3.0])
 
+    def test_opposite_overflows_give_the_exact_sum(self):
+        # c'x and x'Qx/2 round to -inf and +inf; the exact sums are -5e313,
+        # +5e317 and 12, so no NaN and no warning
+        assert objective(_overflow_qp(), [1e7]) == -np.inf
+        q = CrispQP(c=[-1e300], Q=[[1e300]], A=[[1.0]], b=[1e10])
+        assert objective(q, [1e9]) == np.inf
+        q = CrispQP(c=[-1e308, 1.0], Q=[[1e308, 0.0], [0.0, 2.0]], A=[[1.0, 1.0]], b=[10.0])
+        assert objective(q, [2.0, 3.0]) == 12.0
+
+
+def _overflow_qp():
+    """min -1e307 x + 1e300 x^2 / 2 on [0, 1e8]: the minimiser x = 1e7 has
+    z = -5e313, beyond the float range, from terms that overflow apart."""
+    return CrispQP(c=[-1e307], Q=[[1e300]], A=[[1.0]], b=[1e8])
+
 
 class TestGradient:
     def test_interior_stationary_point(self):
@@ -496,6 +511,12 @@ class TestSolvePg:
         assert s.converged
         assert s.z == pytest.approx(-1.0, abs=1e-9)
 
+    def test_objective_beyond_float_range(self):
+        # the first step reaches x = 1e7; later iterates alternate with the
+        # float one ulp below, so a small budget suffices
+        s = solve_pg(_overflow_qp(), SolverOptions(max_iter=50))
+        assert abs(s.x[0] - 1e7) <= np.spacing(1e7) and s.z == -np.inf
+
     def test_honest_nonconvergence_flag(self, example_problem):
         s = solve_pg(modal_qp(), SolverOptions(max_iter=2))
         assert not s.converged
@@ -644,6 +665,13 @@ class TestLeanPgMatchesReference:
         for _ in range(4 if n + m <= 32 else 2):
             q = _pg_instance(rng, kind, n, m)
             assert _outcome(solve_pg, q, opts) == _outcome(pg_reference, q, opts)
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**70 + 5, np.uint8(7)], ids=repr)
+    def test_default_starts(self, seed):
+        # the reference draws its starts with numpy.random, solve_pg without
+        q = _pg_instance(np.random.default_rng(711), 1, 5, 4)
+        opts = SolverOptions(max_iter=3000, seed=seed)
+        assert _outcome(solve_pg, q, opts) == _outcome(pg_reference, q, opts)
 
     def test_unbounded_and_infeasible(self):
         unbounded = CrispQP(c=[0.0, 0.0], Q=-np.eye(2), A=[[-1.0, -1.0]], b=[-1.0])
@@ -901,6 +929,11 @@ def _tie_lp(tilt):
 
 
 class TestOracle:
+    def test_objective_beyond_float_range(self):
+        # a NaN z for x = 1e7 would lose the tie rule to x = 0
+        s = solve_oracle(_overflow_qp())
+        assert s.x.tolist() == [1e7] and s.z == -np.inf and s.converged
+
     def test_lower_qp_at_zero(self, example_problem):
         s = solve_oracle(lower_qp(example_problem, 0.0))
         assert s.z == pytest.approx(Z_LOWER_AT_0, abs=1e-10)
