@@ -6,7 +6,8 @@ One eigvalsh per crisp QP, in _spectrum, gives both K and whether Q is PSD.
 Each step projects onto the feasible set {Ax <= b, x >= 0} exactly, by a
 dual active-set method (Goldfarb-Idnani) warm-started from the previous
 step's active set; an empty set is reported with a Farkas certificate.
-A face with no row of A is written down, not factored (_bound_face).
+Each face (active set) is built once, by one method, into one record;
+a face with no row of A is written down, not factored (_bound_face).
 A step's exact comparisons (feasibility, multiplier signs, the slack
 test, the divergence and convergence tests) scan Python lists, deciding as
 numpy's max/min would, NaN included: numpy's per-call overhead outweighs a
@@ -22,8 +23,9 @@ so a step makes as few numpy calls as give the same bits:
     _vector copy any other layout), so no result depends on a caller's
     layout.  The product is chosen once per CrispQP (Qx), per projector
     (Ax, Gy) and per face (Kx), never per call.
-  - The held face: a projector keeps the face its last call ended on with
-    its product (_kernel), so a settled call looks nothing up.
+  - The held face: a projector keeps the record of the face its last call
+    ended on, product included (_Projector._face), so a settled call looks
+    nothing up.
   - Certificate data on demand: the map from G's rows back to the rows of
     [A; -I] (origin, scale) is built only for a Farkas certificate or
     multipliers, which no solve asks for.
@@ -53,7 +55,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
-from math import comb
+from math import comb, isfinite
 from typing import Callable
 
 import numpy as np
@@ -171,14 +173,14 @@ def _vector(x, shape: tuple[int], name: str) -> np.ndarray:
 def objective(q: CrispQP, x) -> float:
     """c'x + (1/2) x'Qx.
 
-    When the two terms overflow with opposite signs at a finite x, which
-    rounds to NaN, the exact sum is rounded instead: to +-inf if it lies
-    beyond the float range.
+    When the float sum at a finite x is not finite, as when a term
+    overflows, the exact sum is rounded instead: to +-inf if it lies beyond
+    the float range.
     """
     x = _vector(x, q.c.shape, "x")
     with np.errstate(over="ignore", invalid="ignore"):
         z = float(q.c @ x + 0.5 * (x @ q.Q @ x))
-    if z != z and np.isfinite(x).all():
+    if not isfinite(z) and np.isfinite(x).all():
         from fractions import Fraction  # only here, so no other path imports it
 
         v = [Fraction(e) for e in x.tolist()]
@@ -327,23 +329,24 @@ class _Projector:
     InfeasibleError is raised.
 
     For a fixed P the multipliers are affine in x, mu_P = K x - k, and
-    y = x - G_P' mu_P; _face builds K and k: by QR of G_P' for a set that
-    holds a row of A, and in closed form by _bound_face (shared by all
-    projectors for n <= 32) for the empty set or bounds only.
+    y = x - G_P' mu_P.  _face is the one builder of a face and its record
+    (K, k, G_P', pinned, Kx, P), with the product Kx: v -> Kv chosen once
+    by the kernel rule (problem._product; Ax and Gy likewise, in the
+    constructor).  A set that holds a row of A is built by QR of G_P'; the
+    empty set or bounds only come in closed form from _bound_face, whose
+    record (less P) all projectors share for n <= _BOUND_FACE_N.
     Every call starts from the set the previous call ended on, less any
     rows whose multipliers come out negative at the new x; once projected
     gradient settles, a projection is one affine map plus a sign and a
     feasibility check.
 
-    _faces holds each face built so far once, as _kernel gives it, with the
-    product v -> Kv chosen by the kernel rule (problem._product; Ax and Gy
-    likewise, in the constructor).  The projector holds the face its last
-    call ended on, so a settled call does no lookup.  Both ways out of a
-    call, settled or after rows are added, take their point from the held
-    face by _point.  The checks compare Python lists (_diff_max_le and the
-    rest), b and h taken once as lists here.  origin and scale, which map
-    G's rows back to [A; -I] for the Farkas certificate and multipliers,
-    are built on demand.
+    _faces holds each record built so far.  The projector holds the record
+    its last call ended on, so a settled call does no lookup.  Both ways
+    out of a call, settled or after rows are added, take their point from
+    the held face by _point.  The checks compare Python lists (_diff_max_le
+    and the rest), b and h taken once as lists here.  origin and scale,
+    which map G's rows back to [A; -I] for the Farkas certificate and
+    multipliers, are built on demand.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -367,14 +370,14 @@ class _Projector:
         self.G, self.h = np.empty((k + n, n)), np.zeros(k + n)
         np.divide(A, norms[:, None], out=self.G[:k])
         np.divide(b, norms, out=self.h[:k])
-        self.G[k:] = (_neg_eye if n <= _BOUND_FACE_N else _neg_eye.__wrapped__)(n)
+        self.G[k:] = -np.eye(n)  # -0.0 off the diagonal
         self._b, self._h = self.b.tolist(), self.h.tolist()
         # A row counts as violated beyond tol + 1e-12 * ||x||_inf; below that
         # the residual of a tight row is rounding.
         self.tol = 1e-12 * (1.0 + max(map(abs, self._h)))
         self._Ax, self._Gy = _product(self.A), _product(self.G)
         self._held = None  # the empty face until a call ends on another
-        self._faces: dict[tuple[int, ...], tuple] = {}  # P -> _kernel(P)
+        self._faces: dict[tuple[int, ...], tuple] = {}  # P -> its record, by _face
 
     @cached_property
     def origin(self) -> np.ndarray:
@@ -390,34 +393,33 @@ class _Projector:
     @property
     def active(self) -> tuple[int, ...]:
         """The active set the last call ended on."""
-        return self._held[0] if self._held else ()
+        return self._held[5] if self._held else ()
 
     def contains(self, x: np.ndarray) -> bool:
         """Ax <= b and x >= 0, exactly."""
         return _diff_max_le(self._Ax(x).tolist(), self._b, 0.0) and _min_ge(x.tolist(), 0.0)
 
     def _face(self, P: tuple[int, ...]) -> tuple:
-        """(K, k, G_P', pinned) for the active set P, built anew: mu_P = K x - k,
-        and pinned lists the variables that an active bound holds at zero."""
-        n, first = self.G.shape[1], self.first_bound
-        if not P or P[0] >= first:  # no row of A (P is sorted)
-            build = _bound_face if n <= _BOUND_FACE_N else _bound_face.__wrapped__
-            return build(n, tuple(i - first for i in P))
-        rows = list(P)
-        Gt = self.G[rows].T
-        Qr, R = np.linalg.qr(Gt)
-        R_inv = np.linalg.inv(R)  # R is invertible: the rows of P are independent
-        return (R_inv @ Qr.T, R_inv @ (R_inv.T @ self.h[rows]), Gt,
-                [i - first for i in P if i >= first])
-
-    def _kernel(self, P: tuple[int, ...]) -> tuple:
-        """(P, v -> Kv, k, G_P', pinned): the face of P as a step reads it,
-        its product chosen once by the kernel rule, built once per P."""
-        kernel = self._faces.get(P)
-        if kernel is None:
-            K, k, Gt, pinned = self._face(P)
-            kernel = self._faces[P] = (P, _product(K), k, Gt, pinned)
-        return kernel
+        """The face of the active set P, built once: (K, k, G_P', pinned, Kx, P)
+        with mu_P = K x - k, pinned the variables that an active bound holds
+        at zero and Kx the product v -> Kv.  A set with a row of A is built
+        by QR of G_P', one of bounds only taken from _bound_face."""
+        face = self._faces.get(P)
+        if face is None:
+            n, first = self.G.shape[1], self.first_bound
+            if not P or P[0] >= first:  # no row of A (P is sorted)
+                build = _bound_face if n <= _BOUND_FACE_N else _bound_face.__wrapped__
+                face = build(n, tuple(i - first for i in P)) + (P,)
+            else:
+                rows = list(P)
+                Gt = self.G[rows].T
+                Qr, R = np.linalg.qr(Gt)
+                R_inv = np.linalg.inv(R)  # R is invertible: the rows of P are independent
+                K = R_inv @ Qr.T
+                face = (K, R_inv @ (R_inv.T @ self.h[rows]), Gt,
+                        [i - first for i in P if i >= first], _product(K), P)
+            self._faces[P] = face
+        return face
 
     @staticmethod
     def _point(x, mu, Gt, pinned) -> np.ndarray:
@@ -428,13 +430,13 @@ class _Projector:
         return y
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        held = self._held or self._kernel(())
+        held = self._held or self._face(())
         while True:
-            P, Kx, k, Gt, pinned = held
+            _, k, Gt, pinned, Kx, P = held
             mu = Kx(x) - k
             if _min_ge(mu.tolist(), 0.0):
                 break
-            held = self._kernel(tuple(compress(P, (mu >= 0.0).tolist())))
+            held = self._face(tuple(compress(P, (mu >= 0.0).tolist())))
         y = self._point(x, mu, Gt, pinned)
         Gy = self._Gy(y)
         if _diff_max_le(Gy.tolist(), self._h, self.tol):
@@ -453,7 +455,7 @@ class _Projector:
             s = self._Gy(y) - self.h
         else:
             raise RuntimeError("active-set projection is cycling")
-        P, Kx, k, Gt, pinned = self._held = self._kernel(P)
+        _, k, Gt, pinned, Kx, _ = self._held = self._face(P)
         return self._point(x, Kx(x) - k, Gt, pinned)
 
     def _add(self, P, mu, y, p, violation):
@@ -461,7 +463,7 @@ class _Projector:
         g = self.G[p]
         mu_p = 0.0
         while True:
-            _, Kx, _, Gt, _ = self._kernel(P)
+            _, _, Gt, _, Kx, _ = self._face(P)
             r = Kx(g)
             z = g - Gt @ r
             zz = float(z @ z)
@@ -503,7 +505,7 @@ class _Projector:
 
         With y the projection of x: x - y = A'mu_A - mu_I.
         """
-        P, Kx, k, _, _ = self._held or self._kernel(())
+        _, k, _, _, Kx, P = self._held or self._face(())
         full = np.zeros(sum(self.A.shape))
         rows = list(P)
         full[self.origin[rows]] = (Kx(x) - k) / self.scale[rows]
@@ -512,26 +514,21 @@ class _Projector:
 
 @lru_cache(maxsize=_BOUND_FACES)
 def _bound_face(n: int, bounds: tuple[int, ...]) -> tuple:
-    """_Projector._face, read-only, of the bounds -y_j <= 0, j in bounds (none
-    for the empty face), in n variables: G_P = -I[bounds] and h_P = 0, so
-    mu_P = -x[bounds], K = -I[bounds] with +0.0 elsewhere and k = +0.0.
-    That is byte for byte the face a QR of G_P' gives: each Householder
-    reflector of a signed unit column is an exact signed swap, so R is
-    diagonal +-1 and R^-1 Q' is exact.  For n <= _BOUND_FACE_N one face
-    serves every projector: the cache keeps the _BOUND_FACES most recently
-    used faces of at most 2n(n + 1) floats each, under 4.5 MB in all."""
+    """The face record of _Projector._face, less P, of the bounds -y_j <= 0,
+    j in bounds (none for the empty face), in n variables: G_P = -I[bounds]
+    and h_P = 0, so mu_P = -x[bounds], K = -I[bounds] with +0.0 elsewhere
+    and k = +0.0.  Its arrays are read-only and its product is chosen by
+    the kernel rule.  That is byte for byte the face a QR of G_P' gives:
+    each Householder reflector of a signed unit column is an exact signed
+    swap, so R is diagonal +-1 and R^-1 Q' is exact.  For n <= _BOUND_FACE_N
+    one record serves every projector: the cache keeps the _BOUND_FACES
+    most recently used faces of at most 2n(n + 1) floats each, under 4.5 MB
+    in all; above that each projector builds its own."""
     j = list(bounds)
     K = np.zeros((len(j), n))
     K[np.arange(len(j)), j] = -1.0
     G_P = -np.eye(n)[j]  # the rows of G past first_bound
-    return _read_only(K, np.zeros(len(j)), G_P.T, np.array(j, dtype=np.intp))
-
-
-@lru_cache(maxsize=_BOUND_FACE_N)
-def _neg_eye(n: int) -> np.ndarray:
-    """-I in n variables, read-only, -0.0 off the diagonal: the bound rows of
-    G, copied from here into each projector for n <= _BOUND_FACE_N."""
-    return _read_only(-np.eye(n))[0]
+    return (*_read_only(K, np.zeros(len(j)), G_P.T, np.array(j, dtype=np.intp)), _product(K))
 
 
 def _default_starts(q: CrispQP, opts: SolverOptions) -> list[np.ndarray]:

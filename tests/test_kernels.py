@@ -87,8 +87,8 @@ class TestKernelRule:
             products = [(q.Q, q._Qx), (proj.A, proj._Ax), (proj.G, proj._Gy)]
             for P in [(), (0,), (first,), (0, first), tuple(range(first, first + n))]:
                 if len(P) <= n:
-                    K = proj._face(P)[0]
-                    products.append((K, proj._kernel(P)[1]))
+                    face = proj._face(P)
+                    products.append((face[0], face[4]))
             if n == 1:  # every row of A zero and dropped: G is the 1 x 1 block -I
                 proj = _Projector(np.zeros((2, 1)), np.ones(2))
                 products.append((proj.G, proj._Gy))

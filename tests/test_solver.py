@@ -87,12 +87,15 @@ class TestObjective:
 
     def test_opposite_overflows_give_the_exact_sum(self):
         # c'x and x'Qx/2 round to -inf and +inf; the exact sums are -5e313,
-        # +5e317 and 12, so no NaN and no warning
+        # +5e317 and 12, so no NaN and no warning; in the last case c'x alone
+        # rounds to +inf, and the exact sum 2e308 - 0.75e308 is a float
         assert objective(_overflow_qp(), [1e7]) == -np.inf
         q = CrispQP(c=[-1e300], Q=[[1e300]], A=[[1.0]], b=[1e10])
         assert objective(q, [1e9]) == np.inf
         q = CrispQP(c=[-1e308, 1.0], Q=[[1e308, 0.0], [0.0, 2.0]], A=[[1.0, 1.0]], b=[10.0])
         assert objective(q, [2.0, 3.0]) == 12.0
+        q = CrispQP(c=[1e308, 1e308], Q=[[-1.5e308, 0.0], [0.0, 0.0]], A=[[1.0, 1.0]], b=[10.0])
+        assert objective(q, [1.0, 1.0]) == 1.25e308
 
 
 def _overflow_qp():
@@ -687,9 +690,30 @@ class TestLeanPgMatchesReference:
         for a, c in zip(face[:3], built[:3]):
             assert (a.shape, a.strides, a.tobytes()) == (c.shape, c.strides, c.tobytes())
         assert face[3].tolist() == built[3] == []
+        assert face[5] == ()
         x = np.array([0.25, -0.0])
-        K, k, Gt, pinned = face
+        K, k, Gt, pinned, Kx, _ = face
+        assert Kx(x).tobytes() == (K @ x).tobytes()
         assert proj._point(x, K @ x - k, Gt, pinned).tobytes() == x.tobytes()
+
+
+class TestBoundRows:
+    """The rows of G past first_bound, which _ReferenceProjector shares with
+    _Projector and so cannot check: -I, -0.0 off the diagonal."""
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["all-rows", "zero-row"])
+    @pytest.mark.parametrize("n", [1, 2, 32, 33, 80])
+    def test_bound_rows_are_negative_identity(self, n, drop):
+        A = np.random.default_rng(n).normal(size=(3, n))
+        if drop:
+            A[1] = 0.0
+        proj = _Projector(A, np.ones(3))
+        assert proj.first_bound == 3 - drop
+        rows = proj.G[proj.first_bound:]
+        diagonal = np.eye(n, dtype=bool)
+        assert rows.shape == (n, n)
+        assert (rows[diagonal] == -1.0).all()
+        assert (rows[~diagonal] == 0.0).all() and np.signbit(rows[~diagonal]).all()
 
 
 class TestSharedBoundFaces:
@@ -711,8 +735,9 @@ class TestSharedBoundFaces:
         for bounds in [()] + singles + pairs + [tuple(range(n))]:
             P = tuple(first + j for j in bounds)
             shared, built = proj._face(P), fresh._face(P)
+            assert shared[5] == P
             if n <= _BOUND_FACE_N:
-                assert shared is _bound_face(n, bounds)
+                assert all(a is b for a, b in zip(shared[:5], _bound_face(n, bounds), strict=True))
             for a, b in zip(shared[:3], built[:3]):
                 assert (a.shape, a.strides) == (b.shape, b.strides)
                 assert a.tobytes() == b.tobytes()
@@ -733,9 +758,27 @@ class TestSharedBoundFaces:
         assert qr_calls == [(n, 2)]
 
     def test_shared_arrays_are_read_only(self):
-        for arr in _bound_face(3, (0, 2)):
+        *arrays, product = _bound_face(3, (0, 2))  # K, k, G_P', pinned and v -> Kv
+        assert product.__self__ is arrays[0]
+        for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
+
+    @pytest.mark.parametrize("n", [2, 32, 40])
+    def test_projectors_share_one_record(self, n):
+        # over different A, two projectors hold one K and one product for a
+        # face of bounds only, up to _BOUND_FACE_N variables; above, neither
+        # is shared nor cached
+        rng = np.random.default_rng(n)
+        _bound_face.cache_clear()
+        one, two = (_Projector(rng.normal(size=(m, n)), np.ones(m)) for m in (2, 3))
+        shared = n <= _BOUND_FACE_N
+        for bounds in (), (0,), (0, n - 1), tuple(range(n)):
+            a = one._face(tuple(one.first_bound + j for j in bounds))
+            b = two._face(tuple(two.first_bound + j for j in bounds))
+            assert (a[0] is b[0], a[4] is b[4]) == (shared, shared)
+        if not shared:
+            assert _bound_face.cache_info().currsize == 0
 
     def test_faces_with_rows_of_a_are_not_shared(self):
         proj = _Projector(np.array([[1.0, 2.0]]), np.ones(1))
