@@ -26,9 +26,9 @@ so a step makes as few numpy calls as give the same bits:
   - The held face: a projector keeps the record of the face its last call
     ended on, product included (_Projector._face), so a settled call looks
     nothing up.
-  - Certificate data on demand: the map from G's rows back to the rows of
-    [A; -I] (origin, scale) is built only for a Farkas certificate or
-    multipliers, which no solve asks for.
+  - Certificate data on demand: G is [A; -I] row for row, each row of A
+    scaled to unit norm, and the scales are gathered only for a Farkas
+    certificate or multipliers, which no solve asks for.
 
 An indefinite Q runs 9 starts: the origin and the 8 rows of
 numpy.random.default_rng(seed).uniform(0, max(1, max|b|), (8, n)), drawn
@@ -316,17 +316,18 @@ def _dist_le(u: list, v: list, t: float) -> bool:
 class _Projector:
     """Projection onto {y: Ay <= b, y >= 0} for one (A, b), warm across calls.
 
-    With G = [A; -I] and h = [b; 0] (rows of A scaled to unit norm, zero
-    rows dropped) the projection of x is y = x - G'mu, where mu >= 0
-    minimises (1/2)||x - G'mu||^2 + h'mu.  That dual is solved by the
-    active-set method of Goldfarb and Idnani (1983) with identity Hessian:
-    starting from a set P of independent rows with y tight on them and
-    mu_P >= 0, the most violated row p is added; the step along the part
-    of p's normal orthogonal to the rows of P either makes p tight (p
-    joins P) or first drives some mu_j to zero (j leaves P).  If p's
-    normal lies in the span of P and no mu_j can shrink, the dual is
-    unbounded: mu = (1 on p, -r on P) is a Farkas certificate and
-    InfeasibleError is raised.
+    With G = [A; -I] and h = [b; 0] row for row (each row of A scaled to
+    unit norm; a zero row, whose norm is 0, kept as the row 0 <= 0, which
+    is never violated and never joins a face) the projection of x is
+    y = x - G'mu, where mu >= 0 minimises (1/2)||x - G'mu||^2 + h'mu.
+    That dual is solved by the active-set method of Goldfarb and Idnani
+    (1983) with identity Hessian: starting from a set P of independent rows
+    with y tight on them and mu_P >= 0, the most violated row p is added;
+    the step along the part of p's normal orthogonal to the rows of P
+    either makes p tight (p joins P) or first drives some mu_j to zero (j
+    leaves P).  If p's normal lies in the span of P and no mu_j can
+    shrink, the dual is unbounded: mu = (1 on p, -r on P) is a Farkas
+    certificate and InfeasibleError is raised.
 
     For a fixed P the multipliers are affine in x, mu_P = K x - k, and
     y = x - G_P' mu_P.  _face is the one builder of a face and its record
@@ -344,17 +345,16 @@ class _Projector:
     its last call ended on, so a settled call does no lookup.  Both ways
     out of a call, settled or after rows are added, take their point from
     the held face by _point.  The checks compare Python lists (_diff_max_le
-    and the rest), b and h taken once as lists here.  origin and scale,
-    which map G's rows back to [A; -I] for the Farkas certificate and
-    multipliers, are built on demand.
+    and the rest), b and h taken once as lists here.  Row i of G is row i
+    of [A; -I], so the Farkas certificate and the multipliers index G's
+    rows directly; only scale, which they divide by, is built on demand.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         m, n = A.shape
         self.A, self.b = A, b
         norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-        self._keep = None
-        if np.count_nonzero(norms) < m:  # zero rows are dropped, once none has b < 0
+        if np.count_nonzero(norms) < m:  # zero rows become 0 <= 0, once none has b < 0
             zero = norms == 0.0
             if (unsatisfiable := np.flatnonzero(zero & (b < 0.0))).size:
                 i = int(unsatisfiable[0])
@@ -363,14 +363,14 @@ class _Projector:
                 raise InfeasibleError(
                     f"row {i} of A is zero and b[{i}] = {float(b[i])!r} < 0", certificate
                 )
-            self._keep = keep = np.flatnonzero(~zero)
-            A, b, norms = A[keep], b[keep], norms[keep]
+            norms[zero] = 1.0
+            A, b = np.where(zero[:, None], 0.0, A), np.where(zero, 0.0, b)
         self._norms = norms
-        self.first_bound = k = len(norms)  # rows of G from here on are the bounds -y <= 0
-        self.G, self.h = np.empty((k + n, n)), np.zeros(k + n)
-        np.divide(A, norms[:, None], out=self.G[:k])
-        np.divide(b, norms, out=self.h[:k])
-        self.G[k:] = -np.eye(n)  # -0.0 off the diagonal
+        self.first_bound = m  # rows of G from here on are the bounds -y <= 0
+        self.G, self.h = np.empty((m + n, n)), np.zeros(m + n)
+        np.divide(A, norms[:, None], out=self.G[:m])
+        np.divide(b, norms, out=self.h[:m])
+        self.G[m:] = -np.eye(n)  # -0.0 off the diagonal
         self._b, self._h = self.b.tolist(), self.h.tolist()
         # A row counts as violated beyond tol + 1e-12 * ||x||_inf; below that
         # the residual of a tight row is rounding.
@@ -380,14 +380,10 @@ class _Projector:
         self._faces: dict[tuple[int, ...], tuple] = {}  # P -> its record, by _face
 
     @cached_property
-    def origin(self) -> np.ndarray:
-        """Row i of G is row origin[i] of [A; -I] divided by scale[i]; both
-        are built on demand, for a Farkas certificate or multipliers."""
-        m, n = self.A.shape
-        return np.arange(m + n) if self._keep is None else np.concatenate([self._keep, m + np.arange(n)])
-
-    @cached_property
     def scale(self) -> np.ndarray:
+        """Row i of G is row i of [A; -I] divided by scale[i], the row's norm:
+        1.0 for a bound, and for a zero row, whose G row and h entry are
+        +0.0.  Built on demand, for a Farkas certificate or multipliers."""
         return np.concatenate([self._norms, np.ones(self.A.shape[1])])
 
     @property
@@ -444,6 +440,8 @@ class _Projector:
             return y
         s = Gy - self.h
         tol = self.tol + 1e-12 * float(np.abs(x).max())
+        if not isfinite(tol):  # an inf or NaN in x, as when a gradient overflows
+            raise UnboundedError("the iterates left the float range; instance appears unbounded below")
         # Each added row raises the dual objective, so no set repeats; the
         # bound only stops a cycle that rounding might cause.
         for _ in range(10 * len(self.h)):
@@ -492,8 +490,7 @@ class _Projector:
         lam = np.zeros(len(self.h))
         lam[list(P)] = -r
         lam[p] = 1.0
-        certificate = np.zeros(sum(self.A.shape))  # over the m + n rows of [A; -I]
-        certificate[self.origin] = lam / self.scale
+        certificate = lam / self.scale  # over the m + n rows of [A; -I]
         raise InfeasibleError(
             "the polyhedron is empty: Farkas certificate mu >= 0 over the rows "
             f"of [A; -I] with A'mu_A - mu_I = 0 and b'mu_A = {float(self.h @ lam):.3e} < 0",
@@ -506,9 +503,9 @@ class _Projector:
         With y the projection of x: x - y = A'mu_A - mu_I.
         """
         _, k, _, _, Kx, P = self._held or self._face(())
-        full = np.zeros(sum(self.A.shape))
+        full = np.zeros(len(self.h))
         rows = list(P)
-        full[self.origin[rows]] = (Kx(x) - k) / self.scale[rows]
+        full[rows] = (Kx(x) - k) / self.scale[rows]
         return full
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .cuts import lower_qp, upper_qp
 from .fuzzy import check_alpha
 from .problem import CrispQP, FuzzyQP
-from .solver import InfeasibleError, QpSolution, SolverOptions, solve_pg
+from .solver import InfeasibleError, QpSolution, SolverOptions, UnboundedError, solve_pg
 
 COINCIDENCE_TOL = 1e-6
 
@@ -76,7 +76,8 @@ def solve_fqp(
     alpha = 1 they are one instance, the crisp core, solved once.
 
     Levels are sorted ascending and deduplicated.  An infeasible endpoint
-    instance raises InfeasibleError naming the level and endpoint.
+    instance raises InfeasibleError, and one that looks unbounded below
+    UnboundedError, naming the level and endpoint.
     """
     opts = opts or SolverOptions()
     if len(alphas) == 0:
@@ -110,7 +111,8 @@ def solve_fqp(
 
 
 def _solve_endpoint(q: CrispQP, opts: SolverOptions, endpoint: str, alpha: float) -> QpSolution:
-    """solve_pg(q, opts), an InfeasibleError naming the level and the endpoint."""
+    """solve_pg(q, opts), an InfeasibleError or UnboundedError naming the
+    level and the endpoint."""
     try:
         return solve_pg(q, opts)
     except InfeasibleError as e:
@@ -118,6 +120,8 @@ def _solve_endpoint(q: CrispQP, opts: SolverOptions, endpoint: str, alpha: float
             f"{endpoint} endpoint QP infeasible at alpha={alpha:g}: {e}",
             e.certificate,
         ) from e
+    except UnboundedError as e:
+        raise UnboundedError(f"{endpoint} endpoint QP unbounded at alpha={alpha:g}: {e}") from e
 
 
 def check_invertible(curve: MembershipCurve, slack: float = 1e-9) -> None:

@@ -15,7 +15,7 @@ from fuzzyqp import (
     UnboundedError,
     objective,
 )
-from fuzzyqp.solver import UNBOUNDED_LIMIT, _least, _Projector, _spectrum
+from fuzzyqp.solver import UNBOUNDED_LIMIT, _least, _spectrum
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_PATH = REPO_ROOT / "fixtures" / "liu2009-example.json"
@@ -133,30 +133,50 @@ def enumerate_oracle_reference(q: CrispQP) -> tuple[np.ndarray, float, int]:
     return best_x, best_z, examined
 
 
-class _ReferenceProjector(_Projector):
-    """_Projector deciding by numpy reductions, with a QR for every face.
+class _ReferenceProjector:
+    """_Projector as first written, deciding by numpy reductions, with a QR
+    for every face.  It shares no code with _Projector, whose bytes it checks.
 
-    Only the set-up of G, h and tol is shared.  __call__ is the first version
-    of _Projector.__call__, _face the first version of _Projector._face,
-    which builds every face by QR: the empty face too, and a face of bounds
-    only without the shared _bound_face.  _add is the first version of the
-    row exchanges, multipliers the first version of the multipliers (sized
-    m + n, the rows of [A; -I]), and origin and scale, which the Farkas
-    certificate and multipliers read, are built eagerly, as first written.
-    Every product is written with @, so the reference does not move with
-    _Projector's choice of kernels.
+    __init__ is the first version of the set-up: zero rows of A are dropped
+    from G, and origin and scale, which map G's rows back to the rows of
+    [A; -I] for the Farkas certificate (_raise_infeasible) and multipliers,
+    are built eagerly.  __call__ is the first version of _Projector.__call__,
+    _face the first version of _Projector._face, which builds every face by
+    QR: the empty face too, and a face of bounds only without the shared
+    _bound_face.  _add is the first version of the row exchanges and
+    multipliers the first version of the multipliers (sized m + n, the rows
+    of [A; -I]).  Every product is written with @, so the reference does
+    not move with _Projector's choice of kernels.
     """
 
-    active = ()  # the set the last call ended on, a plain attribute here
-
     def __init__(self, A, b):
-        super().__init__(A, b)
-        self._faces = {}  # P -> _face(P), its own cache
         m, n = A.shape
+        self.A, self.b = A, b
         norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-        keep = None if norms.all() else np.flatnonzero(norms != 0.0)
+        keep = None
+        if not norms.all():  # zero rows are dropped, once none has b < 0
+            zero = norms == 0.0
+            if (unsatisfiable := np.flatnonzero(zero & (b < 0.0))).size:
+                i = int(unsatisfiable[0])
+                certificate = np.zeros(m + n)
+                certificate[i] = 1.0
+                raise InfeasibleError(
+                    f"row {i} of A is zero and b[{i}] = {float(b[i])!r} < 0", certificate
+                )
+            keep = np.flatnonzero(~zero)
+            A, b, norms = A[keep], b[keep], norms[keep]
+        self.first_bound = k = len(norms)  # rows of G from here on are the bounds -y <= 0
+        self.G, self.h = np.empty((k + n, n)), np.zeros(k + n)
+        np.divide(A, norms[:, None], out=self.G[:k])
+        np.divide(b, norms, out=self.h[:k])
+        self.G[k:] = -0.0  # -I, bit for bit as -np.eye(n)
+        self.G[k:].flat[::n + 1] = -1.0
+        # Row i of G is row origin[i] of [A; -I] divided by scale[i].
         self.origin = np.arange(m + n) if keep is None else np.concatenate([keep, m + np.arange(n)])
-        self.scale = np.concatenate([norms if keep is None else norms[keep], np.ones(n)])
+        self.scale = np.concatenate([norms, np.ones(n)])
+        self.tol = 1e-12 * (1.0 + float(np.abs(self.h).max(initial=0.0)))
+        self.active = ()  # the set the last call ended on
+        self._faces = {}  # P -> _face(P)
 
     def _face(self, P):
         face = self._faces.get(P)
@@ -235,6 +255,18 @@ class _ReferenceProjector(_Projector):
                 return P[:at] + (p,) + P[at:], np.concatenate((mu[:at], [mu_p], mu[at:])), y
             P = P[:drop] + P[drop + 1:]
             mu = np.concatenate((mu[:drop], mu[drop + 1:]))
+
+    def _raise_infeasible(self, P, r, p):
+        lam = np.zeros(len(self.h))
+        lam[list(P)] = -r
+        lam[p] = 1.0
+        certificate = np.zeros(sum(self.A.shape))  # over the m + n rows of [A; -I]
+        certificate[self.origin] = lam / self.scale
+        raise InfeasibleError(
+            "the polyhedron is empty: Farkas certificate mu >= 0 over the rows "
+            f"of [A; -I] with A'mu_A - mu_I = 0 and b'mu_A = {float(self.h @ lam):.3e} < 0",
+            certificate,
+        )
 
     def multipliers(self, x):
         K, k, _, _ = self._face(self.active)

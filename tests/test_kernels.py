@@ -85,11 +85,12 @@ class TestKernelRule:
             proj = _Projector(q.A, q.b)
             first = proj.first_bound
             products = [(q.Q, q._Qx), (proj.A, proj._Ax), (proj.G, proj._Gy)]
-            for P in [(), (0,), (first,), (0, first), tuple(range(first, first + n))]:
+            # row 1 of A: at n = 1 rows 0 and 2 have norm 0 and never join a face
+            for P in [(), (1,), (first,), (1, first), tuple(range(first, first + n))]:
                 if len(P) <= n:
                     face = proj._face(P)
                     products.append((face[0], face[4]))
-            if n == 1:  # every row of A zero and dropped: G is the 1 x 1 block -I
+            if n == 1:  # every row of A zero: G is two rows 0 <= 0 over the 1 x 1 block -I
                 proj = _Projector(np.zeros((2, 1)), np.ones(2))
                 products.append((proj.G, proj._Gy))
             for M, product in products:

@@ -367,27 +367,50 @@ class TestExactProjection:
             assert b @ mu[:m + 1] < 0.0
 
     @staticmethod
-    def _with_zero_rows(rng, n, m, zero_rows):
+    def _with_zero_rows(rng, n, m, zero_rows, fill=0.0, b_zero=None):
+        """A and b with the rows zero_rows of A filled with fill, 0.0 or an
+        entry whose square underflows (norm 0 either way), and b_zero, if
+        given, the b of the first of them.  _Projector keeps each such row
+        as 0 <= 0; the reference drops it."""
         A = rng.normal(size=(m, n))
-        A[zero_rows] = 0.0  # dropped from G: origin and scale map G's rows back
-        return A, rng.uniform(0.1, 2.0, size=m)
+        A[zero_rows] = fill
+        b = rng.uniform(0.1, 2.0, size=m)
+        if b_zero is not None:
+            b[zero_rows[0]] = b_zero
+        return A, b
 
-    @pytest.mark.parametrize("zero_rows", [[], [1], [0, 2]])
-    def test_certificate_data_on_demand_is_the_eager_data(self, zero_rows):
-        """origin and scale are built only when a certificate or multipliers
-        ask; the reference builds them in its constructor, as first written."""
+    # zero rows, their fill and the b of the first: a row whose norm underflows, and
+    # an exact zero row whose b = 1e6 would raise tol if h took b there
+    _UNDERFLOW, _LARGE_B = ([1], 1e-300, None), ([1], 0.0, 1e6)
+
+    @pytest.mark.parametrize("zero_rows, fill, b_zero", [
+        ([], 0.0, None), ([1], 0.0, None), ([0, 2], 0.0, None), _UNDERFLOW, _LARGE_B,
+    ], ids=["zero_rows0", "zero_rows1", "zero_rows2", "underflow", "large-b"])
+    def test_certificate_data_on_demand_is_the_eager_data(self, zero_rows, fill, b_zero):
+        """scale is built only when a certificate or multipliers ask; the
+        reference builds origin and scale in its constructor, as first
+        written.  A zero row is 0 <= 0 in G: +0.0 in G and h, scale 1.0,
+        and tol is the reference's, which drops the row."""
         rng = np.random.default_rng(len(zero_rows))
-        A, b = self._with_zero_rows(rng, 3, 4, zero_rows)
+        A, b = self._with_zero_rows(rng, 3, 4, zero_rows, fill, b_zero)
         proj, ref = _Projector(A, b), _ReferenceProjector(A, b)
-        assert "origin" not in vars(proj) and "scale" not in vars(proj)
-        for got, want in (proj.origin, ref.origin), (proj.scale, ref.scale):
-            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+        assert "scale" not in vars(proj)
+        rows = ref.origin  # row i of the reference's G is row origin[i] of _Projector's
+        for got, want in (proj.scale, ref.scale), (proj.G, ref.G), (proj.h, ref.h):
+            assert (got.dtype, got[rows].tobytes()) == (want.dtype, want.tobytes())
+        assert proj.tol == ref.tol
+        assert proj.G.shape == (4 + 3, 3) and proj.first_bound == 4
+        zero = proj.G[zero_rows].ravel().tolist() + proj.h[zero_rows].tolist()
+        assert all(e == 0.0 and not np.signbit(e) for e in zero)
+        assert proj.scale[zero_rows].tolist() == [1.0] * len(zero_rows)
 
-    @pytest.mark.parametrize("zero_rows", [[1], [0, 2]])
-    def test_farkas_certificate_with_dropped_zero_rows(self, zero_rows):
+    @pytest.mark.parametrize("zero_rows, fill, b_zero", [
+        ([1], 0.0, None), ([0, 2], 0.0, None), _UNDERFLOW, _LARGE_B,
+    ], ids=["zero_rows0", "zero_rows1", "underflow", "large-b"])
+    def test_farkas_certificate_with_dropped_zero_rows(self, zero_rows, fill, b_zero):
         rng = np.random.default_rng(40 + len(zero_rows))
         for _ in range(50):
-            A, b = self._with_zero_rows(rng, 3, 4, zero_rows)
+            A, b = self._with_zero_rows(rng, 3, 4, zero_rows, fill, b_zero)
             lam = rng.uniform(0.1, 2.0, size=4)
             A, b = np.vstack([A, -lam @ A]), np.append(b, -lam @ b - rng.uniform(0.01, 1.0))
             x = 3.0 * rng.normal(size=3)
@@ -400,18 +423,20 @@ class TestExactProjection:
             _assert_farkas(A, b, err.value.certificate)
             assert not err.value.certificate[zero_rows].any()
 
-    @pytest.mark.parametrize("zero_rows", [[1], [0, 2]])
-    def test_multipliers_with_dropped_zero_rows(self, zero_rows):
+    @pytest.mark.parametrize("zero_rows, fill, b_zero", [
+        ([1], 0.0, None), ([0, 2], 0.0, None), _UNDERFLOW, _LARGE_B,
+    ], ids=["zero_rows0", "zero_rows1", "underflow", "large-b"])
+    def test_multipliers_with_dropped_zero_rows(self, zero_rows, fill, b_zero):
         rng = np.random.default_rng(50 + len(zero_rows))
         for _ in range(50):
-            A, b = self._with_zero_rows(rng, 3, 4, zero_rows)
+            A, b = self._with_zero_rows(rng, 3, 4, zero_rows, fill, b_zero)
             x = 3.0 * rng.normal(size=3)
             proj, ref = _Projector(A, b), _ReferenceProjector(A, b)
             y = proj(x)
             assert y.tobytes() == ref(x).tobytes()
             mu = proj.multipliers(x)
             assert mu.tobytes() == ref.multipliers(x).tobytes()
-            # one multiplier per row of [A; -I], zero on the dropped rows
+            # one multiplier per row of [A; -I], zero on the zero rows
             assert mu.shape == (4 + 3,) and not mu[zero_rows].any()
             np.testing.assert_allclose(x - y, A.T @ mu[:4] - mu[4:], atol=1e-9)
 
@@ -506,6 +531,16 @@ class TestSolvePg:
         q = CrispQP(c=[0.0, 0.0], Q=[[-1.0, 0.0], [0.0, -1.0]], A=[[-1.0, -1.0]], b=[-1.0])
         with pytest.raises(UnboundedError):
             solve_pg(q)
+
+    def test_no_farkas_certificate_from_a_non_finite_point(self):
+        # c + Qx overflows at the first step, so the point to project holds an
+        # inf or a NaN; the feasible set is not empty, but a row exchange from
+        # that point made a "certificate" with b'mu_A = +10.  numpy's overflow
+        # warning from gradient stays: an errstate there would tax every step
+        q = CrispQP(c=[1e308, 1e308], Q=[[-1.5e308, 0.0], [0.0, 0.0]], A=[[1.0, 1.0]], b=[10.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(UnboundedError, match="float range"):
+                solve_pg(q)
 
     def test_lp_fallback_step(self):
         # Q = 0 is an LP; the fixed point at the optimal vertex still registers
@@ -698,8 +733,9 @@ class TestLeanPgMatchesReference:
 
 
 class TestBoundRows:
-    """The rows of G past first_bound, which _ReferenceProjector shares with
-    _Projector and so cannot check: -I, -0.0 off the diagonal."""
+    """The rows of G past first_bound: -I, -0.0 off the diagonal, in
+    _Projector, where first_bound is m, and in _ReferenceProjector, which
+    writes them its own way after the rows of A it keeps."""
 
     @pytest.mark.parametrize("drop", [False, True], ids=["all-rows", "zero-row"])
     @pytest.mark.parametrize("n", [1, 2, 32, 33, 80])
@@ -707,9 +743,10 @@ class TestBoundRows:
         A = np.random.default_rng(n).normal(size=(3, n))
         if drop:
             A[1] = 0.0
-        proj = _Projector(A, np.ones(3))
-        assert proj.first_bound == 3 - drop
+        proj, ref = _Projector(A, np.ones(3)), _ReferenceProjector(A, np.ones(3))
+        assert (proj.first_bound, ref.first_bound) == (3, 3 - drop)
         rows = proj.G[proj.first_bound:]
+        assert rows.tobytes() == ref.G[ref.first_bound:].tobytes()
         diagonal = np.eye(n, dtype=bool)
         assert rows.shape == (n, n)
         assert (rows[diagonal] == -1.0).all()
@@ -726,15 +763,14 @@ class TestSharedBoundFaces:
     def test_cached_face_is_the_qr_face(self, n):
         rng = np.random.default_rng(n)
         A = rng.normal(size=(3, n))
-        A[1] = 0.0  # a dropped zero row shifts first_bound
+        A[1] = 0.0  # a zero row: the reference drops it, so its first_bound is 2, not 3
         proj, fresh = _Projector(A, np.ones(3)), _ReferenceProjector(A, np.ones(3))
-        first = proj.first_bound
         singles = [(j,) for j in range(n)]
         pairs = [(i, j) for i, j in ((0, n - 1), (n // 3, 2 * n // 3), (0, 1)) if i < j < n]
         _bound_face.cache_clear()
         for bounds in [()] + singles + pairs + [tuple(range(n))]:
-            P = tuple(first + j for j in bounds)
-            shared, built = proj._face(P), fresh._face(P)
+            P = tuple(proj.first_bound + j for j in bounds)
+            shared, built = proj._face(P), fresh._face(tuple(fresh.first_bound + j for j in bounds))
             assert shared[5] == P
             if n <= _BOUND_FACE_N:
                 assert all(a is b for a, b in zip(shared[:5], _bound_face(n, bounds), strict=True))

@@ -23,6 +23,7 @@ from fuzzyqp import (
     QpSolution,
     SolverOptions,
     TriangularFuzzyNumber,
+    UnboundedError,
     membership_of_objective,
     solve_fqp,
     solve_oracle,
@@ -129,6 +130,13 @@ class TestSolveFqp:
         )
         with pytest.raises(InfeasibleError, match="lower endpoint .* alpha=1"):
             solve_fqp(p, [1.0])
+
+    def test_unbounded_names_level_and_endpoint(self):
+        # at alpha = 0 the lower endpoint is min -x^2 over x >= 0 (-x <= 1 holds
+        # there too), so its iterates diverge
+        p = FuzzyQP(c=(T(0, 0, 0),), Q=((T(-2, -1, -1),),), A=((T(-1, -1, -1),),), b=(T(1, 1, 1),))
+        with pytest.raises(UnboundedError, match=r"^lower endpoint QP unbounded at alpha=0: iterate"):
+            solve_fqp(p, [0.0, 1.0])
 
 
 def _fake_curve(alphas, z_lower, z_upper):
