@@ -6,6 +6,8 @@ One eigvalsh per crisp QP, in _spectrum, gives both K and whether Q is PSD.
 Each step projects onto the feasible set {Ax <= b, x >= 0} exactly, by a
 dual active-set method (Goldfarb-Idnani) warm-started from the previous
 step's active set; an empty set is reported with a Farkas certificate.
+Each row is scaled exactly by a power of two, then to unit norm, and judged
+by its own tolerance, so a big-M row loosens no other.
 Each face (active set) is built once, by one method, into one record;
 a face with no row of A is written down, not factored (_bound_face).
 A step's exact comparisons (feasibility, multiplier signs, the slack
@@ -316,18 +318,19 @@ def _dist_le(u: list, v: list, t: float) -> bool:
 class _Projector:
     """Projection onto {y: Ay <= b, y >= 0} for one (A, b), warm across calls.
 
-    With G = [A; -I] and h = [b; 0] row for row (each row of A scaled to
-    unit norm; a zero row, whose norm is 0, kept as the row 0 <= 0, which
-    is never violated and never joins a face) the projection of x is
-    y = x - G'mu, where mu >= 0 minimises (1/2)||x - G'mu||^2 + h'mu.
+    With G = [A; -I] and h = [b; 0] row for row (each row of A and its b
+    scaled exactly by a power of two, then to unit norm; an all-zero row
+    is the row 0 <= b) the projection of x is y = x - G'mu, where mu >= 0
+    minimises (1/2)||x - G'mu||^2 + h'mu.
     That dual is solved by the active-set method of Goldfarb and Idnani
     (1983) with identity Hessian: starting from a set P of independent rows
-    with y tight on them and mu_P >= 0, the most violated row p is added;
-    the step along the part of p's normal orthogonal to the rows of P
-    either makes p tight (p joins P) or first drives some mu_j to zero (j
-    leaves P).  If p's normal lies in the span of P and no mu_j can
-    shrink, the dual is unbounded: mu = (1 on p, -r on P) is a Farkas
-    certificate and InfeasibleError is raised.
+    with y tight on them and mu_P >= 0, the row p most violated beyond its
+    own tolerance tol[p] = 1e-12 (1 + |h_p|) is added; the step along the
+    part of p's normal orthogonal to the rows of P either makes p tight (p
+    joins P) or first drives some mu_j to zero (j leaves P).  If p's normal
+    lies in the span of P and no mu_j can shrink, the dual is unbounded:
+    mu = (1 on p, -r on P) is a Farkas certificate and InfeasibleError is
+    raised (e_i for a zero row with b_i < 0).
 
     For a fixed P the multipliers are affine in x, mu_P = K x - k, and
     y = x - G_P' mu_P.  _face is the one builder of a face and its record
@@ -344,47 +347,41 @@ class _Projector:
     _faces holds each record built so far.  The projector holds the record
     its last call ended on, so a settled call does no lookup.  Both ways
     out of a call, settled or after rows are added, take their point from
-    the held face by _point.  The checks compare Python lists (_diff_max_le
-    and the rest), b and h taken once as lists here.  Row i of G is row i
-    of [A; -I], so the Farkas certificate and the multipliers index G's
-    rows directly; only scale, which they divide by, is built on demand.
+    the held face by _point.  The list checks (_diff_max_le and the rest)
+    read b and top = h + tol, listed once here.  Row i of G is row i of
+    [A; -I], so the Farkas certificate and the multipliers index G's rows
+    directly; only scale, which they divide by, is built on demand.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         m, n = A.shape
         self.A, self.b = A, b
-        norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-        if np.count_nonzero(norms) < m:  # zero rows become 0 <= 0, once none has b < 0
-            zero = norms == 0.0
-            if (unsatisfiable := np.flatnonzero(zero & (b < 0.0))).size:
-                i = int(unsatisfiable[0])
-                certificate = np.zeros(m + n)
-                certificate[i] = 1.0
-                raise InfeasibleError(
-                    f"row {i} of A is zero and b[{i}] = {float(b[i])!r} < 0", certificate
-                )
-            norms[zero] = 1.0
-            A, b = np.where(zero[:, None], 0.0, A), np.where(zero, 0.0, b)
-        self._norms = norms
+        # Row i of A and b[i] times 2^k[i], exact, puts max|a_ij| in [0.5, 1):
+        # an ordinary row keeps its bytes, and only an all-zero row has norm 0.
+        self._shift = k = -np.frexp(_max(np.abs(A), axis=1, initial=0.0))[1]
+        A = np.ldexp(A, k[:, None])
+        self._norms = norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+        norms[norms == 0.0] = 1.0  # an all-zero row is the row 0 <= b
         self.first_bound = m  # rows of G from here on are the bounds -y <= 0
         self.G, self.h = np.empty((m + n, n)), np.zeros(m + n)
         np.divide(A, norms[:, None], out=self.G[:m])
-        np.divide(b, norms, out=self.h[:m])
         self.G[m:] = -np.eye(n)  # -0.0 off the diagonal
-        self._b, self._h = self.b.tolist(), self.h.tolist()
-        # A row counts as violated beyond tol + 1e-12 * ||x||_inf; below that
-        # the residual of a tight row is rounding.
-        self.tol = 1e-12 * (1.0 + max(map(abs, self._h)))
+        with np.errstate(over="ignore", invalid="ignore"):  # h beyond the float range is +-inf
+            np.divide(np.ldexp(b, k), norms, out=self.h[:m])
+            self.tol = 1e-12 * (1.0 + np.abs(self.h))
+            self._top = self.h + self.tol  # row i counts as met while (Gy)_i <= top[i]
+            self._b, self._tops = self.b.tolist(), self._top.tolist()
         self._Ax, self._Gy = _product(self.A), _product(self.G)
         self._held = None  # the empty face until a call ends on another
         self._faces: dict[tuple[int, ...], tuple] = {}  # P -> its record, by _face
 
     @cached_property
     def scale(self) -> np.ndarray:
-        """Row i of G is row i of [A; -I] divided by scale[i], the row's norm:
-        1.0 for a bound, and for a zero row, whose G row and h entry are
-        +0.0.  Built on demand, for a Farkas certificate or multipliers."""
-        return np.concatenate([self._norms, np.ones(self.A.shape[1])])
+        """Row i of G is row i of [A; -I] divided by scale[i], the row's norm
+        (its scaled norm times 2^-k[i]): 1.0 for a bound and an all-zero row.
+        Built on demand, for a Farkas certificate or multipliers."""
+        with np.errstate(over="ignore"):
+            return np.concatenate([np.ldexp(self._norms, -self._shift), np.ones(self.A.shape[1])])
 
     @property
     def active(self) -> tuple[int, ...]:
@@ -435,22 +432,23 @@ class _Projector:
             held = self._face(tuple(compress(P, (mu >= 0.0).tolist())))
         y = self._point(x, mu, Gt, pinned)
         Gy = self._Gy(y)
-        if _diff_max_le(Gy.tolist(), self._h, self.tol):
+        if _diff_max_le(Gy.tolist(), self._tops, 0.0):
             self._held = held
             return y
-        s = Gy - self.h
-        tol = self.tol + 1e-12 * float(np.abs(x).max())
-        if not isfinite(tol):  # an inf or NaN in x, as when a gradient overflows
+        slack = 1e-12 * float(np.abs(x).max())
+        if not isfinite(slack):  # an inf or NaN in x, as when a gradient overflows
             raise UnboundedError("the iterates left the float range; instance appears unbounded below")
+        s = Gy - self._top  # each row's excess over its own tolerance
         # Each added row raises the dual objective, so no set repeats; the
         # bound only stops a cycle that rounding might cause.
         for _ in range(10 * len(self.h)):
             s[list(P)] = -np.inf
             p = int(np.argmax(s))
-            if s[p] <= tol:
+            if s[p] <= slack:
                 break
-            P, mu, y = self._add(P, mu, y, p, float(s[p]))
-            s = self._Gy(y) - self.h
+            P, mu, y = self._add(P, mu, y, p, float(Gy[p] - self.h[p]))
+            Gy = self._Gy(y)
+            s = Gy - self._top
         else:
             raise RuntimeError("active-set projection is cycling")
         _, k, Gt, pinned, Kx, _ = self._held = self._face(P)
@@ -493,7 +491,7 @@ class _Projector:
         certificate = lam / self.scale  # over the m + n rows of [A; -I]
         raise InfeasibleError(
             "the polyhedron is empty: Farkas certificate mu >= 0 over the rows "
-            f"of [A; -I] with A'mu_A - mu_I = 0 and b'mu_A = {float(self.h @ lam):.3e} < 0",
+            f"of [A; -I] with A'mu_A - mu_I = 0 and b'mu_A = {float(self.h[p] - self.h[list(P)] @ r):.3e} < 0",
             certificate,
         )
 
@@ -621,11 +619,11 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
 
     is solved, where E x = d pins the members of S.  Solutions that are
     finite, solve their system to a relative residual of 1e-8 and are
-    feasible to 1e-9 are kept (vertices arise as the |S| = n systems).  Of
-    those within 1e-12 of the least objective, the lexicographically
-    smallest x wins, whatever the order in which they were found.  For PSD
-    Q this is the global optimum; for indefinite Q it is the best
-    stationary/vertex point.
+    feasible to 1e-9, row i of A to 1e-9 (1 + |b_i|), are kept (vertices
+    arise as the |S| = n systems).  Of those within 1e-12 of the least
+    objective, the lexicographically smallest x wins, whatever the order
+    they were found in.  For PSD Q this is the global optimum; for
+    indefinite Q it is the best stationary/vertex point.
 
     Subsets that can yield no candidate are skipped: those holding a
     conflict pair (_conflict_pairs), two rows that pin one variable to
@@ -788,5 +786,5 @@ def _kkt_candidates(q: CrispQP, E: np.ndarray, d: np.ndarray) -> np.ndarray:
     residual = np.abs((kkt @ sol[:, :, None])[:, :, 0] - rhs).max(axis=1)
     keep &= residual <= 1e-8 * (1.0 + np.abs(rhs).max(axis=1))
     x = sol[:, :n]
-    keep &= (x >= -1e-9).all(axis=1) & (x @ q.A.T <= q.b + 1e-9).all(axis=1)
+    keep &= (x >= -1e-9).all(axis=1) & (x @ q.A.T <= q.b + 1e-9 * (1.0 + np.abs(q.b))).all(axis=1)
     return x[keep]

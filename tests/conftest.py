@@ -9,8 +9,9 @@ from helpers import FIXTURE_PATH, REPO_ROOT
 # arrays, holds only while numpy sends dot and @ to one kernel, and the list
 # scans (test_solver.py's TestChecks) decide as numpy's max/min only while
 # numpy keeps its NaN semantics, and default_rng's stream (test_pcg64.py)
-# is numpy's to change too; CI runs those tests, TestLeanPgMatchesReference
-# and the tie rule's order properties (TestTieRule) on every numpy leg with
+# is numpy's to change too; CI runs those tests, TestLeanPgMatchesReference,
+# the tie rule's order properties (TestTieRule) and the projector's mixed-scale
+# row property (TestMixedScaleRows) on every numpy leg with
 # pytest --hypothesis-profile=kernel-rule, a larger example budget.
 settings.register_profile("kernel-rule", max_examples=2000, deadline=None)
 

@@ -1,8 +1,9 @@
 """Projected gradient solver, exact projection, and the enumeration oracle."""
 import re
 import tracemalloc
+import warnings
 from itertools import combinations
-from math import comb
+from math import comb, fsum, hypot
 from random import Random
 
 import numpy as np
@@ -227,8 +228,11 @@ class TestProject:
             project([0.0, 0.0], [[1.0, 0.0]], [-1.0])
 
     def test_zero_row_negative_bound(self):
-        with pytest.raises(InfeasibleError):
+        # the row 0 <= -1, reported by the row exchanges' one Farkas path
+        with pytest.raises(InfeasibleError) as err:
             project([0.0], [[0.0]], [-1.0])
+        assert err.value.certificate.tolist() == [1.0, 0.0]
+        _assert_farkas(np.array([[0.0]]), np.array([-1.0]), err.value.certificate)
 
     def test_zero_row_slack_ignored(self):
         out = project([2.0], [[0.0]], [1.0])
@@ -370,8 +374,9 @@ class TestExactProjection:
     def _with_zero_rows(rng, n, m, zero_rows, fill=0.0, b_zero=None):
         """A and b with the rows zero_rows of A filled with fill, 0.0 or an
         entry whose square underflows (norm 0 either way), and b_zero, if
-        given, the b of the first of them.  _Projector keeps each such row
-        as 0 <= 0; the reference drops it."""
+        given, the b of the first of them.  _Projector keeps an all-zero row
+        as 0 <= b and scales an underflowing one to unit norm; the reference
+        drops both."""
         A = rng.normal(size=(m, n))
         A[zero_rows] = fill
         b = rng.uniform(0.1, 2.0, size=m)
@@ -379,8 +384,8 @@ class TestExactProjection:
             b[zero_rows[0]] = b_zero
         return A, b
 
-    # zero rows, their fill and the b of the first: a row whose norm underflows, and
-    # an exact zero row whose b = 1e6 would raise tol if h took b there
+    # zero rows, their fill and the b of the first: a row whose squares underflow,
+    # and an exact zero row whose b = 1e6 must not raise the other rows' tol
     _UNDERFLOW, _LARGE_B = ([1], 1e-300, None), ([1], 0.0, 1e6)
 
     @pytest.mark.parametrize("zero_rows, fill, b_zero", [
@@ -389,8 +394,10 @@ class TestExactProjection:
     def test_certificate_data_on_demand_is_the_eager_data(self, zero_rows, fill, b_zero):
         """scale is built only when a certificate or multipliers ask; the
         reference builds origin and scale in its constructor, as first
-        written.  A zero row is 0 <= 0 in G: +0.0 in G and h, scale 1.0,
-        and tol is the reference's, which drops the row."""
+        written.  An all-zero row is the row 0 <= b in G: +0.0 in G, b in h
+        and scale 1.0.  A row whose squares underflow, which the reference
+        drops, is scaled by a power of two first, so it is a unit-norm row of
+        G.  tol is 1e-12 (1 + |h_i|) row by row, so no row moves another's."""
         rng = np.random.default_rng(len(zero_rows))
         A, b = self._with_zero_rows(rng, 3, 4, zero_rows, fill, b_zero)
         proj, ref = _Projector(A, b), _ReferenceProjector(A, b)
@@ -398,11 +405,17 @@ class TestExactProjection:
         rows = ref.origin  # row i of the reference's G is row origin[i] of _Projector's
         for got, want in (proj.scale, ref.scale), (proj.G, ref.G), (proj.h, ref.h):
             assert (got.dtype, got[rows].tobytes()) == (want.dtype, want.tobytes())
-        assert proj.tol == ref.tol
+        assert proj.tol.tolist() == (1e-12 * (1.0 + np.abs(proj.h))).tolist()
+        assert proj.tol[rows].tolist() == (1e-12 * (1.0 + np.abs(ref.h))).tolist()
         assert proj.G.shape == (4 + 3, 3) and proj.first_bound == 4
-        zero = proj.G[zero_rows].ravel().tolist() + proj.h[zero_rows].tolist()
-        assert all(e == 0.0 and not np.signbit(e) for e in zero)
-        assert proj.scale[zero_rows].tolist() == [1.0] * len(zero_rows)
+        if fill:  # the underflowing row: a unit-norm G row, its true norm in scale
+            np.testing.assert_allclose(proj.G[zero_rows], np.sqrt(1.0 / 3.0), rtol=1e-15)
+            np.testing.assert_allclose(proj.scale[zero_rows], np.sqrt(3.0) * fill, rtol=1e-15)
+            np.testing.assert_allclose(proj.h[zero_rows], b[zero_rows] / (np.sqrt(3.0) * fill), rtol=1e-15)
+        else:
+            assert all(e == 0.0 and not np.signbit(e) for e in proj.G[zero_rows].ravel().tolist())
+            assert proj.h[zero_rows].tobytes() == b[zero_rows].tobytes()
+            assert proj.scale[zero_rows].tolist() == [1.0] * len(zero_rows)
 
     @pytest.mark.parametrize("zero_rows, fill, b_zero", [
         ([1], 0.0, None), ([0, 2], 0.0, None), _UNDERFLOW, _LARGE_B,
@@ -468,6 +481,88 @@ class TestExactProjection:
                 assert np.max(np.abs(cold - x_next)) <= 1e-10
                 checked += not np.array_equal(cold, y)
         assert checked >= 100
+
+
+class TestMixedScaleRows:
+    """Each row of [A; -I] has one rule: scaled exactly by a power of two,
+    then to unit norm, and judged by its own tolerance 1e-12 (1 + |h_i|).
+    So a big-M row does not loosen the others, and no finite row's norm
+    overflows or underflows to zero."""
+
+    _eighths = st.integers(-16, 16).map(lambda k: k / 8.0)  # exact, never subnormal
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_one_rescaled_row(self, data):
+        # Row i's b is scaled by 10^k (a big-M row), or row i of [A | b] by
+        # 2^k, which leaves the polyhedron as it was; b >= 0 keeps the
+        # origin feasible.
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        A = np.array(data.draw(st.lists(self._eighths, min_size=m * n, max_size=m * n))).reshape(m, n)
+        b = np.array(data.draw(st.lists(self._eighths.map(abs), min_size=m, max_size=m)))
+        x = 1.5 * np.array(data.draw(st.lists(self._eighths, min_size=n, max_size=n)))
+        i, big_m = data.draw(st.integers(0, m - 1)), data.draw(st.booleans())
+        A_s, b_s = A.copy(), b.copy()
+        if big_m:
+            b_s[i] *= 10.0 ** data.draw(st.integers(0, 14))
+        else:
+            k = data.draw(st.integers(-600, 600))
+            A_s[i], b_s[i] = np.ldexp(A[i], k), np.ldexp(b[i], k)
+
+        y = project(x, A_s, b_s)
+        slack = 1e-12 * float(np.abs(x).max())
+        assert (-y <= 1e-12 + slack).all()
+        for row, bi in zip(A_s.tolist(), b_s.tolist()):
+            norm = hypot(*row)  # hypot scales inside, so 2^600 entries do not overflow
+            excess = fsum(a * v for a, v in zip(row, y.tolist())) - bi
+            assert excess <= 1e-12 * (norm + abs(bi)) + norm * slack  # its own tolerance
+        if not big_m:  # a power-of-two scale is exact, so the projection keeps its bytes
+            assert y.tobytes() == project(x, A, b).tobytes()
+        # the projection QP min ||y - x||^2 / 2, solved on the polyhedron itself:
+        # at 2^-600 the oracle's feasibility tolerance would no longer be relative
+        reference = solve_oracle(CrispQP(c=-x, Q=np.eye(n), A=A_s if big_m else A, b=b_s if big_m else b))
+        assert np.abs(y - reference.x).max() <= 1e-9 * (1.0 + np.abs(x).max())
+
+    def test_a_big_m_row_loosens_no_other_row(self):
+        # the shared tolerance 1e-12 (1 + max|h|) = 100 returned x = (1, 1),
+        # which breaks x2 <= 0.5, with converged=True, and the oracle called
+        # the true optimum unconverged
+        q = CrispQP(c=[-1.0, -1.0], Q=np.eye(2), A=np.eye(2), b=[1e14, 0.5])
+        for solve in solve_pg, solve_oracle:
+            s = solve(q)
+            assert (s.x.tolist(), s.z, s.converged) == ([1.0, 0.5], -0.875, True)
+
+    @pytest.mark.parametrize("row, b", [(1e200, 1e200), (1e-300, 1e-300)], ids=["1e200", "1e-300"])
+    def test_float_range_rows(self, row, b):
+        # the row's norm overflowed, or its square underflowed to a zero row:
+        # both returned 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert project([5.0], [[row]], [b]).tolist() == [1.0]
+
+    def test_overflowing_h_is_never_violated(self):
+        # b / ||a|| = 1e310 is +inf in h: the row holds for every finite y.
+        # A shared tolerance of inf returned (-1, 5) with an overflow warning.
+        A = [[1e-10, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = project([-1.0, 5.0], A[:2], [1e300, 1.0])
+            with pytest.raises(InfeasibleError) as err:  # and is never in a certificate
+                project([0.0, 0.0], A, [1e300, 1.0, -1.0])
+        assert y.tolist() == [0.0, 1.0]
+        assert err.value.certificate[0] == 0.0 and "b'mu_A = -1." in str(err.value)
+        _assert_farkas(np.array(A), np.array([1e300, 1.0, -1.0]), err.value.certificate)
+
+    def test_zero_row_is_judged_within_its_tolerance(self):
+        # 0 <= b fails only beyond tol = 1e-12 (1 + |b|), as x <= b does;
+        # among other rows its certificate is still e_i
+        assert project([0.0], [[0.0]], [-1e-13]).tolist() == [0.0]
+        assert project([0.0], [[1.0]], [-1e-13]).tolist() == [0.0]
+        A, b = np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([1.0, -1.0])
+        with pytest.raises(InfeasibleError) as err:
+            project([0.5, 0.25], A, b)
+        assert err.value.certificate.tolist() == [0.0, 1.0, 0.0, 0.0]
+        _assert_farkas(A, b, err.value.certificate)
 
 
 class TestSolvePg:
@@ -1052,6 +1147,20 @@ class TestOracle:
         s = solve_oracle(CrispQP(c=[-100.0], Q=[[100.0]], A=[[1.0]], b=[b]))
         assert s.x.shape == (1,) and abs(s.x[0] - b) <= 1e-15  # so feasible to 1e-15
         assert s.converged
+
+    def test_feasibility_tolerance_is_relative_to_b(self):
+        # max x1 + x2 over a x <= B: an absolute 1e-9 rejected the vertex
+        # B / min(a), where a x rounds an ulp of B above B, on 8 of 300
+        # draws, and returned the other vertex with converged=True (at
+        # a = (0.99, 0.34), B = 1e9: z = -1.008e9, not -2.957e9)
+        rng = np.random.default_rng(24)
+        for B in 10.0 ** np.arange(6, 15):
+            for _ in range(34):
+                a = rng.uniform(0.1, 1.0, size=2)
+                s = solve_oracle(CrispQP(c=[-1.0, -1.0], Q=np.zeros((2, 2)), A=[a], b=[B]))
+                j = int(np.argmin(a))
+                assert s.z == pytest.approx(-B / a[j], rel=1e-12)
+                assert s.x[1 - j] == 0.0 and s.converged
 
     def test_residual_filter_decides_the_winner(self):
         # Rows 0 and 1 of this LP differ by about 1e-14.  The system pinning
