@@ -6,8 +6,8 @@ One eigvalsh per crisp QP, in _spectrum, gives both K and whether Q is PSD.
 Each step projects onto the feasible set {Ax <= b, x >= 0} exactly, by a
 dual active-set method (Goldfarb-Idnani) warm-started from the previous
 step's active set; an empty set is reported with a Farkas certificate.
-Each row is scaled exactly by a power of two, then to unit norm, and judged
-by its own tolerance, so a big-M row loosens no other.
+The projector keeps each row scaled exactly by a power of two, not as given,
+and judges each by its own tolerance, so a big-M row loosens no other.
 Each face (active set) is built once, by one method, into one record;
 a face with no row of A is written down, not factored (_bound_face).
 A step's exact comparisons (feasibility, multiplier signs, the slack
@@ -28,9 +28,9 @@ so a step makes as few numpy calls as give the same bits:
   - The held face: a projector keeps the record of the face its last call
     ended on, product included (_Projector._face), so a settled call looks
     nothing up.
-  - Certificate data on demand: G is [A; -I] row for row, each row of A
-    scaled to unit norm, and the scales are gathered only for a Farkas
-    certificate or multipliers, which no solve asks for.
+  - Certificate data on demand: G is [A; -I] row for row, and one helper
+    (_Projector._caller_units) takes a Farkas certificate or multipliers,
+    which no solve asks for, back to the caller's units.
 
 An indefinite Q runs 9 starts: the origin and the 8 rows of
 numpy.random.default_rng(seed).uniform(0, max(1, max|b|), (8, n)), drawn
@@ -82,7 +82,8 @@ class InfeasibleError(RuntimeError):
 
     certificate, when known, is a Farkas vector mu >= 0 over the rows of
     [A; -I] (the m rows of A, then the n bounds -x <= 0) with
-    A'mu_A - mu_I = 0 and b'mu_A < 0.
+    A'mu_A - mu_I = 0 and b'mu_A < 0, each row's entry taken in that row's
+    exact power-of-two scale and then shifted back to the caller's units.
     """
 
     def __init__(self, message: str, certificate: np.ndarray | None = None):
@@ -316,11 +317,13 @@ def _dist_le(u: list, v: list, t: float) -> bool:
 
 
 class _Projector:
-    """Projection onto {y: Ay <= b, y >= 0} for one (A, b), warm across calls.
+    """Projection onto {y: Ay <= b, y >= 0} for one (A, b), warm across calls,
+    or onto {y: Ay <= b} alone for any row block A with bounds=False.
 
-    With G = [A; -I] and h = [b; 0] row for row (each row of A and its b
-    scaled exactly by a power of two, then to unit norm; an all-zero row
-    is the row 0 <= b) the projection of x is y = x - G'mu, where mu >= 0
+    The one copy of the rows is A and b with row i times 2^k[i], exact,
+    which contains reads.  With G and h that copy scaled to unit norm (an
+    all-zero row is the row 0 <= b), then the bounds -y <= 0 unless bounds
+    is False, the projection of x is y = x - G'mu, where mu >= 0
     minimises (1/2)||x - G'mu||^2 + h'mu.
     That dual is solved by the active-set method of Goldfarb and Idnani
     (1983) with identity Hessian: starting from a set P of independent rows
@@ -348,40 +351,46 @@ class _Projector:
     its last call ended on, so a settled call does no lookup.  Both ways
     out of a call, settled or after rows are added, take their point from
     the held face by _point.  The list checks (_diff_max_le and the rest)
-    read b and top = h + tol, listed once here.  Row i of G is row i of
-    [A; -I], so the Farkas certificate and the multipliers index G's rows
-    directly; only scale, which they divide by, is built on demand.
+    read b and top = h + tol, listed once here.  Row i of G is the caller's
+    row i, so the Farkas certificate and the multipliers index G's rows
+    directly, and _caller_units is their one way back to the caller's units.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray):
+    def __init__(self, A: np.ndarray, b: np.ndarray, bounds: bool = True):
         m, n = A.shape
-        self.A, self.b = A, b
-        # Row i of A and b[i] times 2^k[i], exact, puts max|a_ij| in [0.5, 1):
-        # an ordinary row keeps its bytes, and only an all-zero row has norm 0.
+        # Row i of A and b[i] times 2^k[i], exact, puts max|a_ij| in [0.5, 1): no
+        # finite row's norm overflows or underflows; only an all-zero row has norm 0.
         self._shift = k = -np.frexp(_max(np.abs(A), axis=1, initial=0.0))[1]
-        A = np.ldexp(A, k[:, None])
-        self._norms = norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+        self.A = np.ldexp(A, k[:, None])
+        self._norms = norms = np.sqrt(np.einsum("ij,ij->i", self.A, self.A))
         norms[norms == 0.0] = 1.0  # an all-zero row is the row 0 <= b
-        self.first_bound = m  # rows of G from here on are the bounds -y <= 0
-        self.G, self.h = np.empty((m + n, n)), np.zeros(m + n)
-        np.divide(A, norms[:, None], out=self.G[:m])
-        self.G[m:] = -np.eye(n)  # -0.0 off the diagonal
-        with np.errstate(over="ignore", invalid="ignore"):  # h beyond the float range is +-inf
-            np.divide(np.ldexp(b, k), norms, out=self.h[:m])
+        self.first_bound = m  # rows of G from here on, if any, are the bounds -y <= 0
+        rows = m + n if bounds else m
+        self.G, self.h = np.empty((rows, n)), np.zeros(rows)
+        np.divide(self.A, norms[:, None], out=self.G[:m])
+        if bounds:
+            self.G[m:] = -np.eye(n)  # -0.0 off the diagonal
+        with np.errstate(over="ignore", invalid="ignore"):  # b or h beyond the float range is +-inf
+            self.b = np.ldexp(b, k)
+            np.divide(self.b, norms, out=self.h[:m])
             self.tol = 1e-12 * (1.0 + np.abs(self.h))
             self._top = self.h + self.tol  # row i counts as met while (Gy)_i <= top[i]
             self._b, self._tops = self.b.tolist(), self._top.tolist()
+        self._floor = 0.0 if bounds else -np.inf  # contains' test x >= floor; every x passes -inf
+        self._certificate_rows = "[A; -I] with A'mu_A - mu_I" if bounds else "A with A'mu_A"
         self._Ax, self._Gy = _product(self.A), _product(self.G)
         self._held = None  # the empty face until a call ends on another
         self._faces: dict[tuple[int, ...], tuple] = {}  # P -> its record, by _face
 
     @cached_property
     def scale(self) -> np.ndarray:
-        """Row i of G is row i of [A; -I] divided by scale[i], the row's norm
-        (its scaled norm times 2^-k[i]): 1.0 for a bound and an all-zero row.
-        Built on demand, for a Farkas certificate or multipliers."""
+        """Row i of G is the caller's row i divided by scale[i], the row's
+        norm (its scaled norm times 2^-k[i], inf beyond the float range):
+        1.0 for a bound and an all-zero row.  Built on demand; no
+        certificate or multiplier divides by it (see _caller_units)."""
         with np.errstate(over="ignore"):
-            return np.concatenate([np.ldexp(self._norms, -self._shift), np.ones(self.A.shape[1])])
+            shifted = np.ldexp(self._norms, -self._shift)
+        return np.concatenate([shifted, np.ones(len(self.h) - self.first_bound)])
 
     @property
     def active(self) -> tuple[int, ...]:
@@ -389,8 +398,9 @@ class _Projector:
         return self._held[5] if self._held else ()
 
     def contains(self, x: np.ndarray) -> bool:
-        """Ax <= b and x >= 0, exactly."""
-        return _diff_max_le(self._Ax(x).tolist(), self._b, 0.0) and _min_ge(x.tolist(), 0.0)
+        """Ax <= b, and x >= 0 with bound rows, exactly: the scaled copy of
+        the rows decides as the caller's do, a power of two being exact."""
+        return _diff_max_le(self._Ax(x).tolist(), self._b, 0.0) and _min_ge(x.tolist(), self._floor)
 
     def _face(self, P: tuple[int, ...]) -> tuple:
         """The face of the active set P, built once: (K, k, G_P', pinned, Kx, P)
@@ -485,25 +495,29 @@ class _Projector:
             mu = np.concatenate((mu[:drop], mu[drop + 1:]))
 
     def _raise_infeasible(self, P, r, p):
-        lam = np.zeros(len(self.h))
-        lam[list(P)] = -r
-        lam[p] = 1.0
-        certificate = lam / self.scale  # over the m + n rows of [A; -I]
         raise InfeasibleError(
-            "the polyhedron is empty: Farkas certificate mu >= 0 over the rows "
-            f"of [A; -I] with A'mu_A - mu_I = 0 and b'mu_A = {float(self.h[p] - self.h[list(P)] @ r):.3e} < 0",
-            certificate,
+            "the polyhedron is empty: Farkas certificate mu >= 0 over the rows of "
+            f"{self._certificate_rows} = 0 and b'mu_A = {float(self.h[p] - self.h[list(P)] @ r):.3e} < 0",
+            self._caller_units([*P, p], np.append(-r, 1.0)),
         )
 
     def multipliers(self, x: np.ndarray) -> np.ndarray:
-        """KKT multipliers over the rows of [A; -I] for the set the last call ended on.
+        """KKT multipliers over the caller's rows ([A; -I], or A alone without
+        bound rows) for the set the last call ended on.
 
         With y the projection of x: x - y = A'mu_A - mu_I.
         """
         _, k, _, _, Kx, P = self._held or self._face(())
-        full = np.zeros(len(self.h))
-        rows = list(P)
-        full[rows] = (Kx(x) - k) / self.scale[rows]
+        return self._caller_units(list(P), Kx(x) - k)
+
+    def _caller_units(self, rows: list, lam: np.ndarray) -> np.ndarray:
+        """Multipliers lam on the given rows of G (zero on the others) as
+        multipliers on the caller's rows: ldexp(lam_i / ||2^k a_i||, k_i) for
+        row i of the block, whose row of G is 2^k a_i / ||2^k a_i||, and lam_i
+        for a bound.  The one way back, for certificates and multipliers."""
+        full, m = np.zeros(len(self.h)), self.first_bound
+        full[rows] = lam
+        full[:m] = np.ldexp(full[:m] / self._norms, self._shift)
         return full
 
 
