@@ -317,13 +317,12 @@ def _dist_le(u: list, v: list, t: float) -> bool:
 
 
 class _Projector:
-    """Projection onto {y: Ay <= b, y >= 0} for one (A, b), warm across calls,
-    or onto {y: Ay <= b} alone for any row block A with bounds=False.
+    """Projection onto {y: Ay <= b, y >= 0} for one (A, b), warm across calls.
 
     The one copy of the rows is A and b with row i times 2^k[i], exact,
-    which contains reads.  With G and h that copy scaled to unit norm (an
-    all-zero row is the row 0 <= b), then the bounds -y <= 0 unless bounds
-    is False, the projection of x is y = x - G'mu, where mu >= 0
+    which contains reads.  With G = [A; -I] and h = [b; 0] row for row,
+    that copy's rows scaled to unit norm (an all-zero row is the row
+    0 <= b), the projection of x is y = x - G'mu, where mu >= 0
     minimises (1/2)||x - G'mu||^2 + h'mu.
     That dual is solved by the active-set method of Goldfarb and Idnani
     (1983) with identity Hessian: starting from a set P of independent rows
@@ -351,12 +350,12 @@ class _Projector:
     its last call ended on, so a settled call does no lookup.  Both ways
     out of a call, settled or after rows are added, take their point from
     the held face by _point.  The list checks (_diff_max_le and the rest)
-    read b and top = h + tol, listed once here.  Row i of G is the caller's
-    row i, so the Farkas certificate and the multipliers index G's rows
+    read b and top = h + tol, listed once here.  Row i of G is row i of
+    [A; -I], so the Farkas certificate and the multipliers index G's rows
     directly, and _caller_units is their one way back to the caller's units.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, bounds: bool = True):
+    def __init__(self, A: np.ndarray, b: np.ndarray):
         m, n = A.shape
         # Row i of A and b[i] times 2^k[i], exact, puts max|a_ij| in [0.5, 1): no
         # finite row's norm overflows or underflows; only an all-zero row has norm 0.
@@ -364,33 +363,27 @@ class _Projector:
         self.A = np.ldexp(A, k[:, None])
         self._norms = norms = np.sqrt(np.einsum("ij,ij->i", self.A, self.A))
         norms[norms == 0.0] = 1.0  # an all-zero row is the row 0 <= b
-        self.first_bound = m  # rows of G from here on, if any, are the bounds -y <= 0
-        rows = m + n if bounds else m
-        self.G, self.h = np.empty((rows, n)), np.zeros(rows)
+        self.first_bound = m  # rows of G from here on are the bounds -y <= 0
+        self.G, self.h = np.empty((m + n, n)), np.zeros(m + n)
         np.divide(self.A, norms[:, None], out=self.G[:m])
-        if bounds:
-            self.G[m:] = -np.eye(n)  # -0.0 off the diagonal
+        self.G[m:] = -np.eye(n)  # -0.0 off the diagonal
         with np.errstate(over="ignore", invalid="ignore"):  # b or h beyond the float range is +-inf
             self.b = np.ldexp(b, k)
             np.divide(self.b, norms, out=self.h[:m])
             self.tol = 1e-12 * (1.0 + np.abs(self.h))
             self._top = self.h + self.tol  # row i counts as met while (Gy)_i <= top[i]
             self._b, self._tops = self.b.tolist(), self._top.tolist()
-        self._floor = 0.0 if bounds else -np.inf  # contains' test x >= floor; every x passes -inf
-        self._certificate_rows = "[A; -I] with A'mu_A - mu_I" if bounds else "A with A'mu_A"
         self._Ax, self._Gy = _product(self.A), _product(self.G)
         self._held = None  # the empty face until a call ends on another
         self._faces: dict[tuple[int, ...], tuple] = {}  # P -> its record, by _face
 
     @cached_property
     def scale(self) -> np.ndarray:
-        """Row i of G is the caller's row i divided by scale[i], the row's
-        norm (its scaled norm times 2^-k[i], inf beyond the float range):
-        1.0 for a bound and an all-zero row.  Built on demand; no
-        certificate or multiplier divides by it (see _caller_units)."""
+        """Row i of G is row i of [A; -I] divided by scale[i], the row's norm
+        (its scaled norm times 2^-k[i], inf beyond the float range): 1.0 for
+        a bound and an all-zero row.  Built on demand."""
         with np.errstate(over="ignore"):
-            shifted = np.ldexp(self._norms, -self._shift)
-        return np.concatenate([shifted, np.ones(len(self.h) - self.first_bound)])
+            return np.concatenate([np.ldexp(self._norms, -self._shift), np.ones(self.A.shape[1])])
 
     @property
     def active(self) -> tuple[int, ...]:
@@ -398,9 +391,11 @@ class _Projector:
         return self._held[5] if self._held else ()
 
     def contains(self, x: np.ndarray) -> bool:
-        """Ax <= b, and x >= 0 with bound rows, exactly: the scaled copy of
-        the rows decides as the caller's do, a power of two being exact."""
-        return _diff_max_le(self._Ax(x).tolist(), self._b, 0.0) and _min_ge(x.tolist(), self._floor)
+        """Ax <= b and x >= 0, on the scaled copy of the rows.  A power of
+        two is exact, so this decides as the caller's rows do while every
+        scaled entry, product and b stays in the normal range; a row whose
+        shift pushes one below it agrees within the row's tolerance."""
+        return _diff_max_le(self._Ax(x).tolist(), self._b, 0.0) and _min_ge(x.tolist(), 0.0)
 
     def _face(self, P: tuple[int, ...]) -> tuple:
         """The face of the active set P, built once: (K, k, G_P', pinned, Kx, P)
@@ -496,14 +491,14 @@ class _Projector:
 
     def _raise_infeasible(self, P, r, p):
         raise InfeasibleError(
-            "the polyhedron is empty: Farkas certificate mu >= 0 over the rows of "
-            f"{self._certificate_rows} = 0 and b'mu_A = {float(self.h[p] - self.h[list(P)] @ r):.3e} < 0",
+            "the polyhedron is empty: Farkas certificate mu >= 0 over the rows "
+            f"of [A; -I] with A'mu_A - mu_I = 0 and b'mu_A = {float(self.h[p] - self.h[list(P)] @ r):.3e} < 0",
             self._caller_units([*P, p], np.append(-r, 1.0)),
         )
 
     def multipliers(self, x: np.ndarray) -> np.ndarray:
-        """KKT multipliers over the caller's rows ([A; -I], or A alone without
-        bound rows) for the set the last call ended on.
+        """KKT multipliers over the rows of [A; -I] for the set the last call
+        ended on, in the caller's units (_caller_units).
 
         With y the projection of x: x - y = A'mu_A - mu_I.
         """
@@ -512,8 +507,8 @@ class _Projector:
 
     def _caller_units(self, rows: list, lam: np.ndarray) -> np.ndarray:
         """Multipliers lam on the given rows of G (zero on the others) as
-        multipliers on the caller's rows: ldexp(lam_i / ||2^k a_i||, k_i) for
-        row i of the block, whose row of G is 2^k a_i / ||2^k a_i||, and lam_i
+        multipliers on the rows of [A; -I]: ldexp(lam_i / ||2^k a_i||, k_i) for
+        row i of A, whose row of G is 2^k a_i / ||2^k a_i||, and lam_i
         for a bound.  The one way back, for certificates and multipliers."""
         full, m = np.zeros(len(self.h)), self.first_bound
         full[rows] = lam

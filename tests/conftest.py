@@ -10,9 +10,8 @@ from helpers import FIXTURE_PATH, REPO_ROOT
 # scans (test_solver.py's TestChecks) decide as numpy's max/min only while
 # numpy keeps its NaN semantics, and default_rng's stream (test_pcg64.py)
 # is numpy's to change too; CI runs those tests, TestLeanPgMatchesReference,
-# the tie rule's order properties (TestTieRule), the projector's mixed-scale
-# row property (TestMixedScaleRows) and its row-block properties
-# (TestRowBlock) on every numpy leg with
+# the tie rule's order properties (TestTieRule) and the projector's mixed-scale
+# row property (TestMixedScaleRows) on every numpy leg with
 # pytest --hypothesis-profile=kernel-rule, a larger example budget.
 settings.register_profile("kernel-rule", max_examples=2000, deadline=None)
 

@@ -583,71 +583,6 @@ class TestMixedScaleRows:
         assert fsum(a * v for a, v in zip(row, y)) + 1.0 <= 1e-12 * (norm + 1.0) + norm * 1e-12
 
 
-class TestRowBlock:
-    """_Projector(G, h, bounds=False) projects onto {y: Gy <= h} for a row
-    block G with no bound rows of its own, such as [A; -I]L^-T, the block
-    of the projection in the variables u = L'y for Q = LL'.  Each outcome
-    must hold as the default projector's do."""
-
-    _eighths = st.integers(-16, 16).map(lambda k: k / 8.0)  # exact, never subnormal
-
-    @classmethod
-    def _array(cls, data, *shape):
-        size = int(np.prod(shape))
-        return np.array(data.draw(st.lists(cls._eighths, min_size=size, max_size=size)),
-                        dtype=float).reshape(shape)
-
-    @given(st.data())
-    @settings(deadline=None)
-    def test_bound_rows_passed_as_the_block(self, data):
-        # [A; -I] as a block is the default projector's polyhedron
-        n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 5))
-        A, b, x = self._array(data, m, n), self._array(data, m), 2.0 * self._array(data, n)
-        block = np.vstack([A, -np.eye(n)]), np.concatenate([b, np.zeros(n)])
-        points = []
-        for proj in _Projector(A, b), _Projector(*block, bounds=False):
-            try:
-                points.append(x if proj.contains(x) else proj(x))
-            except InfeasibleError as err:  # over the m + n rows of [A; -I] either way
-                _assert_farkas(A, b, err.certificate)
-        assert len(points) in (0, 2)
-        if points:
-            y, y_block = points
-            assert np.abs(y - y_block).max() <= 1e-12 * (1.0 + max(np.abs(x).max(), np.abs(y).max()))
-
-    @given(st.data())
-    @settings(deadline=None)
-    def test_kkt_or_farkas_on_any_block(self, data):
-        n = data.draw(st.integers(1, 5))
-        if data.draw(st.booleans()):  # [A; -I]L^-T for a positive definite Q = LL'
-            m = data.draw(st.integers(0, 5))
-            A, b, M = self._array(data, m, n), self._array(data, m), self._array(data, n, n)
-            L = np.linalg.cholesky(M.T @ M + np.eye(n))
-            G = np.linalg.solve(L, np.vstack([A, -np.eye(n)]).T).T
-            h = np.concatenate([b, np.zeros(n)])
-        else:  # a random block with a zero row and a big-M row
-            rows = data.draw(st.integers(2, 6))
-            G, h = self._array(data, rows, n), self._array(data, rows)
-            zero, big = data.draw(st.permutations(range(rows)))[:2]
-            G[zero] = 0.0
-            h[big] = (1.0 + abs(h[big])) * 10.0 ** data.draw(st.integers(3, 14))
-        x = 2.0 * self._array(data, n)
-        proj = _Projector(G, h, bounds=False)
-        try:
-            y = x if proj.contains(x) else proj(x)
-        except InfeasibleError as err:  # over the block alone: zero on the bounds of [G; -I]
-            assert err.certificate.shape == h.shape
-            _assert_farkas(G, h, np.concatenate([err.certificate, np.zeros(n)]))
-            return
-        # y = x - G'mu, mu >= 0, Gy <= h, and every row with mu_i > 0 tight,
-        # row i to 1e-10 (1 + |h_i|)
-        mu, slack, tol = proj.multipliers(x), G @ y - h, 1e-10 * (1.0 + np.abs(h))
-        assert mu.shape == h.shape
-        assert np.abs(x - y - G.T @ mu).max() <= 1e-10
-        assert mu.min() >= -1e-10 and (slack <= tol).all()
-        assert (np.abs(slack) <= tol)[mu > 0.0].all()
-
-
 class TestSolvePg:
     def test_lower_qp_at_zero_multistart(self, example_problem):
         s = solve_pg(lower_qp(example_problem, 0.0))
