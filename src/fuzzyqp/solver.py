@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress
 from math import comb, isfinite
 from typing import Callable
@@ -92,7 +92,8 @@ class InfeasibleError(RuntimeError):
 
 
 class UnboundedError(RuntimeError):
-    """Iterates diverged; the instance looks unbounded below."""
+    """Iterates diverged: solve_pg raises it once any iterate exceeds
+    UNBOUNDED_LIMIT = 1e8 in magnitude, even when the optimum is finite."""
 
 
 @dataclass(frozen=True)
@@ -368,27 +369,13 @@ class _Projector:
         np.divide(self.A, norms[:, None], out=self.G[:m])
         self.G[m:] = -np.eye(n)  # -0.0 off the diagonal
         with np.errstate(over="ignore", invalid="ignore"):  # b or h beyond the float range is +-inf
-            self.b = np.ldexp(b, k)
-            np.divide(self.b, norms, out=self.h[:m])
-            self.tol = 1e-12 * (1.0 + np.abs(self.h))
-            self._top = self.h + self.tol  # row i counts as met while (Gy)_i <= top[i]
-            self._b, self._tops = self.b.tolist(), self._top.tolist()
+            b = np.ldexp(b, k)
+            np.divide(b, norms, out=self.h[:m])
+            self._top = self.h + 1e-12 * (1.0 + np.abs(self.h))  # row i is met while (Gy)_i <= top[i]
+            self._b, self._tops = b.tolist(), self._top.tolist()
         self._Ax, self._Gy = _product(self.A), _product(self.G)
         self._held = None  # the empty face until a call ends on another
         self._faces: dict[tuple[int, ...], tuple] = {}  # P -> its record, by _face
-
-    @cached_property
-    def scale(self) -> np.ndarray:
-        """Row i of G is row i of [A; -I] divided by scale[i], the row's norm
-        (its scaled norm times 2^-k[i], inf beyond the float range): 1.0 for
-        a bound and an all-zero row.  Built on demand."""
-        with np.errstate(over="ignore"):
-            return np.concatenate([np.ldexp(self._norms, -self._shift), np.ones(self.A.shape[1])])
-
-    @property
-    def active(self) -> tuple[int, ...]:
-        """The active set the last call ended on."""
-        return self._held[5] if self._held else ()
 
     def contains(self, x: np.ndarray) -> bool:
         """Ax <= b and x >= 0, on the scaled copy of the rows.  A power of

@@ -9,10 +9,10 @@ from helpers import FIXTURE_PATH, REPO_ROOT
 # arrays, holds only while numpy sends dot and @ to one kernel, and the list
 # scans (test_solver.py's TestChecks) decide as numpy's max/min only while
 # numpy keeps its NaN semantics, and default_rng's stream (test_pcg64.py)
-# is numpy's to change too; CI runs those tests, TestLeanPgMatchesReference,
-# the tie rule's order properties (TestTieRule) and the projector's mixed-scale
-# row property (TestMixedScaleRows) on every numpy leg with
-# pytest --hypothesis-profile=kernel-rule, a larger example budget.
+# is numpy's to change too.  So CI runs such tests on every numpy leg with
+# pytest --hypothesis-profile=kernel-rule, a larger example budget; the one
+# list of them is the "Kernel rule, larger example budget" step in
+# .github/workflows/tests.yml.
 settings.register_profile("kernel-rule", max_examples=2000, deadline=None)
 
 # Tests that run `python -m fuzzyqp` in a subprocess import the package from

@@ -85,8 +85,10 @@ class TestKernelRule:
             proj = _Projector(q.A, q.b)
             first = proj.first_bound
             products = [(q.Q, q._Qx), (proj.A, proj._Ax), (proj.G, proj._Gy)]
-            # row 1 of A: at n = 1 rows 0 and 2 have norm 0 and never join a face
-            for P in [(), (1,), (first,), (1, first), tuple(range(first, first + n))]:
+            # rows 0 and 2 are scaled by a power of two first: at n = 1 they are
+            # the unit rows -1 and 1 of G, with h = +inf and about 1e300
+            faces = [(), (0,), (1,), (2,), (first,), (0, first), (1, first), (2, first)]
+            for P in faces + [tuple(range(first, first + n))]:
                 if len(P) <= n:
                     face = proj._face(P)
                     products.append((face[0], face[4]))

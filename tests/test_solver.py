@@ -392,30 +392,32 @@ class TestExactProjection:
         ([], 0.0, None), ([1], 0.0, None), ([0, 2], 0.0, None), _UNDERFLOW, _LARGE_B,
     ], ids=["zero_rows0", "zero_rows1", "zero_rows2", "underflow", "large-b"])
     def test_certificate_data_on_demand_is_the_eager_data(self, zero_rows, fill, b_zero):
-        """scale is built only when a certificate or multipliers ask; the
-        reference builds origin and scale in its constructor, as first
-        written.  An all-zero row is the row 0 <= b in G: +0.0 in G, b in h
-        and scale 1.0.  A row whose squares underflow, which the reference
-        drops, is scaled by a power of two first, so it is a unit-norm row of
-        G.  tol is 1e-12 (1 + |h_i|) row by row, so no row moves another's."""
+        """A row's norm is read back only when a certificate or multipliers
+        ask, through _caller_units; the reference builds origin and scale in
+        its constructor, as first written.  An all-zero row is the row
+        0 <= b in G: +0.0 in G, b in h and norm 1.0.  A row whose squares
+        underflow, which the reference drops, is scaled by a power of two
+        first, so it is a unit-norm row of G.  Each row is met up to its own
+        tol 1e-12 (1 + |h_i|) over h, so no row moves another's."""
         rng = np.random.default_rng(len(zero_rows))
         A, b = self._with_zero_rows(rng, 3, 4, zero_rows, fill, b_zero)
         proj, ref = _Projector(A, b), _ReferenceProjector(A, b)
-        assert "scale" not in vars(proj)
         rows = ref.origin  # row i of the reference's G is row origin[i] of _Projector's
-        for got, want in (proj.scale, ref.scale), (proj.G, ref.G), (proj.h, ref.h):
+        back = proj._caller_units(list(range(4 + 3)), np.ones(4 + 3))  # 1 / each row's norm
+        assert back[rows].tobytes() == (1.0 / ref.scale).tobytes()
+        for got, want in (proj.G, ref.G), (proj.h, ref.h):
             assert (got.dtype, got[rows].tobytes()) == (want.dtype, want.tobytes())
-        assert proj.tol.tolist() == (1e-12 * (1.0 + np.abs(proj.h))).tolist()
-        assert proj.tol[rows].tolist() == (1e-12 * (1.0 + np.abs(ref.h))).tolist()
+        assert proj._top.tolist() == (proj.h + 1e-12 * (1.0 + np.abs(proj.h))).tolist()
+        assert proj._top[rows].tolist() == (ref.h + 1e-12 * (1.0 + np.abs(ref.h))).tolist()
         assert proj.G.shape == (4 + 3, 3) and proj.first_bound == 4
-        if fill:  # the underflowing row: a unit-norm G row, its true norm in scale
+        if fill:  # the underflowing row: a unit-norm G row, its true norm read back
             np.testing.assert_allclose(proj.G[zero_rows], np.sqrt(1.0 / 3.0), rtol=1e-15)
-            np.testing.assert_allclose(proj.scale[zero_rows], np.sqrt(3.0) * fill, rtol=1e-15)
+            np.testing.assert_allclose(1.0 / back[zero_rows], np.sqrt(3.0) * fill, rtol=1e-15)
             np.testing.assert_allclose(proj.h[zero_rows], b[zero_rows] / (np.sqrt(3.0) * fill), rtol=1e-15)
         else:
             assert all(e == 0.0 and not np.signbit(e) for e in proj.G[zero_rows].ravel().tolist())
             assert proj.h[zero_rows].tobytes() == b[zero_rows].tobytes()
-            assert proj.scale[zero_rows].tolist() == [1.0] * len(zero_rows)
+            assert back[zero_rows].tolist() == [1.0] * len(zero_rows)
 
     @pytest.mark.parametrize("zero_rows, fill, b_zero", [
         ([1], 0.0, None), ([0, 2], 0.0, None), _UNDERFLOW, _LARGE_B,
