@@ -438,6 +438,8 @@ class _Projector:
             p = int(np.argmax(s))
             if s[p] <= slack:
                 break
+            if self.h[p] == -np.inf and _min_ge(self.G[p].tolist(), 0.0):  # no y >= 0 meets row p
+                self._raise_infeasible((), None, p)
             P, mu, y = self._add(P, mu, y, p, float(Gy[p] - self.h[p]))
             Gy = self._Gy(y)
             s = Gy - self._top
@@ -477,10 +479,18 @@ class _Projector:
             mu = np.concatenate((mu[:drop], mu[drop + 1:]))
 
     def _raise_infeasible(self, P, r, p):
+        """Raise with the certificate (1 on p, -r on P).  r is None for a row
+        p alone whose h_p is -inf and a_p >= 0: its certificate is then
+        mu_A = e_p and mu_I = a_p, in the caller's units."""
+        if r is None:
+            r, mu = np.empty(0), np.zeros(len(self.h))
+            mu[p], mu[self.first_bound:] = 1.0, np.ldexp(self.A[p], -self._shift[p])
+        else:
+            mu = self._caller_units([*P, p], np.append(-r, 1.0))
         raise InfeasibleError(
             "the polyhedron is empty: Farkas certificate mu >= 0 over the rows "
             f"of [A; -I] with A'mu_A - mu_I = 0 and b'mu_A = {float(self.h[p] - self.h[list(P)] @ r):.3e} < 0",
-            self._caller_units([*P, p], np.append(-r, 1.0)),
+            mu,
         )
 
     def multipliers(self, x: np.ndarray) -> np.ndarray:
@@ -617,23 +627,25 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     finite, solve their system to a relative residual of 1e-8 and are
     feasible to 1e-9, row i of A to 1e-9 (1 + |b_i|), are kept (vertices
     arise as the |S| = n systems).  Of those within 1e-12 of the least
-    objective, the lexicographically smallest x wins, whatever the order
-    they were found in.  For PSD Q this is the global optimum; for
+    objective, the lexicographically smallest x wins, and of x equal but
+    for the sign of a zero, the one whose S comes first in the order of
+    itertools.combinations.  For PSD Q this is the global optimum; for
     indefinite Q it is the best stationary/vertex point.
 
     Subsets that can yield no candidate are skipped: those holding a
     conflict pair (_conflict_pairs), two rows that pin one variable to
     values the residual filter never accepts together.  iterations still
     counts every subset of at most n constraints, skipped or solved.  The
-    subsets of each size are built from those of the size before
-    (_next_level), in the lexicographic order of itertools.combinations,
-    and solved in blocks of about ORACLE_BLOCK_BYTES of stacked KKT
-    matrices, so memory stays bounded at every n <= ORACLE_MAX_N.  Each
-    block is one batched call of the gufunc behind np.linalg.solve, which
-    does not raise on a singular system: one gesv per system finds a zero
-    pivot and solves, and a singular system is dropped.  Only the
-    candidates of a block whose batched objective could still win
-    (_contenders) are kept, and the tie rule (_least) picks among them.
+    subsets are solved in blocks of about ORACLE_BLOCK_BYTES of stacked
+    KKT matrices, and each solved block alone is expanded into blocks of
+    the next size (_next_level): a stack holds at most one expansion per
+    size, about n blocks of subsets times (m + n), so memory does not grow
+    with C(m + n, n).  A block is one batched call of the gufunc behind
+    np.linalg.solve, which does not raise on a singular system: one gesv
+    per system finds a zero pivot and solves, and a singular system is
+    dropped.  Only the candidates of a block whose batched objective could
+    still win (_contenders) are kept, and the tie rule (_least) picks
+    among them in that order, whatever the order of the blocks.
 
     converged is True when the winner is a fixed point of the projected
     gradient map, stationarity <= 1e-8 * (1 + max|x|).  On an instance
@@ -651,25 +663,24 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     rows = np.vstack([q.A, np.eye(n)])
     bounds = np.concatenate([q.b, np.zeros(n)])
     conflict = _conflict_pairs(q, rows, bounds)
-    pool, z_ref = [], np.inf  # the contenders as (x, z), and their least z
-    level = np.empty((1, 0), dtype=np.intp)  # the one subset of size 0
-    for size in range(0, n + 1):
-        if size:
-            level = _next_level(level, conflict)
-        dim = n + size
-        block = max(1, ORACLE_BLOCK_BYTES // (8 * dim * dim))
-        for start in range(0, len(level), block):
-            S = level[start:start + block]
-            x = _kkt_candidates(q, rows[S], bounds[S])
-            for i in _contenders(q, x, z_ref):
-                z = objective(q, x[i])
-                pool.append((x[i], z))
-                z_ref = min(z_ref, z)  # a NaN z leaves it
+    pool, z_ref = [], np.inf  # the contenders as (x, z, place in combinations order), and their least z
+    stack = [np.empty((1, 0), dtype=np.intp)]  # blocks of subsets, first the one subset of size 0
+    while stack:
+        S = stack.pop()
+        x = _kkt_candidates(q, rows[S], bounds[S])
+        for i in _contenders(q, x, z_ref):
+            z = objective(q, x[i])
+            pool.append((x[i], z, (S.shape[1], S[0].tolist(), i)))
+            z_ref = min(z_ref, z)  # a NaN z leaves it
+        if S.shape[1] < n:  # this block alone, expanded into blocks of the next size
+            block = max(1, ORACLE_BLOCK_BYTES // (8 * (n + S.shape[1] + 1) ** 2))
+            children = _next_level(S, conflict)
+            stack += (children[i:i + block] for i in range(0, len(children), block))
 
     if not pool:
         project(np.zeros(n), q.A, q.b)  # an empty polyhedron raises with a certificate here
         raise InfeasibleError("no feasible stationary or vertex candidate found")
-    best_x, best_z = _least(pool)
+    best_x, best_z, _ = _least(sorted(pool, key=lambda c: c[2]))  # an exact tie goes to the first
 
     step, convex = _step_rule(q)
     stationarity = _stationarity(q, best_x, step)

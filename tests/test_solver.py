@@ -351,6 +351,16 @@ class TestExactProjection:
             project(np.zeros(4), A, b)
         _assert_farkas(A, b, err.value.certificate)
 
+    @pytest.mark.parametrize("row", [[1e-10], [1e-10, 1e-10]], ids=["one", "two"])
+    def test_row_beyond_the_float_range_with_no_negative_entry(self, row):
+        # b / ||a|| is about -1e310, -inf in h, so the row's top h + tol was
+        # NaN and the "certificate" [1e10, 0] had A'mu_A - mu_I = 1
+        A, b = np.array([row]), np.array([-1e300])
+        with pytest.raises(InfeasibleError) as err:
+            project(np.ones(len(row)), A, b)
+        assert err.value.certificate.tolist() == [1.0, *row]  # e_i, then a_i
+        _assert_farkas(A, b, err.value.certificate)
+
     def test_farkas_certificates_on_random_empty_polyhedra(self):
         # the last row is a negative combination of the others with a bound
         # below what that combination allows, so no point satisfies all rows
@@ -1101,6 +1111,20 @@ def _count_systems(monkeypatch):
     return count
 
 
+def _oracle_bytes(q, block_bytes):
+    """solve_oracle's outcome with ORACLE_BLOCK_BYTES = block_bytes, as bytes:
+    x, z, iterations, converged, stationarity and convex, or the Farkas
+    certificate of an empty polyhedron."""
+    saved, solver_module.ORACLE_BLOCK_BYTES = solver_module.ORACLE_BLOCK_BYTES, block_bytes
+    try:
+        s = solve_oracle(q)
+    except InfeasibleError as err:
+        return err.certificate.tobytes()
+    finally:
+        solver_module.ORACLE_BLOCK_BYTES = saved
+    return s.x.tobytes(), np.array([s.z, s.stationarity]).tobytes(), s.iterations, s.converged, s.convex
+
+
 def _tie_lp(tilt):
     """min -tilt x1 + x3 over a prism: its bottom face x3 = 0 is the polygon
     with the vertices P_k = (7 - k, (3 - k)^2 + 1), k = 0..6.
@@ -1387,6 +1411,55 @@ class TestOracle:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_memory_does_not_grow_with_the_subsets(self):
+        # 198 440 subsets of at most 7 of the 21 rows: holding each whole
+        # size at once, 116 280 subsets of size 7, peaked at 19.9e6 bytes
+        rng = np.random.default_rng(3)
+        M = rng.normal(size=(7, 7))
+        q = CrispQP(c=-rng.uniform(1.0, 3.0, 7), Q=M @ M.T + np.eye(7),
+                    A=rng.uniform(0.1, 1.0, (14, 7)), b=rng.uniform(1.0, 2.0, 14))
+        tracemalloc.start()
+        try:
+            solve_oracle(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_one_system_per_block_gives_the_same_bytes(self):
+        # A block of one byte holds one KKT system, so the subsets are solved
+        # one by one and in another order than in 1 MB blocks.  The outcome
+        # is the same only while solve1 solves each stacked system on its own.
+        rng = np.random.default_rng(501)
+        for n in (5, 6, 7):
+            for convex in (True, False):
+                q = _box_instance(rng, n, convex)
+                assert _oracle_bytes(q, 1) == _oracle_bytes(q, solver_module.ORACLE_BLOCK_BYTES)
+        # The optimum x = 0 is pinned by the row -x/8 <= 0, as -0.0, and by
+        # the bound, as +0.0: the row comes first in combinations order.
+        q = CrispQP(c=[0.125], Q=[[0.1]], A=[[-0.125]], b=[0.0])
+        assert _oracle_bytes(q, 1) == _oracle_bytes(q, solver_module.ORACLE_BLOCK_BYTES)
+        assert _oracle_bytes(q, 1)[0] == np.array([-0.0]).tobytes()
+
+    @given(st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from(["convex", "indefinite", "zero Q", "zero row"]), st.data())
+    @settings(deadline=None)
+    def test_block_size_never_changes_the_result(self, n, m, kind, data):
+        # Degenerate vertices come out of several subsets with x equal but
+        # for the sign of a zero; the tie rule takes the one whose subset
+        # comes first in combinations order, whichever block solved it.
+        def entries(size, values=TestMixedScaleRows._eighths):  # often equal, often zero
+            return np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+
+        M = entries(n * n).reshape(n, n)
+        Q = {"indefinite": 0.5 * (M + M.T), "zero Q": np.zeros((n, n))}.get(kind, M @ M.T + 0.1 * np.eye(n))
+        A = entries(m * n).reshape(m, n)
+        if kind == "zero row":
+            A[data.draw(st.integers(0, m - 1))] = 0.0
+        b = entries(m, TestMixedScaleRows._eighths.filter(lambda v: v >= -0.5))  # some rows cut off the origin
+        q = CrispQP(c=entries(n), Q=Q, A=A, b=b)
+        assert _oracle_bytes(q, 1) == _oracle_bytes(q, solver_module.ORACLE_BLOCK_BYTES)
 
     def test_agrees_with_pg_on_convex_instances(self):
         rng = np.random.default_rng(1234)
