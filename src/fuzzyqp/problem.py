@@ -180,6 +180,20 @@ def _symmetrize(Q: np.ndarray) -> np.ndarray:
     return 0.5 * (Q + Q.transpose(1, 0, 2))
 
 
+def _rows(A, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A and b as aligned C-ordered float copies of shapes (m, n) and (m,), an A
+    with no entries read as no rows; else ValueError names A or b."""
+    A = np.atleast_2d(np.array(A, dtype=float, order="C"))
+    b = np.atleast_1d(np.array(b, dtype=float, order="C"))
+    if not A.size:
+        A = A.reshape(0, n)
+    if A.ndim != 2 or A.shape[1] != n:
+        raise ValueError(f"A must have {n} columns, got {A.shape}")
+    if b.shape != (A.shape[0],):
+        raise ValueError(f"b must have length {A.shape[0]}, got {b.shape}")
+    return A, b
+
+
 def check_finite(**fields: np.ndarray) -> None:
     """ValueError "<field> has a non-finite entry" for the first such field."""
     for name, arr in fields.items():
@@ -202,21 +216,15 @@ class CrispQP:
     b: np.ndarray
 
     def __post_init__(self):
-        # C-ordered copies: a product or a row norm of another layout can
-        # round differently, and the result must not depend on the caller's
+        # C-ordered copies, so that no product or row norm rounds by the caller's layout
         c = np.atleast_1d(np.array(self.c, dtype=float, order="C"))
         Q = np.array(self.Q, dtype=float, order="C")
-        A = np.atleast_2d(np.array(self.A, dtype=float, order="C"))
-        b = np.atleast_1d(np.array(self.b, dtype=float, order="C"))
         n = c.shape[0]
         if c.ndim != 1 or n == 0:
             raise ValueError(f"c must be a nonempty vector, got shape {c.shape}")
         if Q.shape != (n, n):
             raise ValueError(f"Q must be {n}x{n}, got {Q.shape}")
-        if A.ndim != 2 or A.shape[1] != n:
-            raise ValueError(f"A must have {n} columns, got {A.shape}")
-        if b.shape != (A.shape[0],):
-            raise ValueError(f"b must have length {A.shape[0]}, got {b.shape}")
+        A, b = _rows(self.A, self.b, n)
         check_finite(c=c, Q=Q, A=A, b=b)
         for arr, name in ((c, "c"), (Q, "Q"), (A, "A"), (b, "b")):
             arr.setflags(write=False)

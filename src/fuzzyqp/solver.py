@@ -64,7 +64,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from ._pcg64 import uniform
-from .problem import CrispQP, _product, _read_only, check_finite
+from .problem import CrispQP, _product, _read_only, _rows, check_finite
 
 UNBOUNDED_LIMIT = 1e8
 ORACLE_MAX_N = 8
@@ -257,23 +257,16 @@ def project(x, A, b, opts: SolverOptions | None = None,
     _Projector), so the result satisfies the KKT conditions up to
     rounding.  An empty polyhedron raises InfeasibleError carrying a
     Farkas certificate.  An x that is not a nonempty vector raises
-    ValueError, as does a NaN or infinite entry in x, A or b, in CrispQP's
-    words.  opts is a deprecated no-op, accepted for compatibility.  _warm
-    is a _Projector built from the same A and b, which carries the active
-    set from one call to the next.
+    ValueError, as do a misshapen A or b and a NaN or infinite entry in x,
+    A or b, in CrispQP's words.  opts is a deprecated no-op, accepted for
+    compatibility.  _warm is a _Projector built from the same A and b,
+    which carries the active set from one call to the next.
     """
     if _warm is None:
         x = np.asarray(x, dtype=float).copy()
         if x.ndim != 1 or not x.size:
             raise ValueError(f"x must be a nonempty vector, got shape {x.shape}")
-        # aligned copies in C order, as CrispQP keeps them (see problem._product)
-        A = np.atleast_2d(np.array(A, dtype=float, order="C"))
-        b = np.atleast_1d(np.array(b, dtype=float, order="C"))
-        n = x.shape[0]
-        if A.size == 0:
-            A = A.reshape(0, n)
-        if A.shape[1] != n or b.shape != (A.shape[0],):
-            raise ValueError("A, b dimensions do not match x")
+        A, b = _rows(A, b, x.shape[0])
         check_finite(x=x, A=A, b=b)
         _warm = _Projector(A, b)
     return x if _warm.contains(x) else _warm(x)
@@ -627,10 +620,9 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     finite, solve their system to a relative residual of 1e-8 and are
     feasible to 1e-9, row i of A to 1e-9 (1 + |b_i|), are kept (vertices
     arise as the |S| = n systems).  Of those within 1e-12 of the least
-    objective, the lexicographically smallest x wins, and of x equal but
-    for the sign of a zero, the one whose S comes first in the order of
-    itertools.combinations.  For PSD Q this is the global optimum; for
-    indefinite Q it is the best stationary/vertex point.
+    objective, the lexicographically smallest x wins; x holds no -0.0.  For
+    PSD Q this is the global optimum; for indefinite Q it is the best
+    stationary/vertex point.
 
     Subsets that can yield no candidate are skipped: those holding a
     conflict pair (_conflict_pairs), two rows that pin one variable to
@@ -645,7 +637,7 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     per system finds a zero pivot and solves, and a singular system is
     dropped.  Only the candidates of a block whose batched objective could
     still win (_contenders) are kept, and the tie rule (_least) picks
-    among them in that order, whatever the order of the blocks.
+    among them, whatever the order of the blocks.
 
     converged is True when the winner is a fixed point of the projected
     gradient map, stationarity <= 1e-8 * (1 + max|x|).  On an instance
@@ -663,14 +655,14 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     rows = np.vstack([q.A, np.eye(n)])
     bounds = np.concatenate([q.b, np.zeros(n)])
     conflict = _conflict_pairs(q, rows, bounds)
-    pool, z_ref = [], np.inf  # the contenders as (x, z, place in combinations order), and their least z
+    pool, z_ref = [], np.inf  # the contenders as (x, z), and their least z
     stack = [np.empty((1, 0), dtype=np.intp)]  # blocks of subsets, first the one subset of size 0
     while stack:
         S = stack.pop()
         x = _kkt_candidates(q, rows[S], bounds[S])
         for i in _contenders(q, x, z_ref):
             z = objective(q, x[i])
-            pool.append((x[i], z, (S.shape[1], S[0].tolist(), i)))
+            pool.append((x[i], z))
             z_ref = min(z_ref, z)  # a NaN z leaves it
         if S.shape[1] < n:  # this block alone, expanded into blocks of the next size
             block = max(1, ORACLE_BLOCK_BYTES // (8 * (n + S.shape[1] + 1) ** 2))
@@ -680,7 +672,7 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     if not pool:
         project(np.zeros(n), q.A, q.b)  # an empty polyhedron raises with a certificate here
         raise InfeasibleError("no feasible stationary or vertex candidate found")
-    best_x, best_z, _ = _least(sorted(pool, key=lambda c: c[2]))  # an exact tie goes to the first
+    best_x, best_z = _least(pool)
 
     step, convex = _step_rule(q)
     stationarity = _stationarity(q, best_x, step)
@@ -794,4 +786,4 @@ def _kkt_candidates(q: CrispQP, E: np.ndarray, d: np.ndarray) -> np.ndarray:
     keep &= residual <= 1e-8 * (1.0 + np.abs(rhs).max(axis=1))
     x = sol[:, :n]
     keep &= (x >= -1e-9).all(axis=1) & (x @ q.A.T <= q.b + 1e-9 * (1.0 + np.abs(q.b))).all(axis=1)
-    return x[keep]
+    return x[keep] + 0.0  # each zero as +0.0, so x equal as lists are equal as bytes

@@ -121,7 +121,7 @@ def enumerate_oracle_reference(q: CrispQP) -> tuple[np.ndarray, float, int]:
                 continue
             if np.max(np.abs(kkt @ sol - rhs)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
                 continue
-            x = sol[:n]
+            x = sol[:n] + 0.0  # each zero as +0.0
             if np.all(x >= -1e-9) and np.all(q.A @ x <= q.b + 1e-9 * (1.0 + np.abs(q.b))):
                 candidates.append((x, objective(q, x)))
     if not candidates:

@@ -5,9 +5,9 @@ their inputs, and gradient, objective and solve_pg's start points copy an x
 of any other layout.  So no result depends on a caller's memory layout, and
 every matrix-vector product is taken on C-ordered arrays, through ndarray.dot
 from two columns on (problem._product), where dot gives M @ v byte for byte.
-Whether dot and matmul reach the same kernel is numpy's to change, so CI
-also runs this file under the "kernel-rule" hypothesis profile
-(tests/conftest.py), with a larger example budget, on every numpy leg.
+Whether dot and matmul reach the same kernel is numpy's to change, so the
+file's tests are marked numpy_contract, which CI runs with a larger example
+budget on every numpy leg.
 """
 import numpy as np
 import pytest
@@ -18,6 +18,8 @@ from helpers import _ReferenceProjector, pg_reference, random_convex_qp
 from fuzzyqp import CrispQP, SolverOptions, gradient, objective, project, solve_pg
 from fuzzyqp.problem import _product
 from fuzzyqp.solver import _Projector
+
+pytestmark = pytest.mark.numpy_contract
 
 # signed zeros, units, the least subnormal, the largest magnitudes, infinities, NaN
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]

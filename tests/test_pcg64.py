@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from fuzzyqp._pcg64 import uniform
 
+pytestmark = pytest.mark.numpy_contract
+
 HIGHS = (1.0, 2.5, 1e8, 1e300)
 # one and two words, the edges of 2, 3 and 5 words (past the pool of 4), and
 # numpy integer seeds
