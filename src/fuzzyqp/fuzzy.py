@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, nextafter
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,10 @@ class TriangularFuzzyNumber:
         always contains; each endpoint is clamped to its side of a2 as numpy's
         minimum and maximum clamp lower_qp and upper_qp, so both give the same
         bytes: a tie, such as 0.0 against -0.0, keeps a2, and a NaN stays.
+        Rounding can also carry an endpoint out of the exact cut, where
+        membership grades it below alpha (at (-5e-324, 0, 0) and alpha = 0.5 the
+        step alpha*(a2-a1) underflows to 0, and the end a1 grades 0); such an
+        end is moved one float towards a2, as lower_qp and upper_qp move it.
 
         A triple whose spread a3 - a1 overflows has no finite cut ends below
         alpha = 1 (0 * inf in the affine step); there it raises ValueError in
@@ -93,7 +97,12 @@ class TriangularFuzzyNumber:
             raise ValueError(f"spread is not finite: ({self.a1}, {self.a2}, {self.a3})")
         lo = self.a1 + alpha * (a2 - self.a1)
         hi = self.a3 - alpha * (self.a3 - a2)
-        return Interval(a2 if a2 <= lo else lo, a2 if a2 >= hi else hi)
+        lo, hi = (a2 if a2 <= lo else lo), (a2 if a2 >= hi else hi)
+        if lo < a2 and (lo - self.a1) / (a2 - self.a1) < alpha:
+            lo = nextafter(lo, a2)
+        if hi > a2 and (self.a3 - hi) / (self.a3 - a2) < alpha:
+            hi = nextafter(hi, a2)
+        return Interval(lo, hi)
 
     def membership(self, x: float) -> float:
         """Membership grade of x: 0 outside [a1, a3], 1 at a2, linear between.

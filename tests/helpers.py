@@ -277,19 +277,26 @@ class _ReferenceProjector:
 
 
 def extract_reference(p: FuzzyQP, alpha: float, side: int) -> CrispQP:
-    """The cut-end extraction as first written: each clamp on views of the
-    triple arrays, through the checking CrispQP constructor.
+    """The cut-end extraction written out per array: each clamp and step in on
+    views of the triple arrays, through the checking CrispQP constructor.
 
     lower_qp (side 0) and upper_qp (side 1) must reproduce it byte for byte.
     At alpha = 1 both sides are the core: the modes, never a rounded cut end.
     """
     if alpha == 1.0:
         return CrispQP(*(t[..., 1] for t in p._arrays))
-    if side == 0:
-        return CrispQP(*(np.minimum(t[..., 0] + alpha * (t[..., 1] - t[..., 0]), t[..., 1])
-                         for t in p._arrays))
-    return CrispQP(*(np.maximum(t[..., 2] - alpha * (t[..., 2] - t[..., 1]), t[..., 1])
-                     for t in p._arrays))
+    ends = []
+    for t in p._arrays:
+        a1, a2, a3 = t[..., 0], t[..., 1], t[..., 2]
+        if side == 0:
+            end = np.minimum(a1 + alpha * (a2 - a1), a2)
+            grade = np.divide(end - a1, a2 - a1, out=np.ones_like(end), where=end < a2)
+        else:
+            end = np.maximum(a3 - alpha * (a3 - a2), a2)
+            grade = np.divide(a3 - end, a3 - a2, out=np.ones_like(end), where=end > a2)
+        # membership's grade of an end that rounded out of the cut is below alpha
+        ends.append(np.where(grade < alpha, np.nextafter(end, a2), end))
+    return CrispQP(*ends)
 
 
 def pg_reference(q: CrispQP, opts: SolverOptions | None = None, callback=None) -> QpSolution:

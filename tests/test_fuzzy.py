@@ -167,6 +167,11 @@ def test_cut_endpoint_consistency(t):
 
 
 @given(tfns(), _alpha, st.floats(min_value=0.0, max_value=1.0))
+# alpha*(a2 - a1) underflows to 0, so the nearest lower end is a1, graded 0
+@example(TriangularFuzzyNumber(-5e-324, 0.0, 0.0), 0.5, 0.0)
+# a spread of 0.01 at -1000: the nearest ends are graded about 4.5e-12 below alpha
+@example(TriangularFuzzyNumber(-1000.0, -999.99, -999.98), 0.7, 0.0)
+@example(TriangularFuzzyNumber(-1000.0, -999.99, -999.98), 0.7, 1.0)
 def test_membership_cut_duality(t, alpha, frac):
     cut = t.alpha_cut(alpha)
     x = cut.lo + frac * (cut.hi - cut.lo)
