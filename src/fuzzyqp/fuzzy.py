@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, nextafter
+from math import isfinite
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -75,51 +77,48 @@ class TriangularFuzzyNumber:
     def alpha_cut(self, alpha: float) -> Interval:
         """Level set at alpha in [0, 1]: [a1 + alpha*(a2-a1), a3 - alpha*(a3-a2)].
 
-        The cut at alpha = 1 is the core [a2, a2] exactly.  Below it, rounding
-        can carry an endpoint an ulp past the mode a2, which the exact cut
-        always contains; each endpoint is clamped to its side of a2 as numpy's
-        minimum and maximum clamp lower_qp and upper_qp, so both give the same
-        bytes: a tie, such as 0.0 against -0.0, keeps a2, and a NaN stays.
-        Rounding can also carry an endpoint out of the exact cut, where
-        membership grades it below alpha (at (-5e-324, 0, 0) and alpha = 0.5 the
-        step alpha*(a2-a1) underflows to 0, and the end a1 grades 0); such an
-        end is moved one float towards a2, as lower_qp and upper_qp move it.
+        The cut at alpha = 1 is the core [a2, a2] exactly.  Below it the ends
+        are _cut_ends', as in lower_qp and upper_qp: clamped to the mode, and
+        moved one float towards it where rounding carried them out of the cut.
 
         A triple whose spread a3 - a1 overflows has no finite cut ends below
         alpha = 1 (0 * inf in the affine step); there it raises ValueError in
         FuzzyQP validation's words, "spread is not finite".
         """
         alpha = check_alpha(alpha)
-        a2 = self.a2
+        a1, a2, a3 = self.a1, self.a2, self.a3
         if alpha == 1.0:
             return Interval(a2, a2)
-        if not isfinite(self.a3 - self.a1):
-            raise ValueError(f"spread is not finite: ({self.a1}, {self.a2}, {self.a3})")
-        lo = self.a1 + alpha * (a2 - self.a1)
-        hi = self.a3 - alpha * (self.a3 - a2)
-        lo, hi = (a2 if a2 <= lo else lo), (a2 if a2 >= hi else hi)
-        if lo < a2 and (lo - self.a1) / (a2 - self.a1) < alpha:
-            lo = nextafter(lo, a2)
-        if hi > a2 and (self.a3 - hi) / (self.a3 - a2) < alpha:
-            hi = nextafter(hi, a2)
-        return Interval(lo, hi)
+        if not isfinite(a3 - a1):
+            raise ValueError(f"spread is not finite: ({a1}, {a2}, {a3})")
+        mode = np.array([a2])
+        lo = _cut_ends(np.array([a1]), np.array([a2 - a1]), mode, alpha, 0)
+        hi = _cut_ends(np.array([a3]), np.array([a3 - a2]), mode, alpha, 1)
+        return Interval(lo[0], hi[0])
 
     def membership(self, x: float) -> float:
         """Membership grade of x: 0 outside [a1, a3], 1 at a2, linear between.
 
         Degenerate sides (a1 == a2 or a2 == a3) grade their single point 1,
-        and NaN, which lies in no support, grades 0.
+        and NaN, which lies in no support, grades 0.  A side wider than the
+        float range (a2 - a1 or a3 - a2 overflows) is graded on halved
+        operands, which is exact at such magnitudes.
         """
         x = float(x)
-        if not self.a1 <= x <= self.a3:
+        a1, a2, a3 = self.a1, self.a2, self.a3
+        if not a1 <= x <= a3:
             return 0.0
-        if x <= self.a2:
-            if self.a1 == self.a2:
+        if x <= a2:
+            if a1 == a2:
                 return 1.0
-            return (x - self.a1) / (self.a2 - self.a1)
-        if self.a2 == self.a3:
+            if not isfinite(a2 - a1):
+                a1, a2, x = a1 / 2, a2 / 2, x / 2
+            return (x - a1) / (a2 - a1)
+        if a2 == a3:
             return 1.0
-        return (self.a3 - x) / (self.a3 - self.a2)
+        if not isfinite(a3 - a2):
+            a2, a3, x = a2 / 2, a3 / 2, x / 2
+        return (a3 - x) / (a3 - a2)
 
     @property
     def is_crisp(self) -> bool:
@@ -132,6 +131,28 @@ def check_alpha(alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     return alpha + 0.0
+
+
+def _cut_ends(end, slope, mode, alpha: float, side: int) -> np.ndarray:
+    """The alpha-cut ends, as a new array, of triples given as flat arrays: support end
+    a1 (side 0) or a3 (side 1), slope a2 - a1 or a3 - a2, and mode a2.  Each is the
+    affine step a1 + alpha*slope or a3 - alpha*slope, clamped to its side of the mode
+    by numpy's minimum or maximum (a tie keeps the mode, a NaN stays).  Rounding can
+    carry an end out of the exact cut, where membership grades it below alpha (at
+    (-5e-324, 0, 0) and alpha = 0.5 the step underflows to 0 and the end a1 grades
+    0); such an end is moved one float towards the mode."""
+    if side == 0:
+        flat = np.minimum(end + alpha * slope, mode)
+        gap = flat - end
+    else:
+        flat = np.maximum(end - alpha * slope, mode)
+        gap = end - flat
+    # membership's grade gap / slope is below alpha where the end rounded out of
+    # the cut; a zero slope has flat == mode, and its 0 / 0 is NaN
+    with np.errstate(invalid="ignore"):
+        out = (flat != mode) & (gap / slope < alpha)
+    flat[out] = np.nextafter(flat[out], mode[out])
+    return flat
 
 
 def alpha_cut(t: TriangularFuzzyNumber, alpha: float) -> Interval:

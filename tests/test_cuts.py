@@ -199,6 +199,10 @@ class TestScalarCut:
     @given(st.lists(_TRIPLES, min_size=4, max_size=4),
            st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
     @example([[-0.0, -0.0, 0.0]] * 4, 0.5)  # both ends reach the mode -0.0 as +0.0
+    # alpha*(a2 - a1) underflows to 0, so the lower end steps in from a1
+    @example([[-5e-324, 0.0, 0.0]] * 4, 0.5)
+    # a spread of 0.01 at -1000: both ends step in
+    @example([[-1000.0, -999.99, -999.98]] * 4, 0.7)
     def test_cut_is_the_extracted_entry(self, triples, alpha):
         c, Q, A, b = (T(*t) for t in triples)
         p = FuzzyQP(c=(c,), Q=((Q,),), A=((A,),), b=(b,))

@@ -179,6 +179,36 @@ def test_membership_cut_duality(t, alpha, frac):
     assert t.membership(x) >= alpha - 1e-12
 
 
+# ends anywhere in the float range, so a side can be wider than it
+_wide = st.floats(min_value=-1.7e308, max_value=1.7e308)
+_frac = st.floats(min_value=0.0, max_value=1.0)
+
+
+@pytest.mark.parametrize("triple, x, grade", [
+    ((-1e308, 1e308, 1e308), 1e308, 1.0),  # inf / inf was NaN at the mode
+    ((-1e308, 1e308, 1e308), 0.0, 0.5),  # 1e308 / inf was 0
+    ((-1e308, -1e308, 1e308), 0.0, 0.5),
+])
+def test_side_wider_than_the_float_range(triple, x, grade):
+    assert TriangularFuzzyNumber(*triple).membership(x) == grade
+
+
+@given(st.tuples(_wide, _wide, _wide), _frac, _frac)
+@example((-1e308, 1e308, 1e308), 0.25, 0.5)
+@example((-1e308, -1e308, 1e308), 0.5, 0.75)
+def test_membership_is_a_monotone_grade(triple, f, g):
+    t = TriangularFuzzyNumber(*sorted(triple))
+    assert t.membership(t.a2) == 1.0
+    # two points of the support, x <= y, by a convex combination that cannot overflow
+    x, y = (min(max((1 - h) * t.a1 + h * t.a3, t.a1), t.a3) for h in sorted((f, g)))
+    gx, gy = t.membership(x), t.membership(y)
+    assert 0.0 <= gx <= 1.0 and 0.0 <= gy <= 1.0
+    if y <= t.a2:
+        assert gx <= gy
+    if t.a2 <= x:
+        assert gx >= gy
+
+
 @given(intervals(), intervals(), st.floats(min_value=0.0, max_value=1.0),
        st.floats(min_value=0.0, max_value=1.0))
 def test_arithmetic_containment(a, b, fa, fb):
