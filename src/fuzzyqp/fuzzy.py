@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, isinf
 
 import numpy as np
 
@@ -101,13 +101,17 @@ class TriangularFuzzyNumber:
 
         Degenerate sides (a1 == a2 or a2 == a3) grade their single point 1,
         and NaN, which lies in no support, grades 0.  A side wider than the
-        float range (a2 - a1 or a3 - a2 overflows) is graded on halved
-        operands, which is exact at such magnitudes.
+        float range is graded on halved operands, exact at such magnitudes,
+        and an infinite end by the formula's limit: an infinite support end
+        grades 0 and its side's finite points 1 (0.5 if the mode is infinite
+        too), an infinite mode 1 and the finite points 0.
         """
         x = float(x)
         a1, a2, a3 = self.a1, self.a2, self.a3
         if not a1 <= x <= a3:
             return 0.0
+        if isinf(x) or isinf(a1 if x <= a2 else a3):  # an infinite end, as above
+            return float(x == a2) if isinf(x) else (1.0 + isfinite(a2)) / 2
         if x <= a2:
             if a1 == a2:
                 return 1.0

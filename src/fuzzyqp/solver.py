@@ -10,6 +10,9 @@ The projector keeps each row scaled exactly by a power of two, not as given,
 and judges each by its own tolerance, so a big-M row loosens no other.
 Each face (active set) is built once, by one method, into one record;
 a face with no row of A is written down, not factored (_bound_face).
+Both kernels, the projection and the oracle, take one power-of-two rescale
+(_range_shift), exact while no value leaves the normal range, only where a
+value leaves the float range, so every other instance keeps its bytes.
 A step's exact comparisons (feasibility, multiplier signs, the slack
 test, the divergence and convergence tests) scan Python lists, deciding as
 numpy's max/min would, NaN included: numpy's per-call overhead outweighs a
@@ -25,12 +28,7 @@ so a step makes as few numpy calls as give the same bits:
     _vector copy any other layout), so no result depends on a caller's
     layout.  The product is chosen once per CrispQP (Qx), per projector
     (Ax, Gy) and per face (Kx), never per call.
-  - The held face: a projector keeps the record of the face its last call
-    ended on, product included (_Projector._face), so a settled call looks
-    nothing up.
-  - Certificate data on demand: G is [A; -I] row for row, and one helper
-    (_Projector._caller_units) takes a Farkas certificate or multipliers,
-    which no solve asks for, back to the caller's units.
+  - The held face and certificate data on demand (see _Projector).
 
 An indefinite Q runs 9 starts: the origin and the 8 rows of
 numpy.random.default_rng(seed).uniform(0, max(1, max|b|), (8, n)), drawn
@@ -38,18 +36,12 @@ by a pure-Python copy of that stream (_pcg64) with numpy's bits, so no
 solve imports numpy.random and the points are the same on every numpy
 version.
 
-solve_oracle independently enumerates active-set candidates (stationarity
-systems over every subset of at most n of the m + n constraints, less the
-subsets that pin one variable to two values no candidate can meet), which
-yields the global optimum for convex instances with n <= ORACLE_MAX_N and
-serves as the verification route for solve_pg.  The subsets are solved in
-blocks of a fixed byte size (ORACLE_BLOCK_BYTES), so memory does not grow
-with the number of subsets.  A block is one call of numpy's private
-_umath_linalg.solve1, the gufunc behind np.linalg.solve: one gesv per
-system both finds an exact zero pivot and solves, and a singular system
-comes back as NaN where np.linalg.solve would raise.  Its converged flag
-says whether the winner is a projected-gradient fixed point, which fails
-on instances unbounded below.
+solve_oracle independently enumerates active-set candidates, which yields
+the global optimum for convex instances with n <= ORACLE_MAX_N and serves
+as the verification route for solve_pg.  It solves blocks of KKT systems
+by numpy's private _umath_linalg.solve1, the gufunc behind np.linalg.solve:
+one gesv per system both finds an exact zero pivot and solves, and a
+singular system comes back as NaN where np.linalg.solve would raise.
 """
 from __future__ import annotations
 
@@ -57,7 +49,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import comb, isfinite
+from math import comb, frexp, isfinite
 from typing import Callable
 
 import numpy as np
@@ -77,13 +69,20 @@ _TIE = 1e-12
 _U = np.finfo(float).eps / 2  # the unit roundoff
 
 
+def _range_shift(top: int) -> int:
+    """The exponent j of both kernels' one power-of-two rescale (Curtis and
+    Reid 1972), given the frexp exponent top of the largest value: 0 while
+    top <= 1000, else the j that brings that value below 2^1000."""
+    return min(0, 1000 - top)
+
+
 class InfeasibleError(RuntimeError):
-    """The feasible polyhedron is empty.
+    """The feasible polyhedron is empty, or (certificate None) the
+    projection onto it lies beyond the float range.
 
     certificate, when known, is a Farkas vector mu >= 0 over the rows of
     [A; -I] (the m rows of A, then the n bounds -x <= 0) with
-    A'mu_A - mu_I = 0 and b'mu_A < 0, each row's entry taken in that row's
-    exact power-of-two scale and then shifted back to the caller's units.
+    A'mu_A - mu_I = 0 and b'mu_A < 0, in the caller's units.
     """
 
     def __init__(self, message: str, certificate: np.ndarray | None = None):
@@ -256,11 +255,12 @@ def project(x, A, b, opts: SolverOptions | None = None,
     projection's dual is solved by a finite active-set method (see
     _Projector), so the result satisfies the KKT conditions up to
     rounding.  An empty polyhedron raises InfeasibleError carrying a
-    Farkas certificate.  An x that is not a nonempty vector raises
-    ValueError, as do a misshapen A or b and a NaN or infinite entry in x,
-    A or b, in CrispQP's words.  opts is a deprecated no-op, accepted for
-    compatibility.  _warm is a _Projector built from the same A and b,
-    which carries the active set from one call to the next.
+    Farkas certificate; a projection that lies beyond the float range
+    raises it with certificate None.  An x that is not a nonempty vector
+    raises ValueError, as do a misshapen A or b and a NaN or infinite
+    entry in x, A or b, in CrispQP's words.  opts is a deprecated no-op,
+    accepted for compatibility.  _warm is a _Projector built from the
+    same A and b, which carries the active set from one call to the next.
     """
     if _warm is None:
         x = np.asarray(x, dtype=float).copy()
@@ -317,16 +317,20 @@ class _Projector:
     which contains reads.  With G = [A; -I] and h = [b; 0] row for row,
     that copy's rows scaled to unit norm (an all-zero row is the row
     0 <= b), the projection of x is y = x - G'mu, where mu >= 0
-    minimises (1/2)||x - G'mu||^2 + h'mu.
-    That dual is solved by the active-set method of Goldfarb and Idnani
+    minimises (1/2)||x - G'mu||^2 + h'mu.  Where an h overflows, b takes
+    one more shift 2^j (_range_shift), x is projected as 2^j x and the
+    result brought back by 2^-j, as the projection is positively
+    homogeneous; one that overflows there raises InfeasibleError with no
+    certificate.  So every h is finite, and one rule judges every row.
+    The dual is solved by the active-set method of Goldfarb and Idnani
     (1983) with identity Hessian: starting from a set P of independent rows
     with y tight on them and mu_P >= 0, the row p most violated beyond its
-    own tolerance tol[p] = 1e-12 (1 + |h_p|) is added; the step along the
-    part of p's normal orthogonal to the rows of P either makes p tight (p
-    joins P) or first drives some mu_j to zero (j leaves P).  If p's normal
-    lies in the span of P and no mu_j can shrink, the dual is unbounded:
-    mu = (1 on p, -r on P) is a Farkas certificate and InfeasibleError is
-    raised (e_i for a zero row with b_i < 0).
+    own tolerance, 1e-12 (1 + |h_p|) in the caller's units, is added; the
+    step along the part of p's normal orthogonal to the rows of P either
+    makes p tight (p joins P) or first drives some mu_j to zero (j leaves
+    P).  If p's normal lies in the span of P and no mu_j can shrink, the
+    dual is unbounded: mu = (1 on p, -r on P) is a Farkas certificate and
+    InfeasibleError is raised (e_i for a zero row with b_i < 0).
 
     For a fixed P the multipliers are affine in x, mu_P = K x - k, and
     y = x - G_P' mu_P.  _face is the one builder of a face and its record
@@ -334,19 +338,14 @@ class _Projector:
     by the kernel rule (problem._product; Ax and Gy likewise, in the
     constructor).  A set that holds a row of A is built by QR of G_P'; the
     empty set or bounds only come in closed form from _bound_face, whose
-    record (less P) all projectors share for n <= _BOUND_FACE_N.
-    Every call starts from the set the previous call ended on, less any
-    rows whose multipliers come out negative at the new x; once projected
-    gradient settles, a projection is one affine map plus a sign and a
-    feasibility check.
-
-    _faces holds each record built so far.  The projector holds the record
-    its last call ended on, so a settled call does no lookup.  Both ways
-    out of a call, settled or after rows are added, take their point from
-    the held face by _point.  The list checks (_diff_max_le and the rest)
-    read b and top = h + tol, listed once here.  Row i of G is row i of
-    [A; -I], so the Farkas certificate and the multipliers index G's rows
-    directly, and _caller_units is their one way back to the caller's units.
+    record (less P) all projectors share for n <= _BOUND_FACE_N.  Every
+    call starts from the face the previous call ended on, held with its
+    record so a settled call does no lookup, less any rows whose
+    multipliers come out negative at the new x: once projected gradient
+    settles, a projection is one affine map plus a sign and a feasibility
+    check.  Row i of G is row i of [A; -I], so the Farkas certificate and
+    the multipliers index G's rows directly, and _caller_units is their
+    one way back to the caller's units.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -361,11 +360,17 @@ class _Projector:
         self.G, self.h = np.empty((m + n, n)), np.zeros(m + n)
         np.divide(self.A, norms[:, None], out=self.G[:m])
         self.G[m:] = -np.eye(n)  # -0.0 off the diagonal
-        with np.errstate(over="ignore", invalid="ignore"):  # b or h beyond the float range is +-inf
-            b = np.ldexp(b, k)
-            np.divide(b, norms, out=self.h[:m])
-            self._top = self.h + 1e-12 * (1.0 + np.abs(self.h))  # row i is met while (Gy)_i <= top[i]
-            self._b, self._tops = b.tolist(), self._top.tolist()
+        self._j = 0  # b, h and each x are times 2^j, results 2^-j; 0 unless an h or top overflows
+        for _ in range(2):
+            with np.errstate(over="ignore", invalid="ignore"):  # b or h beyond the float range is +-inf
+                b_s = np.ldexp(b, k)
+                np.divide(b_s, norms, out=self.h[:m])
+                self._top = self.h + 1e-12 * (2.0 ** self._j + np.abs(self.h))  # row i is met while (Gy)_i <= top[i]
+                self._b, self._tops = b_s.tolist(), self._top.tolist()
+            if all(map(isfinite, self._tops)):
+                break  # else shift by max|h|'s exponent, read on b far down, where no h overflows
+            self._j = _range_shift(frexp(float(_max(np.abs(np.ldexp(b, k - 1100)) / norms)))[1] + 1100)
+            k = k + self._j
         self._Ax, self._Gy = _product(self.A), _product(self.G)
         self._held = None  # the empty face until a call ends on another
         self._faces: dict[tuple[int, ...], tuple] = {}  # P -> its record, by _face
@@ -375,6 +380,8 @@ class _Projector:
         two is exact, so this decides as the caller's rows do while every
         scaled entry, product and b stays in the normal range; a row whose
         shift pushes one below it agrees within the row's tolerance."""
+        if self._j:
+            x = np.ldexp(x, self._j)
         return _diff_max_le(self._Ax(x).tolist(), self._b, 0.0) and _min_ge(x.tolist(), 0.0)
 
     def _face(self, P: tuple[int, ...]) -> tuple:
@@ -408,6 +415,16 @@ class _Projector:
         return y
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The projection of x: that of 2^j x times 2^-j, raising on overflow."""
+        if not self._j:
+            return self._solve(x)
+        with np.errstate(over="ignore"):
+            y = np.ldexp(self._solve(np.ldexp(x, self._j)), -self._j)
+        if np.isfinite(y).all():
+            return y
+        raise InfeasibleError("the projection lies beyond the float range")
+
+    def _solve(self, x: np.ndarray) -> np.ndarray:
         held = self._held or self._face(())
         while True:
             _, k, Gt, pinned, Kx, P = held
@@ -431,8 +448,6 @@ class _Projector:
             p = int(np.argmax(s))
             if s[p] <= slack:
                 break
-            if self.h[p] == -np.inf and _min_ge(self.G[p].tolist(), 0.0):  # no y >= 0 meets row p
-                self._raise_infeasible((), None, p)
             P, mu, y = self._add(P, mu, y, p, float(Gy[p] - self.h[p]))
             Gy = self._Gy(y)
             s = Gy - self._top
@@ -472,18 +487,14 @@ class _Projector:
             mu = np.concatenate((mu[:drop], mu[drop + 1:]))
 
     def _raise_infeasible(self, P, r, p):
-        """Raise with the certificate (1 on p, -r on P).  r is None for a row
-        p alone whose h_p is -inf and a_p >= 0: its certificate is then
-        mu_A = e_p and mu_I = a_p, in the caller's units."""
-        if r is None:
-            r, mu = np.empty(0), np.zeros(len(self.h))
-            mu[p], mu[self.first_bound:] = 1.0, np.ldexp(self.A[p], -self._shift[p])
-        else:
-            mu = self._caller_units([*P, p], np.append(-r, 1.0))
+        """Raise with the certificate (1 on p, -r on P), a ray, so in the
+        caller's units without the shift, and b'mu_A shifted back by 2^-j."""
+        with np.errstate(over="ignore"):
+            b_mu = np.ldexp(float(self.h[p] - self.h[list(P)] @ r), -self._j)
         raise InfeasibleError(
             "the polyhedron is empty: Farkas certificate mu >= 0 over the rows "
-            f"of [A; -I] with A'mu_A - mu_I = 0 and b'mu_A = {float(self.h[p] - self.h[list(P)] @ r):.3e} < 0",
-            mu,
+            f"of [A; -I] with A'mu_A - mu_I = 0 and b'mu_A = {b_mu:.3e} < 0",
+            self._caller_units([*P, p], np.append(-r, 1.0)),
         )
 
     def multipliers(self, x: np.ndarray) -> np.ndarray:
@@ -493,7 +504,7 @@ class _Projector:
         With y the projection of x: x - y = A'mu_A - mu_I.
         """
         _, k, _, _, Kx, P = self._held or self._face(())
-        return self._caller_units(list(P), Kx(x) - k)
+        return np.ldexp(self._caller_units(list(P), Kx(np.ldexp(x, self._j)) - k), -self._j)
 
     def _caller_units(self, rows: list, lam: np.ndarray) -> np.ndarray:
         """Multipliers lam on the given rows of G (zero on the others) as
@@ -632,36 +643,39 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     KKT matrices, and each solved block alone is expanded into blocks of
     the next size (_next_level): a stack holds at most one expansion per
     size, about n blocks of subsets times (m + n), so memory does not grow
-    with C(m + n, n).  A block is one batched call of the gufunc behind
-    np.linalg.solve, which does not raise on a singular system: one gesv
-    per system finds a zero pivot and solves, and a singular system is
-    dropped.  Only the candidates of a block whose batched objective could
-    still win (_contenders) are kept, and the tie rule (_least) picks
-    among them, whatever the order of the blocks.
+    with C(m + n, n).  Only the candidates of a block whose batched
+    objective could still win (_contenders) are kept, and the tie rule
+    (_least) picks among them, whatever the order of the blocks.
 
     converged is True when the winner is a fixed point of the projected
     gradient map, stationarity <= 1e-8 * (1 + max|x|).  On an instance
     unbounded below the winner is only the best of finitely many
     candidates, not a stationary point, and converged is False.  An empty
     polyhedron raises InfeasibleError with the Farkas certificate that
-    project finds.  opts is a deprecated no-op, accepted for symmetry
-    with solve_pg.
+    project finds.  Where some |c_i| or |Q_ij| reaches 2^1000, the systems
+    are those of c and Q times one power of two (_range_shift), which
+    leaves the argmin, stationarity and converged as they are; z is
+    objective(q, x), in the caller's units.  opts is a deprecated no-op,
+    accepted for symmetry with solve_pg.
     """
     n, m = q.n, q.m
     if n > ORACLE_MAX_N:
         raise ValueError(f"enumeration oracle supports n <= {ORACLE_MAX_N}, got n = {n}")
 
+    j = _range_shift(frexp(float(_max(np.abs(q.Q), axis=None, initial=_max(np.abs(q.c)))))[1])
+    qs = CrispQP._trusted(*_read_only(np.ldexp(q.c, j), np.ldexp(q.Q, j)), q.A, q.b) if j else q
+
     # Constraint catalogue: row i < m is row i of A, row m + j is x_j >= 0.
     rows = np.vstack([q.A, np.eye(n)])
     bounds = np.concatenate([q.b, np.zeros(n)])
-    conflict = _conflict_pairs(q, rows, bounds)
+    conflict = _conflict_pairs(qs, rows, bounds)
     pool, z_ref = [], np.inf  # the contenders as (x, z), and their least z
     stack = [np.empty((1, 0), dtype=np.intp)]  # blocks of subsets, first the one subset of size 0
     while stack:
         S = stack.pop()
-        x = _kkt_candidates(q, rows[S], bounds[S])
-        for i in _contenders(q, x, z_ref):
-            z = objective(q, x[i])
+        x = _kkt_candidates(qs, rows[S], bounds[S])
+        for i in _contenders(qs, x, z_ref):
+            z = objective(qs, x[i])
             pool.append((x[i], z))
             z_ref = min(z_ref, z)  # a NaN z leaves it
         if S.shape[1] < n:  # this block alone, expanded into blocks of the next size
@@ -672,12 +686,12 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     if not pool:
         project(np.zeros(n), q.A, q.b)  # an empty polyhedron raises with a certificate here
         raise InfeasibleError("no feasible stationary or vertex candidate found")
-    best_x, best_z = _least(pool)
+    best_x = _least(pool)[0]
 
-    step, convex = _step_rule(q)
-    stationarity = _stationarity(q, best_x, step)
+    step, convex = _step_rule(qs)
+    stationarity = _stationarity(qs, best_x, step)
     return QpSolution(
-        x=best_x, z=best_z, iterations=sum(comb(m + n, k) for k in range(n + 1)),
+        x=best_x, z=objective(q, best_x), iterations=sum(comb(m + n, k) for k in range(n + 1)),
         converged=stationarity <= 1e-8 * (1.0 + float(np.max(np.abs(best_x)))),
         stationarity=stationarity, convex=convex,
     )

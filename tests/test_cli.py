@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,23 @@ class TestSolve:
         proc = run_cli("solve", "--input", str(bad), "--alphas", "0,1")
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+    def test_projection_beyond_the_float_range_is_one_error_line(self, tmp_path, capsys):
+        # the row -5e-324 x <= -1 needs x >= 2e323: the run said "the polyhedron
+        # is empty ... b'mu_A = -inf", after an overflow RuntimeWarning
+        doc = {"name": "tiny-row", "n": 1, "m": 1, "c": [[1.0, 1.0, 1.0]], "Q": [[[1.0, 1.0, 1.0]]],
+               "A": [[[-5e-324, -5e-324, -5e-324]]], "b": [[-1.0, -1.0, -1.0]]}
+        path = tmp_path / "tiny-row.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--input", str(path), "--alphas", "0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: lower endpoint QP infeasible at alpha=0: "
+            "the projection lies beyond the float range\n"
+        )
 
     def test_byte_identical_runs(self):
         args = ("solve", "--input", FIXTURE, "--alphas", "0:1:0.2", "--format", "csv")

@@ -188,6 +188,12 @@ _frac = st.floats(min_value=0.0, max_value=1.0)
     ((-1e308, 1e308, 1e308), 1e308, 1.0),  # inf / inf was NaN at the mode
     ((-1e308, 1e308, 1e308), 0.0, 0.5),  # 1e308 / inf was 0
     ((-1e308, -1e308, 1e308), 0.0, 0.5),
+    # an infinite end grades by the formula's limit; each was NaN
+    ((0.0, 1.0, np.inf), 2.0, 1.0),
+    ((-np.inf, 0.0, 1.0), -1.0, 1.0),
+    ((0.0, 1.0, np.inf), np.inf, 0.0),
+    ((0.0, np.inf, np.inf), np.inf, 1.0),
+    ((-np.inf, np.inf, np.inf), 0.0, 0.5),  # both infinite: the limit of (-M, M, M)
 ])
 def test_side_wider_than_the_float_range(triple, x, grade):
     assert TriangularFuzzyNumber(*triple).membership(x) == grade

@@ -2,6 +2,7 @@
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 from itertools import combinations
 from math import comb, fsum, hypot
 from random import Random
@@ -380,8 +381,9 @@ class TestExactProjection:
         A, b = np.array([row]), np.array([-1e300])
         with pytest.raises(InfeasibleError) as err:
             project(np.ones(len(row)), A, b)
-        assert err.value.certificate.tolist() == [1.0, *row]  # e_i, then a_i
-        _assert_farkas(A, b, err.value.certificate)
+        mu = err.value.certificate  # the ray e_i, then a_i, at any positive scale
+        np.testing.assert_allclose(mu / mu[0], [1.0, *row], rtol=1e-15)
+        _assert_farkas(A, b, mu / mu[0])  # at mu's own scale, 1e10, b'mu_A overflows
 
     def test_farkas_certificates_on_random_empty_polyhedra(self):
         # the last row is a negative combination of the others with a bound
@@ -616,6 +618,56 @@ class TestMixedScaleRows:
         norm = hypot(*row)
         assert min(y) >= -1e-12
         assert fsum(a * v for a, v in zip(row, y)) + 1.0 <= 1e-12 * (norm + 1.0) + norm * 1e-12
+
+
+class TestFloatRangeShift:
+    """Where an h or an oracle coefficient leaves the float range, both
+    kernels solve at one power of two 2^j and report in the caller's units;
+    a projection that overflows on the way back raises InfeasibleError with
+    no certificate.  Each case ran wrong before: a false certificate, an
+    overflow warning, or the wrong vertex."""
+
+    @staticmethod
+    def _meets_rows(A, b, y):
+        """y >= 0 and a_i.y <= b_i + 1e-12 (||a_i|| + |b_i|), in exact arithmetic."""
+        assert min(y.tolist()) >= 0.0
+        for row, bi in zip(A, b):
+            excess = sum(Fraction(a) * Fraction(v) for a, v in zip(row, y.tolist())) - Fraction(bi)
+            assert excess <= Fraction(1e-12) * (Fraction(hypot(*row)) + abs(Fraction(bi)))
+
+    @pytest.mark.parametrize("x, A, b, want", [
+        # h = -inf: raised a false certificate
+        ([1.0, 1.0], [[-0.5, -0.5]], [-1.3e308], [1.3e308, 1.3e308]),
+        # h = +inf: raised "b'mu_A = inf < 0"
+        ([1.7e308, 1.5e308], [[1e-10, 1e-10]], [3e298], [1.6e308, 1.4e308]),
+    ], ids=["h-minus-inf", "h-plus-inf"])
+    def test_projection_meets_a_row_whose_h_overflows(self, x, A, b, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = project(x, A, b)
+            assert project(y, A, b).tobytes() == y.tobytes()  # feasible as contains reads it
+        self._meets_rows(A, b, y)
+        np.testing.assert_allclose(y, want, rtol=1e-12)  # the half-space formula
+
+    @pytest.mark.parametrize("x, A, b", [
+        ([1.0, 1.0], [[1e-10, -1e-10]], [-1e300]),  # needs x2 - x1 >= 1e310
+        ([0.0], [[-5e-324]], [-1.0]),  # needs x >= 2e323; the certificate was [inf, 0]
+    ], ids=["difference", "subnormal-row"])
+    def test_projection_beyond_the_float_range(self, x, A, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleError, match="beyond the float range") as err:
+                project(x, A, b)
+        assert err.value.certificate is None
+
+    def test_oracle_vertex_whose_objective_overflows(self):
+        # the KKT system of the vertex (10, 0) overflowed, so the oracle
+        # returned x = (0, 0) and z = 0
+        q = CrispQP(c=[1e308, 1e308], Q=[[-1.5e308, 0.0], [0.0, 0.0]], A=[[1.0, 1.0]], b=[10.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = solve_oracle(q)
+            assert s.x[0] == 10.0 and s.z == -np.inf == objective(q, s.x)
 
 
 class TestSolvePg:
