@@ -10,11 +10,10 @@ The projector keeps each row scaled exactly by a power of two, not as given,
 and judges each by its own tolerance, so a big-M row loosens no other.
 Each face (active set) is built once, by one method, into one record;
 a face with no row of A is written down, not factored (_bound_face).
-Both kernels, the projection and the oracle, take one power-of-two rescale
-(_range_shift), exact while no value leaves the normal range, only where a
-value leaves the float range, so every other instance keeps its bytes.
-A step's exact comparisons (feasibility, multiplier signs, the slack
-test, the divergence and convergence tests) scan Python lists, deciding as
+Both kernels take one power-of-two rescale (_range_shift) only where
+a value leaves the float range, so every other instance keeps its bytes.
+A step's exact comparisons (feasibility, multiplier signs, the slack test,
+the divergence and convergence tests) scan Python lists, deciding as
 numpy's max/min would, NaN included: numpy's per-call overhead outweighs a
 scan on small vectors, and at m + n = 120 (perfbench's wide-interior) the
 scans cost about 2% of the wall time that numpy reductions would save.
@@ -72,13 +71,15 @@ _U = np.finfo(float).eps / 2  # the unit roundoff
 def _range_shift(top: int) -> int:
     """The exponent j of both kernels' one power-of-two rescale (Curtis and
     Reid 1972), given the frexp exponent top of the largest value: 0 while
-    top <= 1000, else the j that brings that value below 2^1000."""
-    return min(0, 1000 - top)
+    top <= 1000, else the j that brings it below 2^1000, but at least -64:
+    no value from 2^-958 up leaves the normal range, and one still at 2^1000
+    was 2^1064, beyond the norm of any float vector of n < 2^80."""
+    return max(-64, min(0, 1000 - top))
 
 
 class InfeasibleError(RuntimeError):
-    """The feasible polyhedron is empty, or (certificate None) the
-    projection onto it lies beyond the float range.
+    """The feasible polyhedron is empty, or (certificate None) no vector
+    of the float range is the projection onto it.
 
     certificate, when known, is a Farkas vector mu >= 0 over the rows of
     [A; -I] (the m rows of A, then the n bounds -x <= 0) with
@@ -321,7 +322,8 @@ class _Projector:
     one more shift 2^j (_range_shift), x is projected as 2^j x and the
     result brought back by 2^-j, as the projection is positively
     homogeneous; one that overflows there raises InfeasibleError with no
-    certificate.  So every h is finite, and one rule judges every row.
+    certificate, as does, at once, a row whose h is still -2^1000 or less.
+    Every other h a float point can reach is finite: one rule judges each.
     The dual is solved by the active-set method of Goldfarb and Idnani
     (1983) with identity Hessian: starting from a set P of independent rows
     with y tight on them and mu_P >= 0, the row p most violated beyond its
@@ -361,25 +363,26 @@ class _Projector:
         np.divide(self.A, norms[:, None], out=self.G[:m])
         self.G[m:] = -np.eye(n)  # -0.0 off the diagonal
         self._j = 0  # b, h and each x are times 2^j, results 2^-j; 0 unless an h or top overflows
-        for _ in range(2):
+        for shifted in (False, True):
             with np.errstate(over="ignore", invalid="ignore"):  # b or h beyond the float range is +-inf
                 b_s = np.ldexp(b, k)
                 np.divide(b_s, norms, out=self.h[:m])
                 self._top = self.h + 1e-12 * (2.0 ** self._j + np.abs(self.h))  # row i is met while (Gy)_i <= top[i]
                 self._b, self._tops = b_s.tolist(), self._top.tolist()
-            if all(map(isfinite, self._tops)):
+            if shifted or all(map(isfinite, self._tops)):
                 break  # else shift by max|h|'s exponent, read on b far down, where no h overflows
             self._j = _range_shift(frexp(float(_max(np.abs(np.ldexp(b, k - 1100)) / norms)))[1] + 1100)
             k = k + self._j
+        if self._j and self.h.min() <= -2.0 ** 1000:  # so j = -64, and no float y meets that row
+            raise InfeasibleError("the projection lies beyond the float range")
         self._Ax, self._Gy = _product(self.A), _product(self.G)
         self._held = None  # the empty face until a call ends on another
         self._faces: dict[tuple[int, ...], tuple] = {}  # P -> its record, by _face
 
     def contains(self, x: np.ndarray) -> bool:
-        """Ax <= b and x >= 0, on the scaled copy of the rows.  A power of
-        two is exact, so this decides as the caller's rows do while every
-        scaled entry, product and b stays in the normal range; a row whose
-        shift pushes one below it agrees within the row's tolerance."""
+        """Ax <= b and x >= 0 on the scaled rows and 2^j x, which decide as the
+        caller's rows do while every scaled entry, product and b is normal;
+        a row with one below the normal range agrees within its tolerance."""
         if self._j:
             x = np.ldexp(x, self._j)
         return _diff_max_le(self._Ax(x).tolist(), self._b, 0.0) and _min_ge(x.tolist(), 0.0)
@@ -487,14 +490,13 @@ class _Projector:
             mu = np.concatenate((mu[:drop], mu[drop + 1:]))
 
     def _raise_infeasible(self, P, r, p):
-        """Raise with the certificate (1 on p, -r on P), a ray, so in the
-        caller's units without the shift, and b'mu_A shifted back by 2^-j."""
+        """Raise with the ray (1 on p, -r on P) in caller's units times 2^j; the message unshifts b'mu_A."""
         with np.errstate(over="ignore"):
             b_mu = np.ldexp(float(self.h[p] - self.h[list(P)] @ r), -self._j)
         raise InfeasibleError(
             "the polyhedron is empty: Farkas certificate mu >= 0 over the rows "
             f"of [A; -I] with A'mu_A - mu_I = 0 and b'mu_A = {b_mu:.3e} < 0",
-            self._caller_units([*P, p], np.append(-r, 1.0)),
+            np.ldexp(self._caller_units([*P, p], np.append(-r, 1.0)), self._j),
         )
 
     def multipliers(self, x: np.ndarray) -> np.ndarray:
@@ -654,9 +656,9 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     polyhedron raises InfeasibleError with the Farkas certificate that
     project finds.  Where some |c_i| or |Q_ij| reaches 2^1000, the systems
     are those of c and Q times one power of two (_range_shift), which
-    leaves the argmin, stationarity and converged as they are; z is
-    objective(q, x), in the caller's units.  opts is a deprecated no-op,
-    accepted for symmetry with solve_pg.
+    leaves their solutions, stationarity and converged as they are; the
+    objectives and the tie rule stay in the caller's units.  opts is a
+    deprecated no-op, accepted for symmetry with solve_pg.
     """
     n, m = q.n, q.m
     if n > ORACLE_MAX_N:
@@ -674,8 +676,8 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     while stack:
         S = stack.pop()
         x = _kkt_candidates(qs, rows[S], bounds[S])
-        for i in _contenders(qs, x, z_ref):
-            z = objective(qs, x[i])
+        for i in _contenders(q, x, z_ref):
+            z = objective(q, x[i])
             pool.append((x[i], z))
             z_ref = min(z_ref, z)  # a NaN z leaves it
         if S.shape[1] < n:  # this block alone, expanded into blocks of the next size
@@ -686,12 +688,12 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     if not pool:
         project(np.zeros(n), q.A, q.b)  # an empty polyhedron raises with a certificate here
         raise InfeasibleError("no feasible stationary or vertex candidate found")
-    best_x = _least(pool)[0]
+    best_x, best_z = _least(pool)
 
     step, convex = _step_rule(qs)
     stationarity = _stationarity(qs, best_x, step)
     return QpSolution(
-        x=best_x, z=objective(q, best_x), iterations=sum(comb(m + n, k) for k in range(n + 1)),
+        x=best_x, z=best_z, iterations=sum(comb(m + n, k) for k in range(n + 1)),
         converged=stationarity <= 1e-8 * (1.0 + float(np.max(np.abs(best_x)))),
         stationarity=stationarity, convex=convex,
     )

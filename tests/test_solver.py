@@ -383,7 +383,7 @@ class TestExactProjection:
             project(np.ones(len(row)), A, b)
         mu = err.value.certificate  # the ray e_i, then a_i, at any positive scale
         np.testing.assert_allclose(mu / mu[0], [1.0, *row], rtol=1e-15)
-        _assert_farkas(A, b, mu / mu[0])  # at mu's own scale, 1e10, b'mu_A overflows
+        _assert_farkas(A, b, mu)
 
     def test_farkas_certificates_on_random_empty_polyhedra(self):
         # the last row is a negative combination of the others with a bound
@@ -649,6 +649,28 @@ class TestFloatRangeShift:
         self._meets_rows(A, b, y)
         np.testing.assert_allclose(y, want, rtol=1e-12)  # the half-space formula
 
+    @pytest.mark.parametrize("x, b, want", [
+        ([1.0, 1.0], [1e308, 0.5], [1.0, 0.5]),
+        ([1.0, 1.0], [1e308, 0.0], [1.0, 0.0]),
+        ([0.0, 0.0], [1e308, -1.0], None),
+        ([1.0, 1.0], [-1e308, 0.5], None),  # row 0 needs y1 <= -2e631: no float vector, no certificate
+    ], ids=["b-half", "b-zero", "empty", "beyond"])
+    def test_rows_whose_h_lie_2_to_the_2000_apart(self, x, b, want):
+        # h_0 = 2^2098 and h_1 = 1: a shift that brings h_0 into range took
+        # x and b_1 below the smallest subnormal, so (1, 1) was "feasible"
+        A = [[5e-324, 0.0], [0.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if want is not None:
+                assert project(x, A, b).tolist() == want
+                return
+            with pytest.raises(InfeasibleError) as err:
+                project(x, A, b)
+        if b[0] > 0:
+            _assert_farkas(np.array(A), np.array(b), err.value.certificate)
+        else:
+            assert err.value.certificate is None and "float range" in str(err.value)
+
     @pytest.mark.parametrize("x, A, b", [
         ([1.0, 1.0], [[1e-10, -1e-10]], [-1e300]),  # needs x2 - x1 >= 1e310
         ([0.0], [[-5e-324]], [-1.0]),  # needs x >= 2e323; the certificate was [inf, 0]
@@ -668,6 +690,14 @@ class TestFloatRangeShift:
             warnings.simplefilter("error")
             s = solve_oracle(q)
             assert s.x[0] == 10.0 and s.z == -np.inf == objective(q, s.x)
+
+    def test_oracle_ties_in_the_callers_units(self):
+        # the vertex (2, 0) beats the origin by 1e-9; with c2 = 1e308 the
+        # systems run at 2^-24, and a tie taken there, within 1e-12 2^24,
+        # took the lexicographically smaller origin
+        q = CrispQP(c=[2.0 - 5e-10, 1e308], Q=[[-2.0, 0.0], [0.0, 0.0]], A=np.eye(2), b=[2.0, 1.0])
+        s = solve_oracle(q)
+        assert s.x.tolist() == [2.0, 0.0] and s.z == objective(q, s.x) < -9e-10
 
 
 class TestSolvePg:
