@@ -17,11 +17,10 @@ from .problem import (
     serialize_problem,
     validate,
 )
+from .projector import InfeasibleError, UnboundedError
 from .solver import (
-    InfeasibleError,
     QpSolution,
     SolverOptions,
-    UnboundedError,
     gradient,
     lipschitz_constant,
     objective,

@@ -14,7 +14,8 @@ from pathlib import Path
 
 from .fuzzy import check_alpha
 from .problem import FuzzyQP, ProblemError, ValidationError, parse_problem
-from .solver import InfeasibleError, SolverOptions, UnboundedError
+from .projector import InfeasibleError, UnboundedError
+from .solver import SolverOptions
 from .sweep import CurveShapeError, MembershipCurve, check_invertible, solve_fqp
 
 _MAX_LEVELS = 100_001  # the most levels a start:stop:step range may make (as 0:1:1e-5 does)

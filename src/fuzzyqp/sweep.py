@@ -17,7 +17,8 @@ import numpy as np
 from .cuts import lower_qp, upper_qp
 from .fuzzy import check_alpha
 from .problem import CrispQP, FuzzyQP
-from .solver import InfeasibleError, QpSolution, SolverOptions, UnboundedError, solve_pg
+from .projector import InfeasibleError, UnboundedError
+from .solver import QpSolution, SolverOptions, solve_pg
 
 COINCIDENCE_TOL = 1e-6
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from helpers import _ReferenceProjector, pg_reference, random_convex_qp
 from fuzzyqp import CrispQP, SolverOptions, gradient, objective, project, solve_pg
 from fuzzyqp.problem import _product
-from fuzzyqp.solver import _Projector
+from fuzzyqp.projector import _Projector
 
 pytestmark = pytest.mark.numpy_contract
 

@@ -1,0 +1,53 @@
+"""One job per solver module, read from its imports: the projector
+(fuzzyqp.projector), projected gradient (fuzzyqp.solver) and the
+enumeration oracle (fuzzyqp.oracle), which checks projected gradient and
+so reaches the projector only through solver's project."""
+import ast
+
+import pytest
+
+from helpers import REPO_ROOT
+
+PACKAGE = REPO_ROOT / "src" / "fuzzyqp"
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _package_imports(tree: ast.Module) -> list[ast.ImportFrom]:
+    """Every import of a fuzzyqp module, at any depth; each is relative."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("fuzzyqp") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            assert not node.module.startswith("fuzzyqp")
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+
+
+def test_projector_imports_only_problem():
+    assert {node.module for node in _package_imports(_tree("projector"))} == {"problem"}
+
+
+def test_oracle_never_names_the_projector_class():
+    names = [getattr(node, attr, None) for node in ast.walk(_tree("oracle"))
+             for attr in ("id", "attr", "name", "asname")]
+    assert "_Projector" not in names
+
+
+def test_solver_imports_the_oracle_once_last():
+    tree = _tree("solver")
+    from_oracle = [node for node in _package_imports(tree) if node.module == "oracle"]
+    assert from_oracle == [tree.body[-1]]
+    assert [a.name for a in tree.body[-1].names] == ["solve_oracle"]
+
+
+@pytest.mark.parametrize("module", ["projector", "solver", "oracle"])
+def test_every_imported_name_is_used(module):
+    tree = _tree(module)
+    imported = {a.asname or a.name.split(".")[0] for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", "") != "__future__" for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(imported - used)
+    assert unused == (["solve_oracle"] if module == "solver" else [])

@@ -42,21 +42,16 @@ from fuzzyqp import (
     solve_pg,
     upper_qp,
 )
+import fuzzyqp.oracle as oracle_module
 import fuzzyqp.solver as solver_module
 from fuzzyqp.cli import parse_alpha_spec
+from fuzzyqp.oracle import ORACLE_MAX_N, _conflict_pairs, _next_level
+from fuzzyqp.projector import _BOUND_FACE_N, _Projector, _bound_face, _diff_max_le, _min_ge
 from fuzzyqp.solver import (
-    ORACLE_MAX_N,
-    _BOUND_FACE_N,
     _TIE,
-    _Projector,
     _abs_max_gt,
-    _bound_face,
-    _conflict_pairs,
-    _diff_max_le,
     _dist_le,
     _least,
-    _min_ge,
-    _next_level,
     _stationarity,
     _step_rule,
     is_convex,
@@ -171,6 +166,27 @@ class TestLipschitz:
             else:
                 assert step == 1.0 / max(float(np.linalg.norm(q.c)), 1.0)
             assert convex is is_convex(Q)
+
+    @pytest.mark.parametrize("c, want", [
+        ([-1e160, 0.0], 1e-160),
+        ([1e308, -1e308], 1e-308 / 2 ** 0.5),  # ||c|| is a float, c'c is not
+        ([1.5e308, 1.5e308], 1 / 1.5e308 / 2 ** 0.5),  # ||c|| is beyond the float range
+    ], ids=["square-overflows", "sum-overflows", "norm-overflows"])
+    def test_lp_step_where_the_norm_of_c_overflows(self, c, want):
+        # np.linalg.norm(c) overflowed, with a RuntimeWarning, and the step was 0
+        q = CrispQP(c=c, Q=np.zeros((2, 2)), A=[[1.0, 1.0]], b=[1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _step_rule(q)[0] == pytest.approx(want, rel=1e-12)
+
+    def test_lp_whose_norm_of_c_overflows_leaves_the_origin(self):
+        # with step 0 solve_pg returned x = (0, 0), z = 0, converged and stationary
+        q = CrispQP(c=[-1e160, 0.0], Q=np.zeros((2, 2)), A=[[1.0, 1.0]], b=[1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = solve_pg(q)
+        np.testing.assert_allclose(s.x, [1.0, 0.0], rtol=1e-12, atol=0.0)
+        assert s.z == pytest.approx(-1e160, rel=1e-12) and s.converged
 
     def test_large_matrix_matches_svd(self):
         # An independent route to the spectral norm: the largest singular value.
@@ -700,6 +716,17 @@ class TestFloatRangeShift:
         assert s.x.tolist() == [2.0, 0.0] and s.z == objective(q, s.x) < -9e-10
 
 
+    def test_oracle_vertex_whose_multiplier_overflows(self):
+        # c and Q are in range, but the vertex x = 10 has the multiplier 1e310:
+        # its system gave inf and the oracle returned x = 0, z = 0
+        q = CrispQP(c=[-1e300], Q=[[0.0]], A=[[1e-10]], b=[1e-9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in solve_oracle, solve_pg:
+                s = solve(q)
+                assert s.x.tolist() == [10.0] and s.z == -1e301 and s.converged
+
+
 class TestSolvePg:
     def test_lower_qp_at_zero_multistart(self, example_problem):
         s = solve_pg(lower_qp(example_problem, 0.0))
@@ -1167,6 +1194,23 @@ class TestTracedNames:
         assert calls["gradient"] == sum(runs) + 1
         assert calls["project"] == sum(runs) + len(runs) + 1
 
+    def test_oracle_stationarity_calls_the_solver_names(self, monkeypatch):
+        # oracle-check's traced project and gradient calls include these
+        calls = {"project": 0, "gradient": 0}
+
+        def counting(name):
+            original = getattr(solver_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(solver_module, name, wrapper)
+
+        counting("project")
+        counting("gradient")
+        solve_oracle(modal_qp())
+        assert calls["project"] >= 1 and calls["gradient"] >= 1
+
 
 def _assert_farkas(A, b, mu):
     """mu >= 0 over the rows of [A; -I] with A'mu_A - mu_I = 0 and b'mu_A < 0."""
@@ -1209,13 +1253,13 @@ def _catalogue(q):
 def _count_systems(monkeypatch):
     """Patch the oracle's batched solve to count the systems it is given."""
     count = [0]
-    solve1 = solver_module._solve1
+    solve1 = oracle_module._solve1
 
     def counting(kkt, rhs, **kwargs):
         count[0] += len(kkt)
         return solve1(kkt, rhs, **kwargs)
 
-    monkeypatch.setattr(solver_module, "_solve1", counting)
+    monkeypatch.setattr(oracle_module, "_solve1", counting)
     return count
 
 
@@ -1243,13 +1287,13 @@ def _oracle_bytes(q, block_bytes):
     """solve_oracle's outcome with ORACLE_BLOCK_BYTES = block_bytes, as bytes:
     x, z, iterations, converged, stationarity and convex, or the Farkas
     certificate of an empty polyhedron."""
-    saved, solver_module.ORACLE_BLOCK_BYTES = solver_module.ORACLE_BLOCK_BYTES, block_bytes
+    saved, oracle_module.ORACLE_BLOCK_BYTES = oracle_module.ORACLE_BLOCK_BYTES, block_bytes
     try:
         s = solve_oracle(q)
     except InfeasibleError as err:
         return err.certificate.tobytes()
     finally:
-        solver_module.ORACLE_BLOCK_BYTES = saved
+        oracle_module.ORACLE_BLOCK_BYTES = saved
     return s.x.tobytes(), np.array([s.z, s.stationarity]).tobytes(), s.iterations, s.converged, s.convex
 
 
@@ -1519,7 +1563,7 @@ class TestOracle:
         rhs = np.array([[1.0, -2.0, 0.5], [1.0, 1.0, 1.0], [0.3, 0.0, -4.0]])
         stack_before, rhs_before = stack.copy(), rhs.copy()
         with np.errstate(invalid="ignore", divide="ignore", over="ignore", under="ignore"):
-            sol = solver_module._solve1(stack, rhs, signature="dd->d")
+            sol = oracle_module._solve1(stack, rhs, signature="dd->d")
         assert stack.tobytes() == stack_before.tobytes()
         assert rhs.tobytes() == rhs_before.tobytes()
         for i in (0, 2):
@@ -1563,11 +1607,11 @@ class TestOracle:
         for n in (5, 6, 7):
             for convex in (True, False):
                 q = _box_instance(rng, n, convex)
-                assert _oracle_bytes(q, 1) == _oracle_bytes(q, solver_module.ORACLE_BLOCK_BYTES)
+                assert _oracle_bytes(q, 1) == _oracle_bytes(q, oracle_module.ORACLE_BLOCK_BYTES)
         # The optimum x = 0 is pinned by the row -x/8 <= 0, whose solve gives
         # -0.0, and by the bound, whose solve gives +0.0: both come out as +0.0.
         q = CrispQP(c=[0.125], Q=[[0.1]], A=[[-0.125]], b=[0.0])
-        assert _oracle_bytes(q, 1) == _oracle_bytes(q, solver_module.ORACLE_BLOCK_BYTES)
+        assert _oracle_bytes(q, 1) == _oracle_bytes(q, oracle_module.ORACLE_BLOCK_BYTES)
         assert _oracle_bytes(q, 1)[0] == np.array([0.0]).tobytes()
 
     @pytest.mark.numpy_contract
@@ -1577,7 +1621,7 @@ class TestOracle:
         # Degenerate vertices come out of several subsets with x equal but
         # for the sign of a zero.  Each zero comes out as +0.0, so those x
         # are equal as bytes, whichever block solved them.
-        assert _oracle_bytes(q, 1) == _oracle_bytes(q, solver_module.ORACLE_BLOCK_BYTES)
+        assert _oracle_bytes(q, 1) == _oracle_bytes(q, oracle_module.ORACLE_BLOCK_BYTES)
 
     @given(_degenerate_qps())
     @example(CrispQP(c=[0.125], Q=[[0.1]], A=[[-0.125]], b=[0.0]))  # a solve gives x = -0.0

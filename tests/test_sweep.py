@@ -243,7 +243,7 @@ class TestSetUpPaidOnce:
     face once per process; the per-level work is the clamps and the solve."""
 
     def test_fixture_sweep_call_counts(self, fixture_text, monkeypatch):
-        import fuzzyqp.solver as solver_module
+        import fuzzyqp.projector as projector_module
         from fuzzyqp import parse_problem
         from fuzzyqp.cli import parse_alpha_spec
 
@@ -258,7 +258,7 @@ class TestSetUpPaidOnce:
         monkeypatch.setattr(np.linalg, "qr", counting("qr", np.linalg.qr))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(CrispQP, "__post_init__", counting("post_init", CrispQP.__post_init__))
-        solver_module._bound_face.cache_clear()
+        projector_module._bound_face.cache_clear()
         p = parse_problem(fixture_text)
         curve = solve_fqp(p, parse_alpha_spec("0:1:0.01"))
         assert len(curve.records) == 101
@@ -281,7 +281,7 @@ class TestSetUpPaidOnce:
         import sys
         import threading
 
-        import fuzzyqp.solver as solver_module
+        import fuzzyqp.projector as projector_module
         from fuzzyqp import parse_problem
 
         grid = [k / 20 for k in range(21)]
@@ -289,7 +289,7 @@ class TestSetUpPaidOnce:
                               r.lower_diag.iterations, r.upper_diag.iterations)
                              for r in curve.records]
         want = key(solve_fqp(parse_problem(fixture_text), grid))
-        solver_module._bound_face.cache_clear()
+        projector_module._bound_face.cache_clear()
         shared = parse_problem(fixture_text)
         results = []
         threads = [threading.Thread(target=lambda: results.append(key(solve_fqp(shared, grid))))
