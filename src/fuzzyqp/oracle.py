@@ -62,18 +62,22 @@ def solve_oracle(q: CrispQP, opts: SolverOptions | None = None) -> QpSolution:
     polyhedron raises InfeasibleError with the Farkas certificate that
     project finds.  Where the size of the KKT solutions, about
     max(|c_i|, |Q_ij|) / min(1, least nonzero |a_ij|), reaches 2^1000, the
-    systems are those of c and Q times one power of two (_range_shift),
-    which leaves their solutions, stationarity and converged as they are;
-    the objectives and the tie rule stay in the caller's units.  opts is a
-    deprecated no-op, accepted for symmetry with solve_pg.
+    systems are those of c and Q times one power of two 2^j (_range_shift),
+    never taking max(|c_i|, |Q_ij|) below 1.  That leaves their x as it is,
+    and the step as 2^-j times the caller's (max(||c||, 1) is ||c|| on both
+    sides), so stationarity and converged too; the residual filter and the
+    conflict pairs judge the shifted system, and the objectives and the tie
+    rule stay in the caller's units.  opts is a deprecated no-op, accepted
+    for symmetry with solve_pg.
     """
     n, m = q.n, q.m
     if n > ORACLE_MAX_N:
         raise ValueError(f"enumeration oracle supports n <= {ORACLE_MAX_N}, got n = {n}")
 
     cq = float(_max(np.abs(q.Q), axis=None, initial=_max(np.abs(q.c))))
-    a = float(np.minimum.reduce(np.abs(q.A), axis=None, where=q.A != 0, initial=1.0))
-    j = _range_shift(frexp(cq)[1] - frexp(a)[1]) if cq else 0
+    a = float(np.minimum.reduce(np.abs(q.A), axis=None, where=q.A != 0, initial=0.5))
+    e = frexp(cq)[1]  # max(|c|, |Q|) < 2^e; the shift keeps it at 1 or more
+    j = max(_range_shift(e - frexp(a)[1]), min(0, 1 - e))
     qs = CrispQP._trusted(*_read_only(np.ldexp(q.c, j), np.ldexp(q.Q, j)), q.A, q.b) if j else q
 
     # Constraint catalogue: row i < m is row i of A, row m + j is x_j >= 0.

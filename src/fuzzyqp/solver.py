@@ -177,17 +177,14 @@ def _spectrum(Q) -> tuple[float, bool]:
 
 
 def _step_rule(q: CrispQP) -> tuple[float, bool]:
-    """(step, convex): step 1/K, or 1/max(||c||, 1) when K = 0 (Q = 0, an LP);
-    where ||c|| overflows, 2^-e / ||c 2^-e||, an exact shift of the same."""
+    """(step, convex): step 1/K, or 1/max(||c||, 1) when K = 0 (Q = 0, an LP),
+    taken as 2^-e / max(||c 2^-e||, 2^-e) with 2^e from max|c|: an exact
+    shift of the same, so ||c|| cannot overflow."""
     K, convex = _spectrum(q.Q)
     if K:
         return 1.0 / K, convex
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(q.c))
-    if isfinite(norm):
-        return 1.0 / max(norm, 1.0), convex
     e = frexp(float(_max(np.abs(q.c))))[1]
-    return ldexp(1.0 / float(np.linalg.norm(np.ldexp(q.c, -e))), -e), convex
+    return ldexp(1.0 / max(float(np.linalg.norm(np.ldexp(q.c, -e))), ldexp(1.0, -e)), -e), convex
 
 
 def _stationarity(q: CrispQP, x: np.ndarray, step: float,

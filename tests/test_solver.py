@@ -179,6 +179,12 @@ class TestLipschitz:
             warnings.simplefilter("error")
             assert _step_rule(q)[0] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("c", [[1e-200, 0.0], [0.3] * 16, [3.0, 1e-300], [2.0 ** 500, -7.0]],
+                             ids=["tiny", "norm-above-max", "tiny-entry", "large"])
+    def test_lp_step_keeps_the_bytes_of_a_finite_norm(self, c):
+        q = CrispQP(c=c, Q=np.zeros((len(c), len(c))), A=np.ones((1, len(c))), b=[1.0])
+        assert _step_rule(q)[0] == 1.0 / max(float(np.linalg.norm(q.c)), 1.0)
+
     def test_lp_whose_norm_of_c_overflows_leaves_the_origin(self):
         # with step 0 solve_pg returned x = (0, 0), z = 0, converged and stationary
         q = CrispQP(c=[-1e160, 0.0], Q=np.zeros((2, 2)), A=[[1.0, 1.0]], b=[1.0])
@@ -715,6 +721,11 @@ class TestFloatRangeShift:
         s = solve_oracle(q)
         assert s.x.tolist() == [2.0, 0.0] and s.z == objective(q, s.x) < -9e-10
 
+    def test_oracle_shift_keeps_c_and_q_at_1_or_more(self):
+        # unbounded below; the subnormal row asked for a shift to 2^-64, where
+        # the LP step clamp made the origin stationary and converged
+        s = solve_oracle(CrispQP(c=[-1.0], Q=[[0.0]], A=[[-5e-324]], b=[1.0]))
+        assert s.x.tolist() == [0.0] and s.stationarity == 1.0 and not s.converged
 
     def test_oracle_vertex_whose_multiplier_overflows(self):
         # c and Q are in range, but the vertex x = 10 has the multiplier 1e310:
