@@ -42,7 +42,7 @@ def parse_alpha_spec(spec: str) -> list[float]:
             levels = int(count) + 1 if count < math.inf else count
             if levels > _MAX_LEVELS:  # before the list is built
                 raise ValueError(f"the range makes {levels} levels, more than {_MAX_LEVELS}")
-            values = [round(start + k * step, 12) for k in range(levels)]
+            values = [min(round(start + k * step, 12), stop) for k in range(levels)]
         else:
             values = [float(tok) for tok in spec.split(",") if tok.strip()]
             if not values:

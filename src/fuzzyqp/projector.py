@@ -77,9 +77,9 @@ class _Projector:
     """Projection onto {y: Ay <= b, y >= 0} for one (A, b), warm across calls.
 
     The one copy of the rows is A and b with row i times 2^k[i], exact,
-    which contains reads.  With G = [A; -I] and h = [b; 0] row for row,
-    that copy's rows scaled to unit norm (an all-zero row is the row
-    0 <= b), the projection of x is y = x - G'mu, where mu >= 0
+    which a call's feasibility test reads.  With G = [A; -I] and h = [b; 0]
+    row for row, that copy's rows scaled to unit norm (an all-zero row is
+    the row 0 <= b), the projection of x is y = x - G'mu, where mu >= 0
     minimises (1/2)||x - G'mu||^2 + h'mu.  Where an h overflows, b takes
     one more shift 2^j (_range_shift), x is projected as 2^j x and the
     result brought back by 2^-j, as the projection is positively
@@ -102,8 +102,9 @@ class _Projector:
     by the kernel rule (problem._product; Ax and Gy likewise, in the
     constructor).  A set that holds a row of A is built by QR of G_P'; the
     empty set or bounds only come in closed form from _bound_face, whose
-    record (less P) all projectors share for n <= _BOUND_FACE_N.  Every
-    call starts from the face the previous call ended on, held with its
+    record (less P) all projectors share for n <= _BOUND_FACE_N.  A call
+    whose x is inside returns it and keeps the held face; any other starts
+    from the face the last solving call ended on, held with its
     record so a settled call does no lookup, less any rows whose
     multipliers come out negative at the new x: once projected gradient
     settles, a projection is one affine map plus a sign and a feasibility
@@ -138,16 +139,8 @@ class _Projector:
         if self._j and self.h.min() <= -2.0 ** 1000:  # so j = -64, and no float y meets that row
             raise InfeasibleError("the projection lies beyond the float range")
         self._Ax, self._Gy = _product(self.A), _product(self.G)
-        self._held = None  # the empty face until a call ends on another
+        self._held = self._ended = None  # the empty face until a call ends on another
         self._faces: dict[tuple[int, ...], tuple] = {}  # P -> its record, by _face
-
-    def contains(self, x: np.ndarray) -> bool:
-        """Ax <= b and x >= 0 on the scaled rows and 2^j x, which decide as the
-        caller's rows do while every scaled entry, product and b is normal;
-        a row with one below the normal range agrees within its tolerance."""
-        if self._j:
-            x = np.ldexp(x, self._j)
-        return _diff_max_le(self._Ax(x).tolist(), self._b, 0.0) and _min_ge(x.tolist(), 0.0)
 
     def _face(self, P: tuple[int, ...]) -> tuple:
         """The face of the active set P, built once: (K, k, G_P', pinned, Kx, P)
@@ -180,11 +173,18 @@ class _Projector:
         return y
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """The projection of x: that of 2^j x times 2^-j, raising on overflow."""
+        """The projection of x: x itself, face held, where 2^j x meets every
+        scaled row and bound exactly (as the caller's rows decide while every
+        scaled entry, product and b is normal; a row with one below that range
+        agrees within its tolerance), else that of 2^j x times 2^-j."""
+        xs = np.ldexp(x, self._j) if self._j else x
+        if _diff_max_le(self._Ax(xs).tolist(), self._b, 0.0) and _min_ge(xs.tolist(), 0.0):
+            self._ended = None  # on no active row: multipliers are zero
+            return x
         if not self._j:
             return self._solve(x)
         with np.errstate(over="ignore"):
-            y = np.ldexp(self._solve(np.ldexp(x, self._j)), -self._j)
+            y = np.ldexp(self._solve(xs), -self._j)
         if np.isfinite(y).all():
             return y
         raise InfeasibleError("the projection lies beyond the float range")
@@ -200,7 +200,7 @@ class _Projector:
         y = self._point(x, mu, Gt, pinned)
         Gy = self._Gy(y)
         if _diff_max_le(Gy.tolist(), self._tops, 0.0):
-            self._held = held
+            self._held = self._ended = held
             return y
         slack = 1e-12 * float(np.abs(x).max())
         if not isfinite(slack):  # an inf or NaN in x, as when a gradient overflows
@@ -218,7 +218,7 @@ class _Projector:
             s = Gy - self._top
         else:
             raise RuntimeError("active-set projection is cycling")
-        _, k, Gt, pinned, Kx, _ = self._held = self._face(P)
+        _, k, Gt, pinned, Kx, _ = self._held = self._ended = self._face(P)
         return self._point(x, Kx(x) - k, Gt, pinned)
 
     def _add(self, P, mu, y, p, violation):
@@ -263,11 +263,12 @@ class _Projector:
 
     def multipliers(self, x: np.ndarray) -> np.ndarray:
         """KKT multipliers over the rows of [A; -I] for the set the last call
-        ended on, in the caller's units (_caller_units).
+        ended on (none where its x was inside), in the caller's units
+        (_caller_units).
 
         With y the projection of x: x - y = A'mu_A - mu_I.
         """
-        _, k, _, _, Kx, P = self._held or self._face(())
+        _, k, _, _, Kx, P = self._ended or self._face(())
         return np.ldexp(self._caller_units(list(P), Kx(np.ldexp(x, self._j)) - k), -self._j)
 
     def _caller_units(self, rows: list, lam: np.ndarray) -> np.ndarray:

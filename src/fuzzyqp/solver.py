@@ -14,8 +14,9 @@ so a step makes as few numpy calls as give the same bits:
     _vector copy any other layout), so no result depends on a caller's
     layout.  The product is chosen once per CrispQP (Qx), per projector
     (Ax, Gy) and per face (Kx), never per call.
-  - Exact comparisons scan Python lists, and the projector builds a face
-    only on demand (see fuzzyqp.projector).
+  - Exact comparisons scan Python lists: an iterate takes one projector
+    call, whose feasibility test returns a point already inside, and one
+    _scan for divergence and convergence; faces are built on demand.
 
 An indefinite Q runs 9 starts: the origin and the 8 rows of
 numpy.random.default_rng(seed).uniform(0, max(1, max|b|), (8, n)), drawn
@@ -196,7 +197,8 @@ def _stationarity(q: CrispQP, x: np.ndarray, step: float,
 
 def project(x, A, b, opts: SolverOptions | None = None,
             _warm: _Projector | None = None) -> np.ndarray:
-    """Exact Euclidean projection of x onto {y: Ay <= b, y >= 0}.
+    """Exact Euclidean projection of x onto {y: Ay <= b, y >= 0}: the
+    boundary checks, then one call of a _Projector, the whole projection.
 
     Already-feasible points are returned unchanged.  Otherwise the
     projection's dual is solved by a finite active-set method (see
@@ -216,26 +218,22 @@ def project(x, A, b, opts: SolverOptions | None = None,
         A, b = _rows(A, b, x.shape[0])
         check_finite(x=x, A=A, b=b)
         _warm = _Projector(A, b)
-    return x if _warm.contains(x) else _warm(x)
+    return _warm(x)
 
 
-# solve_pg's divergence and convergence tests, on Python lists, decide as the
-# projector's scans do (fuzzyqp.projector).
-
-def _abs_max_gt(v: list, t: float) -> bool:
-    """max|v| > t."""
-    for e in v:
-        if not abs(e) <= t:  # beyond t, or NaN
-            return all(e == e for e in v)  # numpy's max is NaN if any entry is
-    return False
-
-
-def _dist_le(u: list, v: list, t: float) -> bool:
-    """max|u - v| <= t."""
+def _scan(u: list, v: list, limit: float, tol: float) -> tuple[bool, bool]:
+    """(max|u| > limit, max|u - v| <= tol): solve_pg's divergence and
+    convergence tests in one pass, each deciding as numpy's reduction does,
+    as the projector's scans do (fuzzyqp.projector)."""
+    beyond, near = False, True
     for a, b in zip(u, v):
-        if not abs(a - b) <= t:
-            return False
-    return True
+        if not abs(a) <= limit:  # beyond the limit, or NaN
+            if a != a:
+                return False, False  # numpy's max|u| and max|u - v| are NaN
+            beyond = True
+        if near and not abs(a - b) <= tol:
+            near = False
+    return beyond, near
 
 
 def _default_starts(q: CrispQP, opts: SolverOptions) -> list[np.ndarray]:
@@ -256,12 +254,13 @@ def _pg_run(q, x0, step, opts, callback, warm):
         if callback is not None:
             callback(x_new)
         v_new = x_new.tolist()
-        if _abs_max_gt(v_new, UNBOUNDED_LIMIT):
+        beyond, near = _scan(v_new, v, UNBOUNDED_LIMIT, tol)
+        if beyond:
             raise UnboundedError(
                 f"iterate magnitude exceeded {UNBOUNDED_LIMIT:.0e}; "
                 "instance appears unbounded below"
             )
-        if _dist_le(v_new, v, tol):
+        if near:
             return x_new, k + 1, True
         x, v = x_new, v_new
     return x, opts.max_iter, False

@@ -118,11 +118,11 @@ def _solve_endpoint(q: CrispQP, opts: SolverOptions, endpoint: str, alpha: float
         return solve_pg(q, opts)
     except InfeasibleError as e:
         raise InfeasibleError(
-            f"{endpoint} endpoint QP infeasible at alpha={alpha:g}: {e}",
+            f"{endpoint} endpoint QP infeasible at alpha={alpha:.10g}: {e}",
             e.certificate,
         ) from e
     except UnboundedError as e:
-        raise UnboundedError(f"{endpoint} endpoint QP unbounded at alpha={alpha:g}: {e}") from e
+        raise UnboundedError(f"{endpoint} endpoint QP unbounded at alpha={alpha:.10g}: {e}") from e
 
 
 def check_invertible(curve: MembershipCurve, slack: float = 1e-9) -> None:

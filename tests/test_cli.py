@@ -51,6 +51,18 @@ class TestAlphaSpec:
     def test_range_is_drift_free(self):
         assert 0.6 in parse_alpha_spec("0:1:0.2")
         assert parse_alpha_spec("0:1:0.1")[7] == 0.7
+        assert parse_alpha_spec("0:1:0.01") == [round(k * 0.01, 12) for k in range(101)]
+
+    @pytest.mark.parametrize("spec, stop", [
+        # the last start + k*step rounds to 0.500000000002, 0.900000000001 and
+        # 1.000000000001, which is no level at all
+        ("0:0.5:0.1000000000003", 0.5),
+        ("0:0.9:0.3000000000002", 0.9),
+        ("0:1:0.1000000000001", 1.0),
+    ])
+    def test_range_never_passes_stop(self, spec, stop):
+        levels = parse_alpha_spec(spec)
+        assert levels[-1] == stop and max(levels) == stop
 
     def test_explicit_list(self):
         assert parse_alpha_spec("0,0.5,1") == [0.0, 0.5, 1.0]

@@ -49,9 +49,9 @@ from fuzzyqp.oracle import ORACLE_MAX_N, _conflict_pairs, _next_level
 from fuzzyqp.projector import _BOUND_FACE_N, _Projector, _bound_face, _diff_max_le, _min_ge
 from fuzzyqp.solver import (
     _TIE,
-    _abs_max_gt,
-    _dist_le,
+    UNBOUNDED_LIMIT,
     _least,
+    _scan,
     _stationarity,
     _step_rule,
     is_convex,
@@ -217,6 +217,34 @@ class TestProject:
         x = np.array([0.2, 0.3])
         out = project(x, [[1.0, 1.0]], [1.0])
         np.testing.assert_array_equal(out, x)
+
+    @pytest.mark.parametrize("A, b, outside, inside", [
+        ([[1.0, 1.0]], [1.0], [2.0, 2.0], [0.2, 0.3]),
+        ([[1e-10, 1e-10]], [3e298], [1.7e308, 1.5e308], [1.0, 1.0]),  # h overflows: x is taken as 2^j x
+    ], ids=["unshifted", "shifted"])
+    def test_projector_returns_an_inside_point_itself(self, A, b, outside, inside):
+        """The projector's call is the whole projection: an x that meets
+        every row exactly comes back as the same array, and the face held
+        from the call before stays, so no warm start moves."""
+        proj = _Projector(np.array(A), np.array(b))
+        assert bool(proj._j) == (b[0] > 1.0)
+        proj(np.array(outside))
+        held = proj._held
+        assert held is not None and held[5] == (0,)
+        x = np.array(inside)
+        assert proj(x) is x and proj._held is held
+        assert project(x, A, b, _warm=proj) is x and proj._held is held
+
+    def test_multipliers_after_an_inside_point_are_zero(self):
+        """An x inside ends on no active row, so x - P(x) = 0 = A'mu_A - mu_I
+        takes mu = 0, not the multipliers of the face an earlier call held."""
+        A, b = np.array([[1.0, 1.0]]), np.array([1.0])
+        proj = _Projector(A, b)
+        project(np.array([2.0, 2.0]), A, b, _warm=proj)
+        x = np.array([0.2, 0.3])
+        project(x, A, b, _warm=proj)
+        assert proj.multipliers(x).tolist() == [0.0, 0.0, 0.0]
+        assert proj._held[5] == (0,)  # the warm face is kept for the next call
 
     def test_single_halfspace_formula(self):
         out = project([1.0, 1.0], [[1.0, 1.0]], [1.0])
@@ -667,7 +695,7 @@ class TestFloatRangeShift:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             y = project(x, A, b)
-            assert project(y, A, b).tobytes() == y.tobytes()  # feasible as contains reads it
+            assert project(y, A, b).tobytes() == y.tobytes()  # inside, as the projector tests it
         self._meets_rows(A, b, y)
         np.testing.assert_allclose(y, want, rtol=1e-12)  # the half-space formula
 
@@ -1128,6 +1156,20 @@ def _with_pinned(test):
     return test
 
 
+@st.composite
+def _scan_args(draw):
+    """(u, v, limit, tol): _check_lists with a second bound for _scan."""
+    return (*draw(_check_lists()), draw(_check_bound))
+
+
+def _with_pinned_scan(test):
+    """The pinned examples, each at its own bound and at UNBOUNDED_LIMIT."""
+    for u, v, t in _PINNED:
+        for limit in (t, UNBOUNDED_LIMIT):
+            test = example((u, v, limit, t))(test)
+    return test
+
+
 @pytest.mark.numpy_contract
 class TestChecks:
     """The list scans decide as numpy's reductions do, at every length, NaN,
@@ -1141,15 +1183,20 @@ class TestChecks:
         v, _, t = args
         a = np.array(v, dtype=float)
         assert _min_ge(v, t) == (np.minimum.reduce(a, initial=np.inf) >= t)
-        assert _abs_max_gt(v, t) == (np.maximum.reduce(np.abs(a), initial=-np.inf) > t)
 
-    @given(_check_lists())
-    @_with_pinned
-    def test_distance_check(self, args):
-        u, v, t = args
+    @given(_scan_args())
+    @_with_pinned_scan
+    def test_iterate_scan(self, args):
+        """solve_pg's one scan of an iterate gives both answers of numpy's
+        reductions: divergence max|u| > limit and convergence max|u - v| <= tol."""
+        u, v, limit, tol = args
+        a = np.array(u, dtype=float)
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 - -1e308
-            d = np.array(u, dtype=float) - np.array(v, dtype=float)
-        assert _dist_le(u, v, t) == (np.maximum.reduce(np.abs(d), initial=-np.inf) <= t)
+            d = a - np.array(v, dtype=float)
+        assert _scan(u, v, limit, tol) == (
+            np.maximum.reduce(np.abs(a), initial=-np.inf) > limit,
+            np.maximum.reduce(np.abs(d), initial=-np.inf) <= tol,
+        )
 
     @given(_check_lists())
     @_with_pinned
@@ -1162,8 +1209,8 @@ class TestChecks:
     def test_empty_vector_passes(self):
         # as max(initial=0.0) <= 0.0 and min(initial=0.0) >= 0.0 do, for
         # m = 0 rows and for the multipliers of the empty face
-        assert _diff_max_le([], [], 0.0) and _min_ge([], 0.0) and _dist_le([], [], 0.0)
-        assert not _abs_max_gt([], 0.0)
+        assert _diff_max_le([], [], 0.0) and _min_ge([], 0.0)
+        assert _scan([], [], 0.0, 0.0) == (False, True)
 
 
 class TestTracedNames:

@@ -131,6 +131,12 @@ class TestSolveFqp:
         with pytest.raises(InfeasibleError, match="lower endpoint .* alpha=1"):
             solve_fqp(p, [1.0])
 
+    def test_error_names_the_level_to_10_digits(self):
+        # as the CSV prints it: 0.1234561 and 0.1234564 read alike at 6 digits
+        p = FuzzyQP(c=(T(0, 0, 0),), Q=((T(1, 1, 1),),), A=((T(0, 0, 0),),), b=(T(-1, -1, 0),))
+        with pytest.raises(InfeasibleError, match=r"^lower endpoint QP infeasible at alpha=0\.1234564: "):
+            solve_fqp(p, [0.1234564])
+
     def test_unbounded_names_level_and_endpoint(self):
         # at alpha = 0 the lower endpoint is min -x^2 over x >= 0 (-x <= 1 holds
         # there too), so its iterates diverge
