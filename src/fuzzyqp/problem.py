@@ -100,8 +100,9 @@ class FuzzyQP:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        as_triple = lambda t, *label: (t.a1, t.a2, t.a3)
-        return _read_only(*_stack((self.c, self.Q, self.A, self.b), as_triple))
+        fields = self.c, self.Q, self.A, self.b
+        _check_sizes(self.n, self.m, *fields)
+        return _read_only(*_stack(fields, lambda t, *label: (t.a1, t.a2, t.a3)))
 
     def _stored(self):
         """(c, Q, A, b) as stored: the TFN tuples, nested as given (ragged or
@@ -112,9 +113,8 @@ class FuzzyQP:
 
     @cached_property
     def _violation_list(self) -> tuple[str, ...]:
-        """validate(self), computed once: the instance is immutable."""
+        """validate(self), computed once (the instance is immutable); _arrays checks the sizes."""
         try:
-            _check_sizes(self.n, self.m, *self._stored())
             _check_values(self._arrays)
         except ProblemError as e:
             return tuple(_messages(e))

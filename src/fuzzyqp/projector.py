@@ -80,8 +80,8 @@ class _Projector:
     which a call's feasibility test reads.  With G = [A; -I] and h = [b; 0]
     row for row, that copy's rows scaled to unit norm (an all-zero row is
     the row 0 <= b), the projection of x is y = x - G'mu, where mu >= 0
-    minimises (1/2)||x - G'mu||^2 + h'mu.  Where an h overflows, b takes
-    one more shift 2^j (_range_shift), x is projected as 2^j x and the
+    minimises (1/2)||x - G'mu||^2 + h'mu.  Where an |h| reaches 2^1000, b
+    takes one more shift 2^j (_range_shift), x is projected as 2^j x and the
     result brought back by 2^-j, as the projection is positively
     homogeneous; one that overflows there raises InfeasibleError with no
     certificate, as does, at once, a row whose h is still -2^1000 or less.
@@ -89,7 +89,8 @@ class _Projector:
     The dual is solved by the active-set method of Goldfarb and Idnani
     (1983) with identity Hessian: starting from a set P of independent rows
     with y tight on them and mu_P >= 0, the row p most violated beyond its
-    own tolerance, 1e-12 (1 + |h_p|) in the caller's units, is added; the
+    own tolerance, 1e-12 (1 + |h_p|) in the caller's units, is added, unless
+    its excess is within 1e-12 max(|x|, |y|), the rounding of y; the
     step along the part of p's normal orthogonal to the rows of P either
     makes p tight (p joins P) or first drives some mu_j to zero (j leaves
     P).  If p's normal lies in the span of P and no mu_j can shrink, the
@@ -104,13 +105,13 @@ class _Projector:
     empty set or bounds only come in closed form from _bound_face, whose
     record (less P) all projectors share for n <= _BOUND_FACE_N.  A call
     whose x is inside returns it and keeps the held face; any other starts
-    from the face the last solving call ended on, held with its
-    record so a settled call does no lookup, less any rows whose
-    multipliers come out negative at the new x: once projected gradient
-    settles, a projection is one affine map plus a sign and a feasibility
-    check.  Row i of G is row i of [A; -I], so the Farkas certificate and
-    the multipliers index G's rows directly, and _caller_units is their
-    one way back to the caller's units.
+    from the face the last solving call ended on, held with its record so a
+    settled call does no lookup, less any rows whose multipliers come out
+    negative at the new x: once projected gradient settles, a projection is
+    one affine map plus a sign and a feasibility check.  The held face is
+    the only warm state; multipliers(x) projects x too.  Row i of G is row i
+    of [A; -I], so the Farkas certificate and the multipliers index G's rows
+    directly, and _caller_units is their one way back to the caller's units.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -125,21 +126,21 @@ class _Projector:
         self.G, self.h = np.empty((m + n, n)), np.zeros(m + n)
         np.divide(self.A, norms[:, None], out=self.G[:m])
         self.G[m:] = -np.eye(n)  # -0.0 off the diagonal
-        self._j = 0  # b, h and each x are times 2^j, results 2^-j; 0 unless an h or top overflows
+        self._j = 0  # b, h and each x are times 2^j, results 2^-j; 0 unless some |h| reaches 2^1000
         for shifted in (False, True):
             with np.errstate(over="ignore", invalid="ignore"):  # b or h beyond the float range is +-inf
                 b_s = np.ldexp(b, k)
                 np.divide(b_s, norms, out=self.h[:m])
                 self._top = self.h + 1e-12 * (2.0 ** self._j + np.abs(self.h))  # row i is met while (Gy)_i <= top[i]
                 self._b, self._tops = b_s.tolist(), self._top.tolist()
-            if shifted or all(map(isfinite, self._tops)):
+            if shifted or _max(np.abs(self.h), initial=0.0) < 2.0 ** 1000:
                 break  # else shift by max|h|'s exponent, read on b far down, where no h overflows
             self._j = _range_shift(frexp(float(_max(np.abs(np.ldexp(b, k - 1100)) / norms)))[1] + 1100)
             k = k + self._j
         if self._j and self.h.min() <= -2.0 ** 1000:  # so j = -64, and no float y meets that row
             raise InfeasibleError("the projection lies beyond the float range")
         self._Ax, self._Gy = _product(self.A), _product(self.G)
-        self._held = self._ended = None  # the empty face until a call ends on another
+        self._held = None  # the empty face until a call ends on another
         self._faces: dict[tuple[int, ...], tuple] = {}  # P -> its record, by _face
 
     def _face(self, P: tuple[int, ...]) -> tuple:
@@ -154,12 +155,11 @@ class _Projector:
                 build = _bound_face if n <= _BOUND_FACE_N else _bound_face.__wrapped__
                 face = build(n, tuple(i - first for i in P)) + (P,)
             else:
-                rows = list(P)
-                Gt = self.G[rows].T
+                Gt = self.G[list(P)].T
                 Qr, R = np.linalg.qr(Gt)
                 R_inv = np.linalg.inv(R)  # R is invertible: the rows of P are independent
                 K = R_inv @ Qr.T
-                face = (K, R_inv @ (R_inv.T @ self.h[rows]), Gt,
+                face = (K, R_inv @ (R_inv.T @ self.h[list(P)]), Gt,
                         [i - first for i in P if i >= first], _product(K), P)
             self._faces[P] = face
         return face
@@ -179,7 +179,6 @@ class _Projector:
         agrees within its tolerance), else that of 2^j x times 2^-j."""
         xs = np.ldexp(x, self._j) if self._j else x
         if _diff_max_le(self._Ax(xs).tolist(), self._b, 0.0) and _min_ge(xs.tolist(), 0.0):
-            self._ended = None  # on no active row: multipliers are zero
             return x
         if not self._j:
             return self._solve(x)
@@ -200,7 +199,7 @@ class _Projector:
         y = self._point(x, mu, Gt, pinned)
         Gy = self._Gy(y)
         if _diff_max_le(Gy.tolist(), self._tops, 0.0):
-            self._held = self._ended = held
+            self._held = held
             return y
         slack = 1e-12 * float(np.abs(x).max())
         if not isfinite(slack):  # an inf or NaN in x, as when a gradient overflows
@@ -211,14 +210,14 @@ class _Projector:
         for _ in range(10 * len(self.h)):
             s[list(P)] = -np.inf
             p = int(np.argmax(s))
-            if s[p] <= slack:
+            if s[p] <= slack or s[p] <= 1e-12 * float(np.abs(y).max()):  # rounding on x's scale or y's
                 break
             P, mu, y = self._add(P, mu, y, p, float(Gy[p] - self.h[p]))
             Gy = self._Gy(y)
             s = Gy - self._top
         else:
             raise RuntimeError("active-set projection is cycling")
-        _, k, Gt, pinned, Kx, _ = self._held = self._ended = self._face(P)
+        _, k, Gt, pinned, Kx, _ = self._held = self._face(P)
         return self._point(x, Kx(x) - k, Gt, pinned)
 
     def _add(self, P, mu, y, p, violation):
@@ -235,12 +234,13 @@ class _Projector:
             shrinking = np.flatnonzero(r > 0.0)
             drop = None
             if shrinking.size:
-                ratios = mu[shrinking] / r[shrinking]
+                with np.errstate(over="ignore"):  # one past the float range never limits the step
+                    ratios = mu[shrinking] / r[shrinking]
                 j = int(np.argmin(ratios))
                 if ratios[j] < step:
                     step, drop = float(ratios[j]), int(shrinking[j])
-            if step == np.inf:
-                self._raise_infeasible(P, r, p)
+            if step == np.inf:  # a ratio that overflowed drops no row: its r_i reads as 0
+                self._raise_infeasible(P, np.where(r > 0.0, -0.0, r), p)
             y = y - step * z
             mu = mu - step * r
             mu_p += step
@@ -258,28 +258,27 @@ class _Projector:
         raise InfeasibleError(
             "the polyhedron is empty: Farkas certificate mu >= 0 over the rows "
             f"of [A; -I] with A'mu_A - mu_I = 0 and b'mu_A = {b_mu:.3e} < 0",
-            np.ldexp(self._caller_units([*P, p], np.append(-r, 1.0)), self._j),
+            self._caller_units([*P, p], np.append(-r, 1.0), self._j),
         )
 
     def multipliers(self, x: np.ndarray) -> np.ndarray:
-        """KKT multipliers over the rows of [A; -I] for the set the last call
-        ended on (none where its x was inside), in the caller's units
-        (_caller_units).
+        """KKT multipliers over the rows of [A; -I] of the projection y of x,
+        x - y = A'mu_A - mu_I, in the caller's units (_caller_units), +inf past
+        the float range: read on the face that projecting x from the held face
+        ends on, +0.0 for an x inside; an empty polyhedron raises InfeasibleError."""
+        _, k, _, _, Kx, P = self._face(()) if self(x) is x else self._held
+        with np.errstate(over="ignore"):
+            return self._caller_units(list(P), Kx(np.ldexp(x, self._j)) - k, -self._j)
 
-        With y the projection of x: x - y = A'mu_A - mu_I.
-        """
-        _, k, _, _, Kx, P = self._ended or self._face(())
-        return np.ldexp(self._caller_units(list(P), Kx(np.ldexp(x, self._j)) - k), -self._j)
-
-    def _caller_units(self, rows: list, lam: np.ndarray) -> np.ndarray:
+    def _caller_units(self, rows: list, lam: np.ndarray, j: int = 0) -> np.ndarray:
         """Multipliers lam on the given rows of G (zero on the others) as
-        multipliers on the rows of [A; -I]: ldexp(lam_i / ||2^k a_i||, k_i) for
-        row i of A, whose row of G is 2^k a_i / ||2^k a_i||, and lam_i
-        for a bound.  The one way back, for certificates and multipliers."""
+        multipliers on the rows of [A; -I] times 2^j, one ldexp each, so none
+        passes through a subnormal: lam_i / ||2^k a_i|| times 2^(k_i + j) for row
+        i of A, whose row of G is 2^k a_i / ||2^k a_i||, and lam_i 2^j for a bound."""
         full, m = np.zeros(len(self.h)), self.first_bound
         full[rows] = lam
-        full[:m] = np.ldexp(full[:m] / self._norms, self._shift)
-        return full
+        full[:m] /= self._norms
+        return np.ldexp(full, np.append(self._shift, np.zeros(len(full) - m, int)) + j)
 
 
 @lru_cache(maxsize=_BOUND_FACES)

@@ -165,6 +165,16 @@ class TestValidateAgreesWithParse:
         ragged = FuzzyQP(p.c, p.Q, (p.A[0], p.A[1][:1]), p.b)
         assert validate(ragged) == ["A/b dimensions disagree with n and m: A must be 2x2 triples"]
 
+    def test_ragged_problem_raises_the_structure_error_everywhere(self, example_problem):
+        # symmetrized and serialize_problem stacked the arrays unchecked and
+        # raised numpy's "cannot reshape array of size 9 into shape (2,2,3)"
+        p = example_problem
+        ragged = FuzzyQP(p.c, p.Q, (p.A[0], p.A[1][:1]), p.b)
+        for read in ragged.symmetrized, lambda: serialize_problem(ragged):
+            with pytest.raises(StructureError, match=r"^A/b dimensions disagree with n and m: A must be 2x2 triples$"):
+                read()
+        assert validate(ragged) == ["A/b dimensions disagree with n and m: A must be 2x2 triples"]
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_single_field_mutations(self, data):

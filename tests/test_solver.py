@@ -246,6 +246,31 @@ class TestProject:
         assert proj.multipliers(x).tolist() == [0.0, 0.0, 0.0]
         assert proj._held[5] == (0,)  # the warm face is kept for the next call
 
+    @pytest.mark.parametrize("A, b, first, x, want", [
+        ([[1.0, 1.0]], [1.0], [2.0, 2.0], [-1.0, 0.5], [0.0, 1.0, 0.0]),
+        ([[1e-10, 1e-10]], [3e298], [1.7e308, 1.5e308], [-1e300, 1e308], [0.0, 1e300, 0.0]),
+    ], ids=["unshifted", "shifted"])
+    def test_multipliers_answer_for_the_x_given(self, A, b, first, x, want):
+        """multipliers(x) projects x itself: the face the call before ended
+        on, row 0 for first, gave (-0.75, 0, 0) for the unshifted x, a
+        negative multiplier, where P(x) = (0, 0.5) lies on the bound x1 >= 0."""
+        A, b, x = np.array(A), np.array(b), np.array(x)
+        proj = _Projector(A, b)
+        assert bool(proj._j) == (b[0] > 1.0)
+        proj(np.array(first))
+        mu = proj.multipliers(x)
+        assert mu.tolist() == want
+        y = project(x, A, b)
+        assert (x - y).tolist() == (A.T @ mu[:1] - mu[1:]).tolist()
+
+    def test_multipliers_on_an_empty_polyhedron_raise(self):
+        # reading the face of an earlier call, or the empty face, returned
+        # multipliers with no error
+        A, b = np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([1.0, -2.0])
+        with pytest.raises(InfeasibleError) as err:
+            _Projector(A, b).multipliers(np.array([0.0, 0.0]))
+        _assert_farkas(A, b, err.value.certificate)
+
     def test_single_halfspace_formula(self):
         out = project([1.0, 1.0], [[1.0, 1.0]], [1.0])
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
