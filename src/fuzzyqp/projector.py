@@ -76,10 +76,10 @@ def _min_ge(v: list, t: float) -> bool:
 class _Projector:
     """Projection onto {y: Ay <= b, y >= 0} for one (A, b), warm across calls.
 
-    The one copy of the rows is A and b with row i times 2^k[i], exact,
-    which a call's feasibility test reads.  With G = [A; -I] and h = [b; 0]
-    row for row, that copy's rows scaled to unit norm (an all-zero row is
-    the row 0 <= b), the projection of x is y = x - G'mu, where mu >= 0
+    The one copy of the rows is G = [A; -I] and h = [b; 0] row for row,
+    with row i of A and b[i] taken times 2^k[i], exact, then scaled to unit
+    norm (an all-zero row is the row 0 <= b), and each row's top, h_i +
+    1e-12 (2^j + |h_i|).  The projection of x is y = x - G'mu, where mu >= 0
     minimises (1/2)||x - G'mu||^2 + h'mu.  Where an |h| reaches 2^1000, b
     takes one more shift 2^j (_range_shift), x is projected as 2^j x and the
     result brought back by 2^-j, as the projection is positively
@@ -100,16 +100,18 @@ class _Projector:
     For a fixed P the multipliers are affine in x, mu_P = K x - k, and
     y = x - G_P' mu_P.  _face is the one builder of a face and its record
     (K, k, G_P', pinned, Kx, P), with the product Kx: v -> Kv chosen once
-    by the kernel rule (problem._product; Ax and Gy likewise, in the
-    constructor).  A set that holds a row of A is built by QR of G_P'; the
-    empty set or bounds only come in closed form from _bound_face, whose
-    record (less P) all projectors share for n <= _BOUND_FACE_N.  A call
-    whose x is inside returns it and keeps the held face; any other starts
-    from the face the last solving call ended on, held with its record so a
-    settled call does no lookup, less any rows whose multipliers come out
-    negative at the new x: once projected gradient settles, a projection is
-    one affine map plus a sign and a feasibility check.  The held face is
-    the only warm state; multipliers(x) projects x too.  Row i of G is row i
+    by the kernel rule (problem._product; the products over G's rows of A
+    and over all of G likewise, in the constructor).  A set that holds a
+    row of A is built by QR of G_P'; the empty set or bounds only come in
+    closed form from _bound_face, whose record (less P) all projectors
+    share for n <= _BOUND_FACE_N.  A call where (G 2^j x)_i <= top_i on
+    every row (_meets, the one feasibility rule, which a solve's settled
+    test reads too) returns x and keeps the held face; any other starts
+    from the face the last solving call ended on, held with its record so
+    a settled call does no lookup, less any rows whose multipliers come
+    out negative at the new x: once projected gradient settles, a
+    projection is one affine map plus a sign and a feasibility check.  The
+    held face is the only warm state; multipliers(x) projects x too.  Row i of G is row i
     of [A; -I], so the Farkas certificate and the multipliers index G's rows
     directly, and _caller_units is their one way back to the caller's units.
     """
@@ -119,27 +121,26 @@ class _Projector:
         # Row i of A and b[i] times 2^k[i], exact, puts max|a_ij| in [0.5, 1): no
         # finite row's norm overflows or underflows; only an all-zero row has norm 0.
         self._shift = k = -np.frexp(_max(np.abs(A), axis=1, initial=0.0))[1]
-        self.A = np.ldexp(A, k[:, None])
-        self._norms = norms = np.sqrt(np.einsum("ij,ij->i", self.A, self.A))
+        A = np.ldexp(A, k[:, None])
+        self._norms = norms = np.sqrt(np.einsum("ij,ij->i", A, A))
         norms[norms == 0.0] = 1.0  # an all-zero row is the row 0 <= b
         self.first_bound = m  # rows of G from here on are the bounds -y <= 0
         self.G, self.h = np.empty((m + n, n)), np.zeros(m + n)
-        np.divide(self.A, norms[:, None], out=self.G[:m])
+        np.divide(A, norms[:, None], out=self.G[:m])
         self.G[m:] = -np.eye(n)  # -0.0 off the diagonal
         self._j = 0  # b, h and each x are times 2^j, results 2^-j; 0 unless some |h| reaches 2^1000
         for shifted in (False, True):
             with np.errstate(over="ignore", invalid="ignore"):  # b or h beyond the float range is +-inf
-                b_s = np.ldexp(b, k)
-                np.divide(b_s, norms, out=self.h[:m])
+                np.divide(np.ldexp(b, k), norms, out=self.h[:m])
                 self._top = self.h + 1e-12 * (2.0 ** self._j + np.abs(self.h))  # row i is met while (Gy)_i <= top[i]
-                self._b, self._tops = b_s.tolist(), self._top.tolist()
+                self._tops = self._top.tolist()
             if shifted or _max(np.abs(self.h), initial=0.0) < 2.0 ** 1000:
                 break  # else shift by max|h|'s exponent, read on b far down, where no h overflows
             self._j = _range_shift(frexp(float(_max(np.abs(np.ldexp(b, k - 1100)) / norms)))[1] + 1100)
             k = k + self._j
         if self._j and self.h.min() <= -2.0 ** 1000:  # so j = -64, and no float y meets that row
             raise InfeasibleError("the projection lies beyond the float range")
-        self._Ax, self._Gy = _product(self.A), _product(self.G)
+        self._GAv, self._Gy = _product(self.G[:m]), _product(self.G)  # G's rows of A; all of G, for the exchange
         self._held = None  # the empty face until a call ends on another
         self._faces: dict[tuple[int, ...], tuple] = {}  # P -> its record, by _face
 
@@ -172,13 +173,17 @@ class _Projector:
             y[pinned] = 0.0
         return y
 
+    def _meets(self, v: np.ndarray) -> bool:
+        """(G v)_i <= top[i] on every row of [A; -I], the one feasibility rule:
+        one product over G's rows of A (the scan stops at the m-th top), and
+        v_i >= -top of a bound, as (-I v)_i = -v_i exactly."""
+        return _diff_max_le(self._GAv(v).tolist(), self._tops, 0.0) and _min_ge(v.tolist(), -self._tops[-1])
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The projection of x: x itself, face held, where 2^j x meets every
-        scaled row and bound exactly (as the caller's rows decide while every
-        scaled entry, product and b is normal; a row with one below that range
-        agrees within its tolerance), else that of 2^j x times 2^-j."""
+        row within its tolerance (_meets), else that of 2^j x times 2^-j."""
         xs = np.ldexp(x, self._j) if self._j else x
-        if _diff_max_le(self._Ax(xs).tolist(), self._b, 0.0) and _min_ge(xs.tolist(), 0.0):
+        if self._meets(xs):
             return x
         if not self._j:
             return self._solve(x)
@@ -197,13 +202,13 @@ class _Projector:
                 break
             held = self._face(tuple(compress(P, (mu >= 0.0).tolist())))
         y = self._point(x, mu, Gt, pinned)
-        Gy = self._Gy(y)
-        if _diff_max_le(Gy.tolist(), self._tops, 0.0):
+        if self._meets(y):
             self._held = held
             return y
         slack = 1e-12 * float(np.abs(x).max())
         if not isfinite(slack):  # an inf or NaN in x, as when a gradient overflows
             raise UnboundedError("the iterates left the float range; instance appears unbounded below")
+        Gy = self._Gy(y)
         s = Gy - self._top  # each row's excess over its own tolerance
         # Each added row raises the dual objective, so no set repeats; the
         # bound only stops a cycle that rounding might cause.

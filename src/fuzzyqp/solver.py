@@ -13,10 +13,11 @@ so a step makes as few numpy calls as give the same bits:
     enter the package aligned and in C order (CrispQP, project and
     _vector copy any other layout), so no result depends on a caller's
     layout.  The product is chosen once per CrispQP (Qx), per projector
-    (Ax, Gy) and per face (Kx), never per call.
+    (over G's rows of A, and over all of G) and per face (Kx), never per call.
   - Exact comparisons scan Python lists: an iterate takes one projector
-    call, whose feasibility test returns a point already inside, and one
-    _scan for divergence and convergence; faces are built on demand.
+    call, whose one feasibility rule (each row within its tolerance)
+    returns a point that meets the rows, and one _scan for divergence and
+    convergence; faces are built on demand.
 
 An indefinite Q runs 9 starts: the origin and the 8 rows of
 numpy.random.default_rng(seed).uniform(0, max(1, max|b|), (8, n)), drawn
@@ -200,16 +201,18 @@ def project(x, A, b, opts: SolverOptions | None = None,
     """Exact Euclidean projection of x onto {y: Ay <= b, y >= 0}: the
     boundary checks, then one call of a _Projector, the whole projection.
 
-    Already-feasible points are returned unchanged.  Otherwise the
-    projection's dual is solved by a finite active-set method (see
-    _Projector), so the result satisfies the KKT conditions up to
-    rounding.  An empty polyhedron raises InfeasibleError carrying a
-    Farkas certificate; a projection that lies beyond the float range
-    raises it with certificate None.  An x that is not a nonempty vector
-    raises ValueError, as do a misshapen A or b and a NaN or infinite
-    entry in x, A or b, in CrispQP's words.  opts is a deprecated no-op,
-    accepted for compatibility.  _warm is a _Projector built from the
-    same A and b, which carries the active set from one call to the next.
+    A point that meets every row within that row's own tolerance,
+    a_i.x - b_i <= 1e-12 (||a_i|| + |b_i|) and x_j >= -1e-12, is returned
+    unchanged.  Otherwise the projection's dual is solved by a finite
+    active-set method (see _Projector), so the result satisfies the KKT
+    conditions up to rounding.  An empty polyhedron raises
+    InfeasibleError carrying a Farkas certificate; a projection that lies
+    beyond the float range raises it with certificate None.  An x that is
+    not a nonempty vector raises ValueError, as do a misshapen A or b and
+    a NaN or infinite entry in x, A or b, in CrispQP's words.  opts is a
+    deprecated no-op, accepted for compatibility.  _warm is a _Projector
+    built from the same A and b, which carries the active set from one
+    call to the next.
     """
     if _warm is None:
         x = np.asarray(x, dtype=float).copy()

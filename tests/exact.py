@@ -8,7 +8,7 @@ bounds -y <= 0) in the caller's units, as the projector reports them.
 """
 from decimal import Decimal
 from fractions import Fraction
-from math import hypot
+from math import frexp, hypot, ldexp
 
 U = Fraction(1, 2 ** 53)  # the unit roundoff of a float
 TINY = Fraction(1, 2 ** 1010)  # the least subnormal at the projector's deepest shift, 2^-64
@@ -16,15 +16,27 @@ LEAST = Fraction(1, 2 ** 1074)  # the least subnormal: a multiplier below the no
 ROUNDING = 64  # the rounding term's constant, a wide margin over the n + 1 <= 5 rounded terms of a sum
 
 
+def _norm(row: list) -> Fraction:
+    """||row|| as a Fraction, taken on the row times the 2^k that puts its
+    largest |entry| in [0.5, 1), exact, as the projector scales its rows, so
+    no finite row's norm overflows; 1 for an all-zero row, as the projector
+    reads it (the row 0 <= b_i)."""
+    top = max(map(abs, row), default=0.0)
+    if not top:
+        return Fraction(1)
+    k = -frexp(top)[1]
+    return Fraction(hypot(*(ldexp(a, k) for a in row))) / Fraction(2) ** k
+
+
 def _rows(A, b):
     """The m + n rows of [A; -I] with their right-hand sides and norms, as
-    Fractions; an all-zero row is the row 0 <= b_i, read with norm 1 as the
-    projector reads it."""
-    A = [[Fraction(a) for a in row] for row in A.tolist()]
+    Fractions."""
+    A = A.tolist()
     n = len(A[0]) if A else 0
-    rows = A + [[Fraction(-(i == j)) for j in range(n)] for i in range(n)]
+    bounds = [[-float(i == j) for j in range(n)] for i in range(n)]
+    norms = [_norm(row) for row in A + bounds]
+    rows = [[Fraction(a) for a in row] for row in A + bounds]
     rhs = [Fraction(v) for v in b.tolist()] + [Fraction(0)] * n
-    norms = [Fraction(hypot(*row)) or Fraction(1) for row in rows]
     return rows, rhs, norms
 
 

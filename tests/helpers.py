@@ -20,6 +20,9 @@ from fuzzyqp.solver import UNBOUNDED_LIMIT, _least, _spectrum
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_PATH = REPO_ROOT / "fixtures" / "liu2009-example.json"
 GOLDEN_CSV_PATH = REPO_ROOT / "fixtures" / "liu2009-example.csv"
+# the table and the membership polyline at the golden CSV's levels, 0:1:0.2
+GOLDEN_TABLE_PATH = REPO_ROOT / "fixtures" / "liu2009-example.table"
+GOLDEN_PLOT_PATH = REPO_ROOT / "fixtures" / "liu2009-example.plot.csv"
 
 # Reference values for the bundled example, derived by hand from the KKT
 # conditions of the endpoint QPs (fractions are exact).

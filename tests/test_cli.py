@@ -14,6 +14,8 @@ import pytest
 from helpers import (
     FIXTURE_PATH,
     GOLDEN_CSV_PATH,
+    GOLDEN_PLOT_PATH,
+    GOLDEN_TABLE_PATH,
     REPO_ROOT,
     TABLE_Z_LOWER,
     TABLE_Z_UPPER,
@@ -136,6 +138,18 @@ class TestSolve:
         ])
         assert code == 0
         assert out.read_text(encoding="utf-8") == GOLDEN_CSV_PATH.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt, golden", [("table", GOLDEN_TABLE_PATH), ("plot-data", GOLDEN_PLOT_PATH)],
+                             ids=["table", "plot-data"])
+    def test_output_matches_golden_file(self, tmp_path, fmt, golden):
+        # the table and the polyline keep their bytes too, not only the CSV
+        out = tmp_path / "run.out"
+        code = main([
+            "solve", "--input", FIXTURE, "--alphas", "0:1:0.2",
+            "--format", fmt, "--output", str(out),
+        ])
+        assert code == 0
+        assert out.read_bytes() == golden.read_bytes()
 
     def test_negative_zero_level_is_zero(self, capsys):
         # -0 passes the [0, 1] check; it was printed as "-0", and which zero

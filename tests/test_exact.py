@@ -5,7 +5,9 @@ The property draws rows of eighths scaled by 2^-1000..2^1000 and right-hand
 sides up to +-1e308 of either sign, so it reaches the projector's exact row
 scaling and its float-range shift; it holds only while ldexp and each leg's
 BLAS scale exactly, so it is marked numpy_contract, which CI runs with a
-larger example budget on every numpy leg.
+larger example budget on every numpy leg.  So is the property that a
+projector's call returns x itself exactly where 2^j x meets every row of G
+within its top, whichever face the projector holds.
 """
 import sys
 import warnings
@@ -17,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exact import check_farkas, check_point
-from fuzzyqp import InfeasibleError, project
+from fuzzyqp import InfeasibleError, UnboundedError, project
 from fuzzyqp.projector import _Projector
 
 _FLOAT_MAX = Fraction(sys.float_info.max)
@@ -84,6 +86,45 @@ def _instances(draw):
 @example(_FOUND)
 def test_every_projection_outcome_checks_exactly(instance):
     _outcome(*instance)
+
+
+def _returns_itself(proj, x) -> bool:
+    """Whether proj(x) is x, which keeps the held face; False where it raises."""
+    held = proj._held
+    try:
+        itself = proj(x) is x
+    except (InfeasibleError, UnboundedError):
+        return False
+    assert proj._held is held or not itself
+    return itself
+
+
+def _meets_every_row(proj, x) -> bool:
+    """Every row of G 2^j x at or below its top, one product over all of G."""
+    return bool((proj.G @ np.ldexp(x, proj._j) <= proj._top).all())
+
+
+@pytest.mark.numpy_contract
+@given(_instances(), st.lists(_eighths, min_size=4, max_size=4))
+@settings(deadline=None)
+def test_a_call_returns_x_itself_exactly_where_it_meets_every_row(instance, other):
+    """One feasibility rule: from the empty face and from the face held
+    after projecting another point, and on that point's projection, which
+    lies on the rows within their tolerances."""
+    x, A, b = (np.array(v) for v in instance)
+    try:
+        proj = _Projector(A, b)
+    except InfeasibleError:  # a row that no float point meets
+        return
+    assert _returns_itself(proj, x) == _meets_every_row(proj, x)
+    other = 1.5 * np.array(other[:len(x)])
+    try:
+        y = proj(other)
+    except InfeasibleError:
+        y = None
+    assert _returns_itself(proj, x) == _meets_every_row(proj, x)
+    if y is not None:
+        assert _returns_itself(proj, y) == _meets_every_row(proj, y)
 
 
 # Outcomes that were wrong before the projector's fixes, each found by the

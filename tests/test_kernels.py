@@ -86,7 +86,7 @@ class TestKernelRule:
             q = CrispQP(c=np.zeros(n), Q=np.eye(n), A=A, b=np.ones(3))
             proj = _Projector(q.A, q.b)
             first = proj.first_bound
-            products = [(q.Q, q._Qx), (proj.A, proj._Ax), (proj.G, proj._Gy)]
+            products = [(q.Q, q._Qx), (proj.G[:first], proj._GAv), (proj.G, proj._Gy)]
             # rows 0 and 2 are scaled by a power of two first: at n = 1 they are
             # the unit rows -1 and 1 of G, with h = +inf and about 1e300
             faces = [(), (0,), (1,), (2,), (first,), (0, first), (1, first), (2, first)]
@@ -96,7 +96,7 @@ class TestKernelRule:
                     products.append((face[0], face[4]))
             if n == 1:  # every row of A zero: G is two rows 0 <= 0 over the 1 x 1 block -I
                 proj = _Projector(np.zeros((2, 1)), np.ones(2))
-                products.append((proj.G, proj._Gy))
+                products += [(proj.G[:2], proj._GAv), (proj.G, proj._Gy)]
             for M, product in products:
                 assert M.flags.c_contiguous and M.flags.aligned, M
                 for v in vectors:

@@ -43,6 +43,27 @@ def test_solver_imports_the_oracle_once_last():
     assert [a.name for a in tree.body[-1].names] == ["solve_oracle"]
 
 
+def test_every_member_the_projector_builds_is_read():
+    """A projector keeps only the members a call reads: each attribute that
+    _Projector.__init__ assigns is read somewhere in the package outside it,
+    as self.name in the projector module or, in another module, as a
+    private name (a public one, such as A, is also CrispQP's)."""
+    trees = {p.stem: _tree(p.stem) for p in PACKAGE.glob("*.py")}
+    cls = next(node for node in trees["projector"].body
+               if isinstance(node, ast.ClassDef) and node.name == "_Projector")
+    init = next(node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    targets = [t for node in ast.walk(init) if isinstance(node, ast.Assign) for t in node.targets]
+    targets += [node.target for node in ast.walk(init) if isinstance(node, (ast.AnnAssign, ast.AugAssign))]
+    assigned = {t.attr for target in targets for t in ast.walk(target)
+                if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self"}
+    inside = set(map(id, ast.walk(init)))
+    read = {node.attr for stem, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in inside
+            and (node.attr.startswith("_") if stem != "projector"
+                 else isinstance(node.value, ast.Name) and node.value.id == "self")}
+    assert assigned and sorted(assigned - read) == []
+
+
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
 def test_every_imported_name_is_used(module):
     """Every module but __init__, which only re-exports."""

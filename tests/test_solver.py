@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exact import check_farkas
 from helpers import (
     LIP_AT_1,
     LIP_LOWER_AT_0,
@@ -224,7 +225,7 @@ class TestProject:
     ], ids=["unshifted", "shifted"])
     def test_projector_returns_an_inside_point_itself(self, A, b, outside, inside):
         """The projector's call is the whole projection: an x that meets
-        every row exactly comes back as the same array, and the face held
+        every row comes back as the same array, and the face held
         from the call before stays, so no warm start moves."""
         proj = _Projector(np.array(A), np.array(b))
         assert bool(proj._j) == (b[0] > 1.0)
@@ -234,6 +235,18 @@ class TestProject:
         x = np.array(inside)
         assert proj(x) is x and proj._held is held
         assert project(x, A, b, _warm=proj) is x and proj._held is held
+
+    def test_a_warm_projector_returns_a_point_within_tolerance_itself(self):
+        """x exceeds the row x1 + x2 <= 1 by 1e-13, within its tolerance, so
+        a cold project returns x's bytes; a projector holding that row's face
+        returned x moved 5e-14 along the row, by a second feasibility rule."""
+        A, b = np.array([[1.0, 1.0]]), np.array([1.0])
+        proj = _Projector(A, b)
+        proj(np.array([2.0, 2.0]))
+        assert proj._held[5] == (0,)
+        x = np.array([0.5, 0.5 + 1e-13])
+        assert project(x, A, b).tobytes() == x.tobytes()
+        assert proj(x) is x and proj._held[5] == (0,)
 
     def test_multipliers_after_an_inside_point_are_zero(self):
         """An x inside ends on no active row, so x - P(x) = 0 = A'mu_A - mu_I
@@ -683,6 +696,7 @@ class TestMixedScaleRows:
         with pytest.raises(InfeasibleError) as err:
             project([0.0, 0.0], A, b)
         _assert_farkas(A, b, err.value.certificate)
+        check_farkas(A, b, err.value.certificate)  # exactly, with the row's norm taken at its scale
 
     def test_containment_reads_the_scaled_rows(self):
         # A x on the rows as given overflowed: "overflow encountered in dot"
