@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from math import frexp, isfinite
 
 import numpy as np
@@ -73,6 +73,14 @@ def _min_ge(v: list, t: float) -> bool:
     return True
 
 
+def _slack(v: list, x: np.ndarray | None = None) -> float:
+    """The slack of the one feasibility rule at a point v reached from x (v
+    itself by default), 1e-12 max(|x|, |v|): the rounding of v.  max() may
+    pass over a NaN, which fails the scans where it is in v and _solve's
+    guard where it is in x."""
+    return 1e-12 * max(map(abs, v if x is None else chain(v, x.tolist())))
+
+
 class _Projector:
     """Projection onto {y: Ay <= b, y >= 0} for one (A, b), warm across calls.
 
@@ -86,34 +94,36 @@ class _Projector:
     homogeneous; one that overflows there raises InfeasibleError with no
     certificate, as does, at once, a row whose h is still -2^1000 or less.
     Every other h a float point can reach is finite: one rule judges each.
+    Row i is met at a point v reached from x while (G v)_i <= top_i + 1e-12
+    max(|x|, |v|), the last term v's rounding (_meets, the one feasibility
+    rule, with _slack): in the caller's units, a_i.v - b_i <= 1e-12 (||a_i||
+    + |b_i| + ||a_i|| max(|x|, |v|)) and v_j >= -1e-12 (1 + max(|x|, |v|)).
     The dual is solved by the active-set method of Goldfarb and Idnani
     (1983) with identity Hessian: starting from a set P of independent rows
-    with y tight on them and mu_P >= 0, the row p most violated beyond its
-    own tolerance, 1e-12 (1 + |h_p|) in the caller's units, is added, unless
-    its excess is within 1e-12 max(|x|, |y|), the rounding of y; the
-    step along the part of p's normal orthogonal to the rows of P either
-    makes p tight (p joins P) or first drives some mu_j to zero (j leaves
-    P).  If p's normal lies in the span of P and no mu_j can shrink, the
-    dual is unbounded: mu = (1 on p, -r on P) is a Farkas certificate and
-    InfeasibleError is raised (e_i for a zero row with b_i < 0).
+    with y tight on them and mu_P >= 0, the row p of largest excess over its
+    top is added while y fails the rule there; the step along the part of
+    p's normal orthogonal to the rows of P either makes p tight (p joins P)
+    or first drives some mu_j to zero (j leaves P).  If p's normal lies in
+    the span of P and no mu_j can shrink, the dual is unbounded: mu = (1 on
+    p, -r on P) is a Farkas certificate and InfeasibleError is raised (e_i
+    for a zero row with b_i < 0).
 
     For a fixed P the multipliers are affine in x, mu_P = K x - k, and
     y = x - G_P' mu_P.  _face is the one builder of a face and its record
     (K, k, G_P', pinned, Kx, P), with the product Kx: v -> Kv chosen once
-    by the kernel rule (problem._product; the products over G's rows of A
-    and over all of G likewise, in the constructor).  A set that holds a
-    row of A is built by QR of G_P'; the empty set or bounds only come in
-    closed form from _bound_face, whose record (less P) all projectors
-    share for n <= _BOUND_FACE_N.  A call where (G 2^j x)_i <= top_i on
-    every row (_meets, the one feasibility rule, which a solve's settled
-    test reads too) returns x and keeps the held face; any other starts
-    from the face the last solving call ended on, held with its record so
-    a settled call does no lookup, less any rows whose multipliers come
-    out negative at the new x: once projected gradient settles, a
-    projection is one affine map plus a sign and a feasibility check.  The
-    held face is the only warm state; multipliers(x) projects x too.  Row i of G is row i
-    of [A; -I], so the Farkas certificate and the multipliers index G's rows
-    directly, and _caller_units is their one way back to the caller's units.
+    by the kernel rule (problem._product; the product over G likewise, in
+    the constructor).  A set that holds a row of A is built by QR of G_P';
+    the empty set or bounds only come in closed form from _bound_face,
+    whose record (less P) all projectors share for n <= _BOUND_FACE_N.  A call where 2^j x meets every row by the rule, which
+    a solve's settled test and its exchanges read too, returns x and keeps
+    the held face; any other starts from the face the last solving call
+    ended on, held with its record so a settled call does no lookup, less
+    any rows whose multipliers come out negative at the new x: once
+    projected gradient settles, a projection is one affine map plus a sign
+    and a feasibility check.  The held face is the only warm state;
+    multipliers(x) projects x too.  Row i of G is row i of [A; -I], so the
+    Farkas certificate and the multipliers index G's rows directly, and
+    _caller_units is their one way back to the caller's units.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -132,7 +142,7 @@ class _Projector:
         for shifted in (False, True):
             with np.errstate(over="ignore", invalid="ignore"):  # b or h beyond the float range is +-inf
                 np.divide(np.ldexp(b, k), norms, out=self.h[:m])
-                self._top = self.h + 1e-12 * (2.0 ** self._j + np.abs(self.h))  # row i is met while (Gy)_i <= top[i]
+                self._top = self.h + 1e-12 * (2.0 ** self._j + np.abs(self.h))  # met while (Gy)_i - top[i] <= _slack
                 self._tops = self._top.tolist()
             if shifted or _max(np.abs(self.h), initial=0.0) < 2.0 ** 1000:
                 break  # else shift by max|h|'s exponent, read on b far down, where no h overflows
@@ -140,7 +150,7 @@ class _Projector:
             k = k + self._j
         if self._j and self.h.min() <= -2.0 ** 1000:  # so j = -64, and no float y meets that row
             raise InfeasibleError("the projection lies beyond the float range")
-        self._GAv, self._Gy = _product(self.G[:m]), _product(self.G)  # G's rows of A; all of G, for the exchange
+        self._Gy = _product(self.G)  # every row of [A; -I], as _meets and the exchanges read them
         self._held = None  # the empty face until a call ends on another
         self._faces: dict[tuple[int, ...], tuple] = {}  # P -> its record, by _face
 
@@ -173,15 +183,22 @@ class _Projector:
             y[pinned] = 0.0
         return y
 
-    def _meets(self, v: np.ndarray) -> bool:
-        """(G v)_i <= top[i] on every row of [A; -I], the one feasibility rule:
-        one product over G's rows of A (the scan stops at the m-th top), and
-        v_i >= -top of a bound, as (-I v)_i = -v_i exactly."""
-        return _diff_max_le(self._GAv(v).tolist(), self._tops, 0.0) and _min_ge(v.tolist(), -self._tops[-1])
+    def _meets(self, v: np.ndarray, x: np.ndarray | None = None) -> bool:
+        """Whether v, reached from x (v itself by default), meets every row
+        of [A; -I] by the one feasibility rule: (G v)_i - top[i] <= _slack(v,
+        x), a finite slack, on the product over G that the exchanges read.
+        A v within every top meets the rule whatever the slack, so the slack
+        is taken only where some row exceeds its top."""
+        Gv = self._Gy(v).tolist()
+        if _diff_max_le(Gv, self._tops, 0.0):
+            return True
+        slack = _slack(v.tolist(), x)
+        return isfinite(slack) and _diff_max_le(Gv, self._tops, slack)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The projection of x: x itself, face held, where 2^j x meets every
-        row within its tolerance (_meets), else that of 2^j x times 2^-j."""
+        row by the one feasibility rule (_meets), else that of 2^j x times
+        2^-j."""
         xs = np.ldexp(x, self._j) if self._j else x
         if self._meets(xs):
             return x
@@ -202,24 +219,21 @@ class _Projector:
                 break
             held = self._face(tuple(compress(P, (mu >= 0.0).tolist())))
         y = self._point(x, mu, Gt, pinned)
-        if self._meets(y):
+        if self._meets(y, x):
             self._held = held
             return y
-        slack = 1e-12 * float(np.abs(x).max())
-        if not isfinite(slack):  # an inf or NaN in x, as when a gradient overflows
+        if not np.isfinite(x).all():  # an inf or NaN in x, as when a gradient overflows
             raise UnboundedError("the iterates left the float range; instance appears unbounded below")
-        Gy = self._Gy(y)
-        s = Gy - self._top  # each row's excess over its own tolerance
         # Each added row raises the dual objective, so no set repeats; the
         # bound only stops a cycle that rounding might cause.
         for _ in range(10 * len(self.h)):
+            Gy = self._Gy(y)
+            s = Gy - self._top  # each row's excess over its top
             s[list(P)] = -np.inf
             p = int(np.argmax(s))
-            if s[p] <= slack or s[p] <= 1e-12 * float(np.abs(y).max()):  # rounding on x's scale or y's
+            if s[p] <= _slack(y.tolist(), x):  # every row outside P meets the rule
                 break
             P, mu, y = self._add(P, mu, y, p, float(Gy[p] - self.h[p]))
-            Gy = self._Gy(y)
-            s = Gy - self._top
         else:
             raise RuntimeError("active-set projection is cycling")
         _, k, Gt, pinned, Kx, _ = self._held = self._face(P)

@@ -13,11 +13,12 @@ so a step makes as few numpy calls as give the same bits:
     enter the package aligned and in C order (CrispQP, project and
     _vector copy any other layout), so no result depends on a caller's
     layout.  The product is chosen once per CrispQP (Qx), per projector
-    (over G's rows of A, and over all of G) and per face (Kx), never per call.
+    (over G) and per face (Kx), never per call.
   - Exact comparisons scan Python lists: an iterate takes one projector
-    call, whose one feasibility rule (each row within its tolerance)
-    returns a point that meets the rows, and one _scan for divergence and
-    convergence; faces are built on demand.
+    call, whose one feasibility rule (each row within its tolerance plus
+    the rounding slack 1e-12 max(|x|, |y|)) returns a point that meets the
+    rows, and one _scan for divergence and convergence; faces are built on
+    demand.
 
 An indefinite Q runs 9 starts: the origin and the 8 rows of
 numpy.random.default_rng(seed).uniform(0, max(1, max|b|), (8, n)), drawn
@@ -201,8 +202,9 @@ def project(x, A, b, opts: SolverOptions | None = None,
     """Exact Euclidean projection of x onto {y: Ay <= b, y >= 0}: the
     boundary checks, then one call of a _Projector, the whole projection.
 
-    A point that meets every row within that row's own tolerance,
-    a_i.x - b_i <= 1e-12 (||a_i|| + |b_i|) and x_j >= -1e-12, is returned
+    A point that meets every row by the projector's one feasibility rule,
+    a_i.x - b_i <= 1e-12 (||a_i|| + |b_i| + ||a_i|| max|x|) and x_j >=
+    -1e-12 (1 + max|x|): its own tolerance plus x's rounding, is returned
     unchanged.  Otherwise the projection's dual is solved by a finite
     active-set method (see _Projector), so the result satisfies the KKT
     conditions up to rounding.  An empty polyhedron raises

@@ -69,9 +69,9 @@ def check_point(x, A, b, y, mu) -> None:
     subnormal where the projector works at 2^-64 of the caller's units.
     Then, exactly:
       - each row meets g_j.y <= b_j + t_j, t_j = 1e-12 (||g_j|| + |b_j|)
-        + 1e-12 ||g_j|| X + r_j: its own tolerance, the projector's slack
-        on the scale of x and y, and the rounding term (the bound rows
-        are y >= 0);
+        + 1e-12 ||g_j|| X + r_j: the projector's rule (its own tolerance
+        and the rounding slack on the scale of x and y) and the rounding
+        term (the bound rows are y >= 0);
       - mu >= 0, and a row with mu_j > 0 is tight, |g_j.y - b_j| <= t_j;
       - x - y = A'mu_A - mu_I to a relative 1e-9 of X + S, plus 64 2^-1010
         and 2^-1074 sum_j ||g_j||: a multiplier below the normal range is

@@ -7,7 +7,10 @@ scaling and its float-range shift; it holds only while ldexp and each leg's
 BLAS scale exactly, so it is marked numpy_contract, which CI runs with a
 larger example budget on every numpy leg.  So is the property that a
 projector's call returns x itself exactly where 2^j x meets every row of G
-within its top, whichever face the projector holds.
+by the one feasibility rule, (G 2^j x)_i <= top_i + 1e-12 max|2^j x|,
+whichever face the projector holds.  A seeded walk checks that a warm
+projector returns x itself exactly where a cold one does, and that where
+their bytes differ both outcomes check exactly.
 """
 import sys
 import warnings
@@ -100,18 +103,22 @@ def _returns_itself(proj, x) -> bool:
 
 
 def _meets_every_row(proj, x) -> bool:
-    """Every row of G 2^j x at or below its top, one product over all of G."""
-    return bool((proj.G @ np.ldexp(x, proj._j) <= proj._top).all())
+    """Every row of G xs within its top plus the rounding slack 1e-12 max|xs|,
+    xs = 2^j x, one product over all of G: the one feasibility rule."""
+    xs = np.ldexp(x, proj._j)
+    return bool((proj.G @ xs - proj._top <= 1e-12 * np.abs(xs).max()).all())
 
 
 @pytest.mark.numpy_contract
-@given(_instances(), st.lists(_eighths, min_size=4, max_size=4))
+@given(_instances(), st.lists(_eighths, min_size=4, max_size=4), st.integers(0, 40))
 @settings(deadline=None)
-def test_a_call_returns_x_itself_exactly_where_it_meets_every_row(instance, other):
+def test_a_call_returns_x_itself_exactly_where_it_meets_every_row(instance, other, s):
     """One feasibility rule: from the empty face and from the face held
     after projecting another point, and on that point's projection, which
-    lies on the rows within their tolerances."""
+    lies on the rows within their tolerances.  x is taken times 2^s, so
+    some x lie between a top and the rule's slack."""
     x, A, b = (np.array(v) for v in instance)
+    x = np.ldexp(x, s)
     try:
         proj = _Projector(A, b)
     except InfeasibleError:  # a row that no float point meets
@@ -125,6 +132,43 @@ def test_a_call_returns_x_itself_exactly_where_it_meets_every_row(instance, othe
     assert _returns_itself(proj, x) == _meets_every_row(proj, x)
     if y is not None:
         assert _returns_itself(proj, y) == _meets_every_row(proj, y)
+
+
+def _walks(count: int):
+    """(A, b, rng) for count seeded walks: n, m in 1..8, A normal with every
+    fourth instance's rows times 2^-40..2^39, b normal plus 2 on every third;
+    rng draws the walk's points."""
+    rng = np.random.default_rng(36)
+    for i in range(count):
+        n, m = (int(v) for v in rng.integers(1, 9, size=2))
+        A = rng.normal(size=(m, n))
+        if i % 4 == 0:
+            A = np.ldexp(A, rng.integers(-40, 40, size=(m, 1)))
+        yield A, rng.normal(size=m) + (2.0 if i % 3 == 0 else 0.0), rng
+
+
+def test_a_warm_call_returns_x_itself_exactly_where_a_cold_one_does():
+    """Along 100 seeded walks of 15 calls, each x the last cold projection
+    plus noise of 0.5 or 1e-3 (the first normal times 2), until the
+    polyhedron shows empty: a fresh projector returns x's bytes only as x
+    itself, and one warm from the walk's last call returns x itself exactly
+    where the fresh one does; where their bytes differ, neither holds x's
+    bytes and both outcomes check exactly with their own multipliers(x)."""
+    for A, b, rng in _walks(100):
+        warm, x = _Projector(A, b), 2.0 * rng.normal(size=A.shape[1])
+        for _ in range(15):
+            cold = _Projector(A, b)
+            try:
+                y_cold = cold(x)
+            except InfeasibleError:
+                break
+            y_warm = warm(x)
+            assert (y_cold is x) == (y_cold.tobytes() == x.tobytes()) == (y_warm is x)
+            if y_cold.tobytes() != y_warm.tobytes():
+                assert x.tobytes() not in (y_cold.tobytes(), y_warm.tobytes()), x.tolist()
+                check_point(x, A, b, y_cold, cold.multipliers(x))
+                check_point(x, A, b, y_warm, warm.multipliers(x))
+            x = y_cold + rng.choice([0.5, 1e-3]) * rng.normal(size=x.size)
 
 
 # Outcomes that were wrong before the projector's fixes, each found by the

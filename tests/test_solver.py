@@ -237,16 +237,21 @@ class TestProject:
         assert project(x, A, b, _warm=proj) is x and proj._held is held
 
     def test_a_warm_projector_returns_a_point_within_tolerance_itself(self):
-        """x exceeds the row x1 + x2 <= 1 by 1e-13, within its tolerance, so
-        a cold project returns x's bytes; a projector holding that row's face
-        returned x moved 5e-14 along the row, by a second feasibility rule."""
-        A, b = np.array([[1.0, 1.0]]), np.array([1.0])
-        proj = _Projector(A, b)
-        proj(np.array([2.0, 2.0]))
-        assert proj._held[5] == (0,)
-        x = np.array([0.5, 0.5 + 1e-13])
-        assert project(x, A, b).tobytes() == x.tobytes()
-        assert proj(x) is x and proj._held[5] == (0,)
+        """x exceeds the row a.x <= 1 within the rule: by 1e-13, within the
+        row's tolerance, where a projector holding that row's face returned
+        x moved 5e-14 along the row; by 5e-7, within the rounding slack
+        1e-12 max|x| = 1e-6, where a cold projector returned a copy of x on
+        the empty face and one holding the row's face returned (1, 1e6).
+        Both return x itself and keep the face they hold."""
+        for a, first, x in [([1.0, 1.0], [2.0, 2.0], [0.5, 0.5 + 1e-13]),
+                            ([1.0, 0.0], [2.0, 1e6], [1.0 + 5e-7, 1e6])]:
+            A, b, x = np.array([a]), np.array([1.0]), np.array(x)
+            cold, warm = _Projector(A, b), _Projector(A, b)
+            warm(np.array(first))
+            assert warm._held[5] == (0,)
+            assert project(x, A, b).tobytes() == x.tobytes()
+            assert cold(x) is x and cold._held is None
+            assert warm(x) is x and warm._held[5] == (0,)
 
     def test_multipliers_after_an_inside_point_are_zero(self):
         """An x inside ends on no active row, so x - P(x) = 0 = A'mu_A - mu_I
