@@ -2,9 +2,8 @@
 import re
 import tracemalloc
 import warnings
-from fractions import Fraction
 from itertools import combinations
-from math import comb, fsum, hypot
+from math import comb
 from random import Random
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exact import check_farkas
+from exact import check_farkas, check_point
 from helpers import (
     LIP_AT_1,
     LIP_LOWER_AT_0,
@@ -287,7 +286,7 @@ class TestProject:
         A, b = np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([1.0, -2.0])
         with pytest.raises(InfeasibleError) as err:
             _Projector(A, b).multipliers(np.array([0.0, 0.0]))
-        _assert_farkas(A, b, err.value.certificate)
+        check_farkas(A, b, err.value.certificate)
 
     def test_single_halfspace_formula(self):
         out = project([1.0, 1.0], [[1.0, 1.0]], [1.0])
@@ -316,17 +315,12 @@ class TestProject:
             assert np.max(np.abs(project(px, A, b) - px)) <= 1e-8
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-8
             assert np.all(A @ px <= b + 1e-8) and np.all(px >= -1e-9)
+            check_point(x, A, b, px, _Projector(A, b).multipliers(x))
+            check_point(y, A, b, py, _Projector(A, b).multipliers(y))
 
     def test_empty_polyhedron(self):
         with pytest.raises(InfeasibleError):
             project([0.0, 0.0], [[1.0, 0.0]], [-1.0])
-
-    def test_zero_row_negative_bound(self):
-        # the row 0 <= -1, reported by the row exchanges' one Farkas path
-        with pytest.raises(InfeasibleError) as err:
-            project([0.0], [[0.0]], [-1.0])
-        assert err.value.certificate.tolist() == [1.0, 0.0]
-        _assert_farkas(np.array([[0.0]]), np.array([-1.0]), err.value.certificate)
 
     def test_zero_row_slack_ignored(self):
         out = project([2.0], [[0.0]], [1.0])
@@ -446,38 +440,6 @@ class TestExactProjection:
             worst = max(worst, _kkt_violation(y + (x - y) * 2.0, A, b))
         assert worst <= 1e-10
 
-    def test_farkas_certificate_for_empty_polyhedron(self):
-        A = np.array([[1.0, 1.0], [-1.0, -1.0]])
-        b = np.array([1.0, -2.0])
-        with pytest.raises(InfeasibleError) as err:
-            project([0.0, 0.0], A, b)
-        mu = err.value.certificate
-        assert np.all(mu >= 0.0)
-        np.testing.assert_allclose(A.T @ mu[:2] - mu[2:], 0.0, atol=1e-12)
-        assert b @ mu[:2] < 0.0
-
-    def test_empty_polyhedron_with_a_full_active_set(self):
-        # The active set reaches n = 4 independent rows, which span R^4, and
-        # rounding leaves the next row's normal a residual above 1e-24: it
-        # took a fifth row and a QR of a 4 x 5 G_P' raised numpy's LinAlgError
-        A = np.vstack([[[0.42, 49, 0.0062, 13], [130, 4.4, -0.18, -0.011],
-                        [-0.11, 160, -0.0094, -0.68]], np.eye(4)])
-        b = np.array([0.72, -0.49, 1.0, 2, 2, 2, 2])
-        with pytest.raises(InfeasibleError) as err:
-            project(np.zeros(4), A, b)
-        _assert_farkas(A, b, err.value.certificate)
-
-    @pytest.mark.parametrize("row", [[1e-10], [1e-10, 1e-10]], ids=["one", "two"])
-    def test_row_beyond_the_float_range_with_no_negative_entry(self, row):
-        # b / ||a|| is about -1e310, -inf in h, so the row's top h + tol was
-        # NaN and the "certificate" [1e10, 0] had A'mu_A - mu_I = 1
-        A, b = np.array([row]), np.array([-1e300])
-        with pytest.raises(InfeasibleError) as err:
-            project(np.ones(len(row)), A, b)
-        mu = err.value.certificate  # the ray e_i, then a_i, at any positive scale
-        np.testing.assert_allclose(mu / mu[0], [1.0, *row], rtol=1e-15)
-        _assert_farkas(A, b, mu)
-
     def test_farkas_certificates_on_random_empty_polyhedra(self):
         # the last row is a negative combination of the others with a bound
         # below what that combination allows, so no point satisfies all rows
@@ -491,11 +453,7 @@ class TestExactProjection:
             b = np.append(b, -lam @ b - rng.uniform(0.01, 1.0))
             with pytest.raises(InfeasibleError) as err:
                 project(3.0 * rng.normal(size=n), A, b)
-            mu = err.value.certificate
-            assert mu.min() >= 0.0
-            scale = np.max(np.abs(mu))
-            assert np.max(np.abs(A.T @ mu[:m + 1] - mu[m + 1:])) <= 1e-9 * scale
-            assert b @ mu[:m + 1] < 0.0
+            check_farkas(A, b, err.value.certificate)
 
     @staticmethod
     def _with_zero_rows(rng, n, m, zero_rows, fill=0.0, b_zero=None):
@@ -562,7 +520,7 @@ class TestExactProjection:
                     build(A, b)(x)
                 certificates.append(err.value.certificate.tobytes())
             assert certificates[0] == certificates[1]
-            _assert_farkas(A, b, err.value.certificate)
+            check_farkas(A, b, err.value.certificate)
             assert not err.value.certificate[zero_rows].any()
 
     @pytest.mark.parametrize("zero_rows, fill, b_zero", [
@@ -581,6 +539,7 @@ class TestExactProjection:
             # one multiplier per row of [A; -I], zero on the zero rows
             assert mu.shape == (4 + 3,) and not mu[zero_rows].any()
             np.testing.assert_allclose(x - y, A.T @ mu[:4] - mu[4:], atol=1e-9)
+            check_point(x, A, b, y, mu)
 
     @pytest.mark.parametrize("eps", [0.01, 0.003])
     def test_thin_wedge(self, eps):
@@ -616,7 +575,8 @@ class TestMixedScaleRows:
     """Each row of [A; -I] has one rule: scaled exactly by a power of two,
     then to unit norm, and judged by its own tolerance 1e-12 (1 + |h_i|).
     So a big-M row does not loosen the others, and no finite row's norm
-    overflows or underflows to zero."""
+    overflows or underflows to zero; the cases at the float range's ends
+    are rows of tests/test_exact.py's table."""
 
     _eighths = st.integers(-16, 16).map(lambda k: k / 8.0)  # exact, never subnormal
 
@@ -640,12 +600,7 @@ class TestMixedScaleRows:
             A_s[i], b_s[i] = np.ldexp(A[i], k), np.ldexp(b[i], k)
 
         y = project(x, A_s, b_s)
-        slack = 1e-12 * float(np.abs(x).max())
-        assert (-y <= 1e-12 + slack).all()
-        for row, bi in zip(A_s.tolist(), b_s.tolist()):
-            norm = hypot(*row)  # hypot scales inside, so 2^600 entries do not overflow
-            excess = fsum(a * v for a, v in zip(row, y.tolist())) - bi
-            assert excess <= 1e-12 * (norm + abs(bi)) + norm * slack  # its own tolerance
+        check_point(x, A_s, b_s, y, _Projector(A_s, b_s).multipliers(x))  # each row by its own tolerance
         if not big_m:  # a power-of-two scale is exact, so the projection keeps its bytes
             assert y.tobytes() == project(x, A, b).tobytes()
         # the projection QP min ||y - x||^2 / 2, solved on the polyhedron itself:
@@ -662,119 +617,13 @@ class TestMixedScaleRows:
             s = solve(q)
             assert (s.x.tolist(), s.z, s.converged) == ([1.0, 0.5], -0.875, True)
 
-    @pytest.mark.parametrize("row, b", [(1e200, 1e200), (1e-300, 1e-300)], ids=["1e200", "1e-300"])
-    def test_float_range_rows(self, row, b):
-        # the row's norm overflowed, or its square underflowed to a zero row:
-        # both returned 5
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert project([5.0], [[row]], [b]).tolist() == [1.0]
-
-    def test_overflowing_h_is_never_violated(self):
-        # b / ||a|| = 1e310 is +inf in h: the row holds for every finite y.
-        # A shared tolerance of inf returned (-1, 5) with an overflow warning.
-        A = [[1e-10, 0.0], [0.0, 1.0], [1.0, 1.0]]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            y = project([-1.0, 5.0], A[:2], [1e300, 1.0])
-            with pytest.raises(InfeasibleError) as err:  # and is never in a certificate
-                project([0.0, 0.0], A, [1e300, 1.0, -1.0])
-        assert y.tolist() == [0.0, 1.0]
-        assert err.value.certificate[0] == 0.0 and "b'mu_A = -1." in str(err.value)
-        _assert_farkas(np.array(A), np.array([1e300, 1.0, -1.0]), err.value.certificate)
-
-    def test_zero_row_is_judged_within_its_tolerance(self):
-        # 0 <= b fails only beyond tol = 1e-12 (1 + |b|), as x <= b does;
-        # among other rows its certificate is still e_i
-        assert project([0.0], [[0.0]], [-1e-13]).tolist() == [0.0]
-        assert project([0.0], [[1.0]], [-1e-13]).tolist() == [0.0]
-        A, b = np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([1.0, -1.0])
-        with pytest.raises(InfeasibleError) as err:
-            project([0.5, 0.25], A, b)
-        assert err.value.certificate.tolist() == [0.0, 1.0, 0.0, 0.0]
-        _assert_farkas(A, b, err.value.certificate)
-
-    def test_certificate_of_a_row_whose_norm_overflows(self):
-        # the row's norm is beyond the float range: dividing by it gave the
-        # row the entry 0, and [0, 1, 1] has A'mu_A - mu_I = (-1, -1)
-        A, b = np.array([[1.5e308, 1.5e308]]), np.array([-1e300])
-        with pytest.raises(InfeasibleError) as err:
-            project([0.0, 0.0], A, b)
-        _assert_farkas(A, b, err.value.certificate)
-        check_farkas(A, b, err.value.certificate)  # exactly, with the row's norm taken at its scale
-
-    def test_containment_reads_the_scaled_rows(self):
-        # A x on the rows as given overflowed: "overflow encountered in dot"
-        row = [1.5e308, 1.5e308]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            y = project([1.0, 1.0], [row], [-1.0]).tolist()
-        norm = hypot(*row)
-        assert min(y) >= -1e-12
-        assert fsum(a * v for a, v in zip(row, y)) + 1.0 <= 1e-12 * (norm + 1.0) + norm * 1e-12
-
 
 class TestFloatRangeShift:
-    """Where an h or an oracle coefficient leaves the float range, both
-    kernels solve at one power of two 2^j and report in the caller's units;
-    a projection that overflows on the way back raises InfeasibleError with
-    no certificate.  Each case ran wrong before: a false certificate, an
-    overflow warning, or the wrong vertex."""
-
-    @staticmethod
-    def _meets_rows(A, b, y):
-        """y >= 0 and a_i.y <= b_i + 1e-12 (||a_i|| + |b_i|), in exact arithmetic."""
-        assert min(y.tolist()) >= 0.0
-        for row, bi in zip(A, b):
-            excess = sum(Fraction(a) * Fraction(v) for a, v in zip(row, y.tolist())) - Fraction(bi)
-            assert excess <= Fraction(1e-12) * (Fraction(hypot(*row)) + abs(Fraction(bi)))
-
-    @pytest.mark.parametrize("x, A, b, want", [
-        # h = -inf: raised a false certificate
-        ([1.0, 1.0], [[-0.5, -0.5]], [-1.3e308], [1.3e308, 1.3e308]),
-        # h = +inf: raised "b'mu_A = inf < 0"
-        ([1.7e308, 1.5e308], [[1e-10, 1e-10]], [3e298], [1.6e308, 1.4e308]),
-    ], ids=["h-minus-inf", "h-plus-inf"])
-    def test_projection_meets_a_row_whose_h_overflows(self, x, A, b, want):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            y = project(x, A, b)
-            assert project(y, A, b).tobytes() == y.tobytes()  # inside, as the projector tests it
-        self._meets_rows(A, b, y)
-        np.testing.assert_allclose(y, want, rtol=1e-12)  # the half-space formula
-
-    @pytest.mark.parametrize("x, b, want", [
-        ([1.0, 1.0], [1e308, 0.5], [1.0, 0.5]),
-        ([1.0, 1.0], [1e308, 0.0], [1.0, 0.0]),
-        ([0.0, 0.0], [1e308, -1.0], None),
-        ([1.0, 1.0], [-1e308, 0.5], None),  # row 0 needs y1 <= -2e631: no float vector, no certificate
-    ], ids=["b-half", "b-zero", "empty", "beyond"])
-    def test_rows_whose_h_lie_2_to_the_2000_apart(self, x, b, want):
-        # h_0 = 2^2098 and h_1 = 1: a shift that brings h_0 into range took
-        # x and b_1 below the smallest subnormal, so (1, 1) was "feasible"
-        A = [[5e-324, 0.0], [0.0, 1.0]]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            if want is not None:
-                assert project(x, A, b).tolist() == want
-                return
-            with pytest.raises(InfeasibleError) as err:
-                project(x, A, b)
-        if b[0] > 0:
-            _assert_farkas(np.array(A), np.array(b), err.value.certificate)
-        else:
-            assert err.value.certificate is None and "float range" in str(err.value)
-
-    @pytest.mark.parametrize("x, A, b", [
-        ([1.0, 1.0], [[1e-10, -1e-10]], [-1e300]),  # needs x2 - x1 >= 1e310
-        ([0.0], [[-5e-324]], [-1.0]),  # needs x >= 2e323; the certificate was [inf, 0]
-    ], ids=["difference", "subnormal-row"])
-    def test_projection_beyond_the_float_range(self, x, A, b):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InfeasibleError, match="beyond the float range") as err:
-                project(x, A, b)
-        assert err.value.certificate is None
+    """Where an oracle coefficient leaves the float range, the oracle
+    solves at one power of two 2^j and reports in the caller's units, as
+    the projector does where an h leaves it (the rows of tests/test_exact.py's
+    table whose h overflow).  Each case ran wrong before: an overflow
+    warning or the wrong vertex."""
 
     def test_oracle_vertex_whose_objective_overflows(self):
         # the KKT system of the vertex (10, 0) overflowed, so the oracle
@@ -1314,14 +1163,6 @@ class TestTracedNames:
         assert calls["project"] >= 1 and calls["gradient"] >= 1
 
 
-def _assert_farkas(A, b, mu):
-    """mu >= 0 over the rows of [A; -I] with A'mu_A - mu_I = 0 and b'mu_A < 0."""
-    m = A.shape[0]
-    assert mu.min() >= 0.0
-    assert np.max(np.abs(A.T @ mu[:m] - mu[m:])) <= 1e-9 * np.max(np.abs(mu))
-    assert b @ mu[:m] < 0.0
-
-
 def _oracle_instance(rng, kind):
     """kind 0..4: convex, indefinite, Q = 0, a row of A repeated exactly, empty."""
     A, b = _random_polyhedron(rng)
@@ -1511,7 +1352,7 @@ class TestOracle:
         q = CrispQP(c=[1.0], Q=[[1.0]], A=[[1.0]], b=[-2.0])
         with pytest.raises(InfeasibleError) as err:
             solve_oracle(q)
-        _assert_farkas(q.A, q.b, err.value.certificate)
+        check_farkas(q.A, q.b, err.value.certificate)
 
     def test_batched_enumeration_matches_per_subset_reference(self):
         rng = np.random.default_rng(505)
@@ -1522,7 +1363,7 @@ class TestOracle:
             except InfeasibleError:
                 with pytest.raises(InfeasibleError) as err:
                     solve_oracle(q)
-                _assert_farkas(q.A, q.b, err.value.certificate)
+                check_farkas(q.A, q.b, err.value.certificate)
                 continue
             s = solve_oracle(q)
             assert s.x.tobytes() == x.tobytes() and s.z == z

@@ -165,8 +165,9 @@ class TestMembershipOfObjective:
         assert membership_of_objective(example_curve, Z_AT_1) == 1.0
 
     def test_support_ends_are_zero(self, example_curve):
-        assert membership_of_objective(example_curve, Z_LOWER_AT_0) == 0.0
-        assert membership_of_objective(example_curve, Z_UPPER_AT_0) == 0.0
+        # the curve's own ends: test_exact_support_and_mode pins them to -49/12 and -1
+        assert membership_of_objective(example_curve, example_curve.z_lower[0]) == 0.0
+        assert membership_of_objective(example_curve, example_curve.z_upper[0]) == 0.0
 
     def test_outside_support_is_zero(self, example_curve):
         assert membership_of_objective(example_curve, -5.0) == 0.0
