@@ -7,6 +7,14 @@ from math import isfinite, isinf
 import numpy as np
 
 
+def _times(a: float, b: float) -> float:
+    """a * b, with 0 * inf taken as 0, the product of an unbounded end with
+    a zero end or factor; only that NaN product is replaced, so every other
+    keeps its bytes and its sign of zero, and a NaN factor stays NaN."""
+    p = a * b
+    return 0.0 if p != p and a == a and b == b else p
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed real interval [lo, hi]."""
@@ -27,10 +35,10 @@ class Interval:
         """Interval * Interval (four-product rule) or Interval * scalar."""
         if isinstance(other, Interval):
             products = (
-                self.lo * other.lo,
-                self.lo * other.hi,
-                self.hi * other.lo,
-                self.hi * other.hi,
+                _times(self.lo, other.lo),
+                _times(self.lo, other.hi),
+                _times(self.hi, other.lo),
+                _times(self.hi, other.hi),
             )
             return Interval(min(products), max(products))
         return self.scale(other)
@@ -42,8 +50,8 @@ class Interval:
         """Scalar multiple; a negative factor swaps the endpoints."""
         k = float(k)
         if k >= 0.0:
-            return Interval(k * self.lo, k * self.hi)
-        return Interval(k * self.hi, k * self.lo)
+            return Interval(_times(k, self.lo), _times(k, self.hi))
+        return Interval(_times(k, self.hi), _times(k, self.lo))
 
     def __contains__(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -118,8 +126,6 @@ class TriangularFuzzyNumber:
             if not isfinite(a2 - a1):
                 a1, a2, x = a1 / 2, a2 / 2, x / 2
             return (x - a1) / (a2 - a1)
-        if a2 == a3:
-            return 1.0
         if not isfinite(a3 - a2):
             a2, a3, x = a2 / 2, a3 / 2, x / 2
         return (a3 - x) / (a3 - a2)

@@ -104,9 +104,10 @@ class _Projector:
     top is added while y fails the rule there; the step along the part of
     p's normal orthogonal to the rows of P either makes p tight (p joins P)
     or first drives some mu_j to zero (j leaves P).  If p's normal lies in
-    the span of P and no mu_j can shrink, the dual is unbounded: mu = (1 on
-    p, -r on P) is a Farkas certificate and InfeasibleError is raised (e_i
-    for a zero row with b_i < 0).
+    the span of P and no mu_j can shrink within the float range, the dual
+    is unbounded: mu = (1 on p, -r on P) is a Farkas certificate, an r_j
+    that limits no step read as 0, and InfeasibleError is raised (e_i for
+    a zero row with b_i < 0).
 
     For a fixed P the multipliers are affine in x, mu_P = K x - k, and
     y = x - G_P' mu_P.  _face is the one builder of a face and its record
@@ -139,17 +140,16 @@ class _Projector:
         np.divide(A, norms[:, None], out=self.G[:m])
         self.G[m:] = -np.eye(n)  # -0.0 off the diagonal
         self._j = 0  # b, h and each x are times 2^j, results 2^-j; 0 unless some |h| reaches 2^1000
-        for shifted in (False, True):
-            with np.errstate(over="ignore", invalid="ignore"):  # b or h beyond the float range is +-inf
-                np.divide(np.ldexp(b, k), norms, out=self.h[:m])
-                self._top = self.h + 1e-12 * (2.0 ** self._j + np.abs(self.h))  # met while (Gy)_i - top[i] <= _slack
-                self._tops = self._top.tolist()
-            if shifted or _max(np.abs(self.h), initial=0.0) < 2.0 ** 1000:
-                break  # else shift by max|h|'s exponent, read on b far down, where no h overflows
-            self._j = _range_shift(frexp(float(_max(np.abs(np.ldexp(b, k - 1100)) / norms)))[1] + 1100)
-            k = k + self._j
-        if self._j and self.h.min() <= -2.0 ** 1000:  # so j = -64, and no float y meets that row
-            raise InfeasibleError("the projection lies beyond the float range")
+        with np.errstate(over="ignore", invalid="ignore"):  # b or h beyond the float range is +-inf
+            np.divide(np.ldexp(b, k), norms, out=self.h[:m])
+            if _max(np.abs(self.h), initial=0.0) >= 2.0 ** 1000:
+                # shift by max|h|'s exponent, read on b far down, where no h overflows
+                self._j = _range_shift(frexp(float(_max(np.abs(np.ldexp(b, k - 1100)) / norms)))[1] + 1100)
+                np.divide(np.ldexp(b, k + self._j), norms, out=self.h[:m])
+                if self.h.min() <= -2.0 ** 1000:  # so j = -64, and no float y meets that row
+                    raise InfeasibleError("the projection lies beyond the float range")
+            self._top = self.h + 1e-12 * (2.0 ** self._j + np.abs(self.h))  # met while (Gy)_i - top[i] <= _slack
+            self._tops = self._top.tolist()
         self._Gy = _product(self.G)  # every row of [A; -I], as _meets and the exchanges read them
         self._held = None  # the empty face until a call ends on another
         self._faces: dict[tuple[int, ...], tuple] = {}  # P -> its record, by _face
@@ -255,10 +255,11 @@ class _Projector:
             if shrinking.size:
                 with np.errstate(over="ignore"):  # one past the float range never limits the step
                     ratios = mu[shrinking] / r[shrinking]
-                j = int(np.argmin(ratios))
-                if ratios[j] < step:
-                    step, drop = float(ratios[j]), int(shrinking[j])
-            if step == np.inf:  # a ratio that overflowed drops no row: its r_i reads as 0
+                    j = int(np.argmin(ratios))
+                    # nor, where p's normal lies in the span of P, one whose step carries mu past it
+                    if ratios[j] < step and (step < np.inf or np.isfinite(mu - ratios[j] * r).all()):
+                        step, drop = float(ratios[j]), int(shrinking[j])
+            if step == np.inf:  # a ratio that limits no step drops no row: its r_i reads as 0
                 self._raise_infeasible(P, np.where(r > 0.0, -0.0, r), p)
             y = y - step * z
             mu = mu - step * r

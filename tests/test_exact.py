@@ -12,11 +12,12 @@ whichever face the projector holds.  A seeded walk checks that a warm
 projector returns x itself exactly where a cold one does, and that where
 their bytes differ both outcomes check exactly.
 
-Every projection outcome that once ran wrong is a row of one table, _CASES,
-judged by _outcome as the property is and held to the pins of its first
-test.  The two rows whose h overflows keep a stricter row check, with no
-slack on the scale of y.  Both checks are shown to reject an outcome that
-misses one of their conditions.
+Every fixed projection case is a row of one table, _CASES: the small
+instances a projection must get right and each outcome that once ran
+wrong, all judged by _outcome as the property is and held to the pins of
+their first tests.  The two rows whose h overflows keep a stricter row
+check, with no slack on the scale of y.  Both checks are shown to reject
+an outcome that misses one of their conditions.
 """
 import sys
 import warnings
@@ -179,14 +180,23 @@ def test_a_warm_call_returns_x_itself_exactly_where_a_cold_one_does():
             x = y_cold + rng.choice([0.5, 1e-3]) * rng.normal(size=x.size)
 
 
-# Projection outcomes that ran wrong before the projector's fixes: (x, A, b)
-# and the outcome's kind, then the pins its first test asserted, each a pair:
+# Every fixed projection case, the textbook ones first, then the outcomes
+# that ran wrong before the projector's fixes: (x, A, b) and the outcome's
+# kind, then the pins its first test asserted, each a pair:
 #   ("==", v): the point or certificate is v exactly;
 #   ("close", v): the point is v to a relative 1e-12, the half-space formula;
 #   ("ray", v): the certificate over its largest entry is v to a relative
 #   1e-15 (and 0 where v is), a ray's direction at any positive scale;
 #   ("in", text): the error's message holds text.
 _CASES = {
+    "feasible-point-unchanged": ([0.2, 0.3], [[1.0, 1.0]], [1.0], ("point", ("==", [0.2, 0.3]))),
+    "single-halfspace-formula": ([1.0, 1.0], [[1.0, 1.0]], [1.0], ("point", ("close", [0.5, 0.5]))),
+    "orthant-clamp": ([-1.0, 2.0], [[1.0, 1.0]], [10.0], ("point", ("==", [0.0, 2.0]))),
+    # x1 <= 1 and x2 <= 1 from (2, 2): the corner
+    "two-active-constraints": ([2.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], ("point", ("close", [1.0, 1.0]))),
+    "empty-polyhedron": ([0.0, 0.0], [[1.0, 0.0]], [-1.0], ("certificate",)),
+    # the all-zero row 0 <= 1 never binds
+    "zero-row-slack-ignored": ([2.0], [[0.0]], [1.0], ("point", ("==", [2.0]))),
     # a certificate with b'mu_A = 2341 > 0 for a nonempty polyhedron: at |y| ~ 7e136
     # the rounding of y2 read as a violated bound (slack now on max|y| too)
     "false-certificate": ([12288.0, 0.0], [[0.0, 1.8448846400653416e-81], [-2.1272782735378335e-124, -2.1272782735378335e-124]],
@@ -216,6 +226,14 @@ _CASES = {
     "ray-with-rounding-r": ([0.0, 0.0, 0.0], [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
                                               [-4.276423536147513e-50, 6.41463530422127e-50, 2.1382117680737565e-50],
                                               [0.5, -0.75, 0.375]], [0.0, 0.0, -8.572557311653681e+251, 0.0], ("certificate",)),
+    # "overflow encountered in multiply": with P = (0, 1, 4) and p = 3, -e_2
+    # lies in the span of P (zz = 1.2e-31), and x_3's bound has r = 3.4e-16,
+    # exactly 0 in exact arithmetic, whose ratio 2.9e307 took mu - step r
+    # past the float range on r_0 = -9.54 (no limit now; the ray reads it as 0)
+    "ratio-step-past-the-float-range": ([0.0, 0.0, 0.0, 3.99168061906944e+292],
+                                        [[0.0, 0.125, 0.375, 1.125], [0.0, 0.0, -0.625, -1.875]],
+                                        [0.0, -1.99584030953472e+292],
+                                        ("certificate", ("ray", [1.0, 0.6, 0.0, 0.125, 0.0, 0.0]))),
     # "overflow encountered in ldexp": the multiplier of the row 1e-302 y2 >= 0
     # is 1.8e308 in its own units (+inf now, as multipliers documents)
     "multiplier-past-the-float-range": ([0.0, 2097152.0, 0.0], [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.1665795231290236e-302, 0.0]],

@@ -141,6 +141,15 @@ class TestIntervalArithmetic:
         assert Interval(-1, 2) * Interval(3, 4) == Interval(-4, 8)
         assert Interval(0, 0) * Interval(-5, 7) == Interval(0, 0)
 
+    def test_an_unbounded_end_times_zero_is_zero(self):
+        # each raised "interval endpoints out of order" on a product nan = 0 * inf
+        inf = np.inf
+        assert Interval(0, 1) * Interval(-inf, inf) == Interval(-inf, inf)
+        assert Interval(-1, 0) * Interval(1, inf) == Interval(-inf, 0)
+        assert Interval(-inf, inf).scale(0) == Interval(0, 0)
+        assert 0.0 * Interval(1, inf) == Interval(0, 0)
+        assert np.signbit((-0.0 * Interval(1, inf)).lo)  # -0.0 * 1 keeps its sign
+
     def test_scalar_via_mul(self):
         assert Interval(1, 3) * 2 == Interval(2, 6)
 

@@ -2,7 +2,7 @@
 (fuzzyqp.projector), projected gradient (fuzzyqp.solver) and the
 enumeration oracle (fuzzyqp.oracle), which checks projected gradient and
 so reaches the projector only through solver's project; and no module
-of the package imports a name it does not use."""
+of the package or of its tests imports a name it does not use."""
 import ast
 
 import pytest
@@ -64,10 +64,15 @@ def test_every_member_the_projector_builds_is_read():
     assert assigned and sorted(assigned - read) == []
 
 
-@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
+_MODULES = {p.stem: p for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+_MODULES.update({f"tests/{p.stem}": p for p in (REPO_ROOT / "tests").glob("*.py")})
+
+
+@pytest.mark.parametrize("module", sorted(_MODULES))
 def test_every_imported_name_is_used(module):
-    """Every module but __init__, which only re-exports."""
-    tree = _tree(module)
+    """Every module of the package but __init__, which only re-exports, and
+    every module of the tests."""
+    tree = ast.parse(_MODULES[module].read_text(encoding="utf-8"))
     imported = {a.asname or a.name.split(".")[0] for node in tree.body
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 and getattr(node, "module", "") != "__future__" for a in node.names}

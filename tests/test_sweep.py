@@ -21,7 +21,6 @@ from fuzzyqp import (
     InfeasibleError,
     MembershipCurve,
     QpSolution,
-    SolverOptions,
     TriangularFuzzyNumber,
     UnboundedError,
     membership_of_objective,
