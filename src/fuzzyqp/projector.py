@@ -118,11 +118,15 @@ class _Projector:
     whose record (less P) all projectors share for n <= _BOUND_FACE_N.  A call where 2^j x meets every row by the rule, which
     a solve's settled test and its exchanges read too, returns x and keeps
     the held face; any other starts from the face the last solving call
-    ended on, held with its record so a settled call does no lookup, less
-    any rows whose multipliers come out negative at the new x: once
+    ended on, held with its record so a settled call does no lookup, and
+    settles it at the new x.  The settle rule (_settle) is the one way a
+    face is read at a point: drop the rows whose multipliers at x come out
+    negative, all at once, and read again, until none does.  Once
     projected gradient settles, a projection is one affine map plus a sign
     and a feasibility check.  The held face is the only warm state;
-    multipliers(x) projects x too.  Row i of G is row i of [A; -I], so the
+    multipliers(x) projects x too and settles the face that projection
+    ended on at x, so no multiplier it reports is negative, and a cold call
+    answers as a warm one does.  Row i of G is row i of [A; -I], so the
     Farkas certificate and the multipliers index G's rows directly, and
     _caller_units is their one way back to the caller's units.
     """
@@ -210,14 +214,19 @@ class _Projector:
             return y
         raise InfeasibleError("the projection lies beyond the float range")
 
-    def _solve(self, x: np.ndarray) -> np.ndarray:
-        held = self._held or self._face(())
+    def _settle(self, face: tuple, x: np.ndarray) -> tuple:
+        """(face, mu_P): the face reached from face by dropping the rows whose
+        multipliers at x come out negative until none does, with its mu_P at x."""
         while True:
-            _, k, Gt, pinned, Kx, P = held
+            _, k, _, _, Kx, P = face
             mu = Kx(x) - k
             if _min_ge(mu.tolist(), 0.0):
-                break
-            held = self._face(tuple(compress(P, (mu >= 0.0).tolist())))
+                return face, mu
+            face = self._face(tuple(compress(P, (mu >= 0.0).tolist())))
+
+    def _solve(self, x: np.ndarray) -> np.ndarray:
+        held, mu = self._settle(self._held or self._face(()), x)
+        _, _, Gt, pinned, _, P = held
         y = self._point(x, mu, Gt, pinned)
         if self._meets(y, x):
             self._held = held
@@ -284,11 +293,14 @@ class _Projector:
     def multipliers(self, x: np.ndarray) -> np.ndarray:
         """KKT multipliers over the rows of [A; -I] of the projection y of x,
         x - y = A'mu_A - mu_I, in the caller's units (_caller_units), +inf past
-        the float range: read on the face that projecting x from the held face
-        ends on, +0.0 for an x inside; an empty polyhedron raises InfeasibleError."""
-        _, k, _, _, Kx, P = self._face(()) if self(x) is x else self._held
+        the float range, never negative: read on the face that projecting x from
+        the held face ends on, settled at x (_settle: the rows whose multipliers
+        come out negative are dropped until none does), +0.0 for an x inside;
+        an empty polyhedron raises InfeasibleError."""
+        face = self._face(()) if self(x) is x else self._held
         with np.errstate(over="ignore"):
-            return self._caller_units(list(P), Kx(np.ldexp(x, self._j)) - k, -self._j)
+            (*_, P), mu = self._settle(face, np.ldexp(x, self._j))
+            return self._caller_units(list(P), mu, -self._j)
 
     def _caller_units(self, rows: list, lam: np.ndarray, j: int = 0) -> np.ndarray:
         """Multipliers lam on the given rows of G (zero on the others) as

@@ -27,9 +27,7 @@ GOLDEN_PLOT_PATH = REPO_ROOT / "fixtures" / "liu2009-example.plot.csv"
 # Reference values for the bundled example, derived by hand from the KKT
 # conditions of the endpoint QPs (fractions are exact).
 Z_LOWER_AT_0 = -49.0 / 12.0              # edge minimum of -4 - x2 + 3*x2^2 on x1 + 0.5*x2 = 1
-X_LOWER_AT_0 = (11.0 / 12.0, 1.0 / 6.0)
 Z_UPPER_AT_0 = -1.0                       # bound minimum of -4*x1 + 4*x1^2 on x2 = 0
-X_UPPER_AT_0 = (0.5, 0.0)
 Z_AT_1 = -167.0 / 80.0                    # interior stationary point, z = c'x/2
 X_AT_1 = (0.85, 0.05)
 LIP_LOWER_AT_0 = 3.0 + np.sqrt(10.0)      # roots of l^2 - 6l - 1
@@ -40,6 +38,16 @@ LIP_AT_1 = 5.0 + np.sqrt(5.0)             # roots of l^2 - 10l + 20
 TABLE_ALPHAS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 TABLE_Z_LOWER = (-4.0833, -4.0503, -3.7271, -3.1306, -2.4891, -2.0872)
 TABLE_Z_UPPER = (-1.0, -1.1605, -1.3444, -1.5559, -1.8, -2.0872)
+
+
+def modal_qp() -> CrispQP:
+    """The example's modal (alpha = 1) QP, whose optimum X_AT_1 is interior."""
+    return CrispQP(
+        c=[-5.0, 1.5],
+        Q=[[6.0, -2.0], [-2.0, 4.0]],
+        A=[[1.0, 1.0], [2.0, -1.0]],
+        b=[2.0, 4.0],
+    )
 
 
 def crisp_tfn(v: float) -> TriangularFuzzyNumber:

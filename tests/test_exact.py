@@ -1,5 +1,7 @@
-"""Every projection outcome checked exactly (tests/exact.py): a point with
-its multipliers, a Farkas certificate, or the named float-range outcome.
+"""Every projection outcome and every fixed crisp-solver case checked
+exactly (tests/exact.py): a point with its multipliers, a Farkas
+certificate, the named float-range outcome, or a crisp solution with its
+multipliers.
 
 The property draws rows of eighths scaled by 2^-1000..2^1000 and right-hand
 sides up to +-1e308 of either sign, so it reaches the projector's exact row
@@ -18,6 +20,13 @@ wrong, all judged by _outcome as the property is and held to the pins of
 their first tests.  The two rows whose h overflows keep a stricter row
 check, with no slack on the scale of y.  Both checks are shown to reject
 an outcome that misses one of their conditions.
+
+Every fixed case of solve_pg and solve_oracle is a row of a second table,
+_SOLVES: a solution judged by check_kkt, with the multipliers a cold
+projector reads at x - step (c + Qx), and by exact_min at n <= 3 on a
+bounded polyhedron; a certificate judged by check_farkas; or an unbounded
+or unconverged outcome held by its pins.  check_kkt and the exact_min
+comparison are shown to reject a solution that misses one condition.
 """
 import sys
 import warnings
@@ -29,9 +38,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exact import check_farkas, check_point
-from fuzzyqp import InfeasibleError, UnboundedError, project
+from exact import bounded, check_farkas, check_kkt, check_point, exact_min
+from helpers import FIXTURE_PATH, X_AT_1, Z_AT_1, Z_LOWER_AT_0, Z_UPPER_AT_0, modal_qp
+
+from fuzzyqp import (
+    CrispQP,
+    InfeasibleError,
+    SolverOptions,
+    UnboundedError,
+    gradient,
+    lower_qp,
+    objective,
+    parse_problem,
+    project,
+    solve_oracle,
+    solve_pg,
+    upper_qp,
+)
 from fuzzyqp.projector import _Projector
+from fuzzyqp.solver import _step_rule
 
 _FLOAT_MAX = Fraction(sys.float_info.max)
 _eighths = st.integers(-16, 16).map(lambda k: k / 8.0)  # exact, never subnormal
@@ -67,11 +92,12 @@ def _outcome(x, A, b):
 
 def _exact_multipliers(proj, x):
     """multipliers(x) as Fractions, for one that is +inf, beyond the float
-    range: the held face's mu_P, in the projector's units, taken back to the
-    caller's exactly (the Fraction form of _Projector._caller_units)."""
-    _, k, _, _, Kx, P = proj._held  # the face that multipliers(x) read
+    range: the mu_P of the held face settled at x, the face multipliers(x)
+    read, in the projector's units, taken back to the caller's exactly (the
+    Fraction form of _Projector._caller_units)."""
+    (*_, P), mu_P = proj._settle(proj._held, np.ldexp(x, proj._j))
     mu = [Fraction(0)] * len(proj.h)
-    for i, lam in zip(P, (Kx(np.ldexp(x, proj._j)) - k).tolist()):
+    for i, lam in zip(P, mu_P.tolist()):
         if i < proj.first_bound:
             lam = Fraction(lam) / Fraction(float(proj._norms[i])) * Fraction(2) ** int(proj._shift[i])
         mu[i] = Fraction(lam) * Fraction(2) ** -proj._j
@@ -352,3 +378,167 @@ def test_a_point_moved_past_an_active_row_fails():
         moved = y + 1e-6 * A[i] / np.linalg.norm(A[i])  # 1e-6 past row i, which is tight
         with pytest.raises(AssertionError, match=r"^row \d"):
             check_point(x, A, b, moved, mu)
+
+
+_EXAMPLE = parse_problem(FIXTURE_PATH.read_text(encoding="utf-8"))
+# z within this share of 1 + |z*| of exact_min's z*: PG stops where an
+# iterate moves by at most its tol 1e-9, the oracle solves each system once
+_MIN_TOL = {solve_pg: 1e-9, solve_oracle: 1e-12}
+
+# Every fixed crisp-solver case: the instance, its solvers and options, the
+# outcome's kind, then the pins its first test asserted.  The kinds:
+#   "kkt": a solution that check_kkt judges (_kkt), and, for n <= 3 on a
+#   bounded polyhedron, whose z is exact_min's within _MIN_TOL;
+#   "certificate": an InfeasibleError whose certificate check_farkas judges;
+#   "unbounded": an UnboundedError;
+#   "unconverged": a solution with converged False, held by its pins only.
+# The pins, each a tuple:
+#   ("==", f, v): the solution's field f is v exactly (x as a list);
+#   ("abs", f, v, tol): f is v within tol, entrywise for x;
+#   ("<=", f, v): f is at most v;
+#   ("z of x", rel): z is objective(q, x) to a relative rel;
+#   ("inside", t, u): x >= -t and Ax <= b + u.
+_SOLVES = {
+    # the example's lower end at alpha = 0: indefinite, so 9 starts; the edge
+    # minimum of -4 - x2 + 3 x2^2 on x1 + 0.5 x2 = 1 is x = (11/12, 1/6)
+    "pg-lower-qp-at-zero-multistart": (lower_qp(_EXAMPLE, 0.0), (solve_pg,), None, "kkt",
+                                       ("abs", "z", Z_LOWER_AT_0, 1e-6), ("abs", "x", (11 / 12, 1 / 6), 1e-6),
+                                       ("==", "convex", False), ("==", "converged", True)),
+    # reachable from the plain origin start
+    "pg-lower-qp-at-zero-from-origin-only": (lower_qp(_EXAMPLE, 0.0), (solve_pg,), SolverOptions(multistart=((0.0, 0.0),)),
+                                             "kkt", ("abs", "z", Z_LOWER_AT_0, 1e-6)),
+    # the bound minimum of -4 x1 + 4 x1^2 on x2 = 0
+    "pg-upper-qp-at-zero": (upper_qp(_EXAMPLE, 0.0), (solve_pg,), None, "kkt", ("abs", "z", Z_UPPER_AT_0, 1e-6),
+                            ("abs", "x", (0.5, 0.0), 1e-6), ("==", "convex", True), ("==", "converged", True)),
+    "pg-modal-qp-interior-optimum": (modal_qp(), (solve_pg,), None, "kkt",
+                                     ("abs", "z", Z_AT_1, 1e-6), ("abs", "x", X_AT_1, 1e-6)),
+    "pg-solution-invariants": (lower_qp(_EXAMPLE, 0.0), (solve_pg,), None, "kkt",
+                               ("inside", 1e-9, 1e-8), ("z of x", 1e-12), ("<=", "stationarity", 1e-7)),
+    "pg-infeasible-propagates": (CrispQP(c=[1.0], Q=[[1.0]], A=[[1.0]], b=[-1.0]), (solve_pg,), None, "certificate"),
+    "pg-unbounded-diverges-loudly": (CrispQP(c=[0.0, 0.0], Q=[[-1.0, 0.0], [0.0, -1.0]], A=[[-1.0, -1.0]], b=[-1.0]),
+                                     (solve_pg,), None, "unbounded"),
+    # Q = 0 is an LP; the fixed point at the optimal vertex still registers
+    "pg-lp-fallback-step": (CrispQP(c=[-1.0, 0.0], Q=np.zeros((2, 2)), A=[[1.0, 0.0]], b=[1.0]), (solve_pg,), None, "kkt",
+                            ("==", "converged", True), ("abs", "z", -1.0, 1e-9)),
+    "pg-honest-nonconvergence-flag": (modal_qp(), (solve_pg,), SolverOptions(max_iter=2), "unconverged",
+                                      ("==", "converged", False), ("==", "iterations", 2)),
+    "oracle-lower-qp-at-zero": (lower_qp(_EXAMPLE, 0.0), (solve_oracle,), None, "kkt", ("abs", "z", Z_LOWER_AT_0, 1e-10),
+                                ("abs", "x", (11 / 12, 1 / 6), 1e-10), ("==", "converged", True)),
+    "oracle-modal-interior": (modal_qp(), (solve_oracle,), None, "kkt", ("abs", "z", Z_AT_1, 1e-12),
+                              ("abs", "x", X_AT_1, 1e-12), ("==", "converged", True)),
+    "oracle-unconstrained-minimum-at-origin": (CrispQP(c=[0.0, 0.0], Q=np.eye(2), A=[[1.0, 1.0]], b=[1.0]), (solve_oracle,),
+                                               None, "kkt", ("==", "z", 0.0), ("abs", "x", (0.0, 0.0), 1e-12)),
+    # z = -x1 + x2^2/2 falls without bound along x1; the best candidate, the
+    # origin, is no fixed point of the projected-gradient map
+    "oracle-unbounded-instance-not-converged": (CrispQP(c=[-1.0, 0.0], Q=[[0.0, 0.0], [0.0, 1.0]], A=[[0.0, 1.0]], b=[1.0]),
+                                                (solve_oracle,), None, "unconverged", ("==", "z", 0.0),
+                                                ("==", "stationarity", 1.0), ("==", "converged", False)),
+    # the unconstrained minimum x = 1 violates x <= b by 5e-7, so a
+    # feasibility tolerance of 1e-6 would accept it in place of x = b
+    "oracle-feasibility-tolerance-decides-the-winner": (CrispQP(c=[-100.0], Q=[[100.0]], A=[[1.0]], b=[1.0 - 5e-7]),
+                                                        (solve_oracle,), None, "kkt",
+                                                        ("abs", "x", (1.0 - 5e-7,), 1e-15), ("==", "converged", True)),
+    "oracle-infeasible": (CrispQP(c=[1.0], Q=[[1.0]], A=[[1.0]], b=[-2.0]), (solve_oracle,), None, "certificate"),
+    # the shared tolerance 1e-12 (1 + max|h|) = 100 returned x = (1, 1),
+    # which breaks x2 <= 0.5, with converged=True, and the oracle called
+    # the true optimum unconverged
+    "big-m-row-loosens-no-other-row": (CrispQP(c=[-1.0, -1.0], Q=np.eye(2), A=np.eye(2), b=[1e14, 0.5]),
+                                       (solve_pg, solve_oracle), None, "kkt",
+                                       ("==", "x", [1.0, 0.5]), ("==", "z", -0.875), ("==", "converged", True)),
+}
+
+
+def _kkt(q, s) -> np.ndarray:
+    """check_kkt on the solution s, with lam = multipliers(v) / step read
+    by a cold projector at v = x - step (c + Qx); returns lam."""
+    step = _step_rule(q)[0]
+    lam = _Projector(q.A, q.b).multipliers(s.x - step * gradient(q, s.x)) / step
+    check_kkt(q, s.x, lam, step, s.stationarity)
+    return lam
+
+
+def _check_min(z, z_star, tol) -> None:
+    """AssertionError unless z lies within tol (1 + |z*|) of z*, exactly."""
+    gap = abs(Fraction(z) - z_star)
+    assert gap <= Fraction(tol) * (1 + abs(z_star)), f"z is {float(gap):.3e} from the exact minimum {float(z_star)!r}"
+
+
+def _check_pins(q, s, pins) -> None:
+    for how, *pin in pins:
+        if how == "z of x":
+            assert s.z == pytest.approx(objective(q, s.x), rel=pin[0])
+        elif how == "inside":
+            assert s.x.min() >= -pin[0] and (q.A @ s.x <= q.b + pin[1]).all()
+        else:
+            name, want, *tol = pin
+            value = getattr(s, name)
+            if how == "==":
+                assert (value.tolist() if name == "x" else value) == want
+            elif how == "<=":
+                assert value <= want
+            else:
+                assert how == "abs" and np.shape(value) == np.shape(want)
+                assert np.abs(np.subtract(value, want)).max() <= tol[0]
+
+
+@pytest.mark.parametrize("q, solvers, opts, want", [(*row[:3], row[3:]) for row in _SOLVES.values()], ids=_SOLVES.keys())
+def test_crisp_outcomes(q, solvers, opts, want):
+    kind, *pins = want
+    for solve in solvers:
+        if kind == "certificate":
+            with pytest.raises(InfeasibleError) as err:
+                solve(q, opts)
+            check_farkas(q.A, q.b, err.value.certificate)
+        elif kind == "unbounded":
+            with pytest.raises(UnboundedError):
+                solve(q, opts)
+        else:
+            s = solve(q, opts)
+            if kind == "kkt":
+                _kkt(q, s)
+                if q.n <= 3 and bounded(q.A, q.b):
+                    _check_min(s.z, exact_min(q), _MIN_TOL[solve])
+            else:
+                assert kind == "unconverged" and not s.converged
+            _check_pins(q, s, pins)
+
+
+@pytest.mark.parametrize("solve", [solve_pg, solve_oracle])
+def test_a_crisp_solution_that_misses_one_condition_fails(solve):
+    """On the example's lower end at alpha = 0, whose row x1 + 0.5 x2 <= 1
+    is active with lam_0 = 17/6: x moved 1e-6 past that row and 1e-6 off
+    it, lam_0 with its sign flipped, and lam_0 off by a relative 1e-6."""
+    q = lower_qp(_EXAMPLE, 0.0)
+    s = solve(q)
+    lam, step = _kkt(q, s), _step_rule(q)[0]
+    assert lam[0] > 0.0
+    normal = q.A[0] / np.linalg.norm(q.A[0])
+    for x, bad, message in [(s.x + 1e-6 * normal, lam, r"^row 0 exceeds b"),
+                            (s.x - 1e-6 * normal, lam, r"^row 0 has lam > 0"),
+                            (s.x, lam * [-1.0, 1.0, 1.0, 1.0], r"^multiplier 0 is"),
+                            (s.x, lam * [1.0 + 1e-6, 1.0, 1.0, 1.0], r"^c \+ Qx \+ A'lam_A - lam_I is")]:
+        with pytest.raises(AssertionError, match=message):
+            check_kkt(q, x, bad, step, s.stationarity)
+
+
+@pytest.mark.parametrize("solve", [solve_pg, solve_oracle])
+def test_a_z_moved_off_the_exact_minimum_fails(solve):
+    q = lower_qp(_EXAMPLE, 0.0)
+    z, z_star = solve(q).z, exact_min(q)
+    _check_min(z, z_star, _MIN_TOL[solve])
+    for sign in 1.0, -1.0:
+        with pytest.raises(AssertionError, match="from the exact minimum"):
+            _check_min(z + sign * 1e-8 * (1.0 + abs(float(z_star))), z_star, _MIN_TOL[solve])
+
+
+def test_exact_min_gives_the_hand_derived_optima():
+    """The example's ends at alpha = 0 and its modal QP, as derived by hand
+    from their KKT conditions; and no answer past n = 3 or on an unbounded
+    polyhedron."""
+    assert exact_min(lower_qp(_EXAMPLE, 0.0)) == Fraction(-49, 12)
+    assert exact_min(upper_qp(_EXAMPLE, 0.0)) == -1
+    assert exact_min(modal_qp()) == Fraction(-167, 80)
+    for q in (CrispQP(c=np.zeros(4), Q=np.eye(4), A=np.ones((1, 4)), b=[1.0]),
+              CrispQP(c=[-1.0, 0.0], Q=np.zeros((2, 2)), A=[[1.0, 0.0]], b=[1.0])):
+        with pytest.raises(ValueError, match="bounded polyhedron"):
+            exact_min(q)
