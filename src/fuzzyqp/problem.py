@@ -260,8 +260,9 @@ def validate(problem) -> list[str]:
     Accepts either a FuzzyQP or a raw problem document (mapping with keys
     n, m, c, Q, A, b) and runs exactly the checks of parse_problem: the
     first malformed or mis-sized field on its own, otherwise every
-    out-of-order triple and asymmetric Q pair.  A FuzzyQP is checked once;
-    later calls return a copy of the cached list.
+    out-of-order triple and asymmetric Q pair: for a document, what
+    parse_problem raises for it, message for message.  A FuzzyQP is
+    checked once; later calls return a copy of the cached list.
     """
     if isinstance(problem, FuzzyQP):
         return list(problem._violation_list)
@@ -417,22 +418,20 @@ def parse_problem(text: str, symmetrize: bool = False) -> FuzzyQP:
     """Parse a problem document, raising the most specific error that applies.
 
     Bad JSON or malformed fields raise ParseError, dimension mismatches
-    StructureError, and invariant violations ValidationError.  With
+    StructureError, and invariant violations ValidationError, each saying
+    what validate reports for the decoded document.  NaN and Infinity meet
+    the rules of any other value: in an entry, as 1e400 does.  With
     symmetrize, Q is replaced by its component-wise (Q + Q') / 2 before
     validation, so an asymmetric but otherwise sound file loads.
     """
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
     *arrays, name = _check_document(doc, symmetrize)
     p = FuzzyQP._from_arrays(*arrays, name=name)
     object.__setattr__(p, "_violation_list", ())  # the check above, on the same arrays
     return p
-
-
-def _reject_constant(token):
-    raise ParseError(f"non-finite number {token!r} is not allowed")
 
 
 def serialize_problem(p: FuzzyQP) -> str:

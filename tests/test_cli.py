@@ -104,31 +104,35 @@ class TestSolve:
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, line",
         [
-            ["--tol", "0"],
-            ["--tol", "nan"],
-            ["--max-iter", "0"],
+            (["--tol", "0"], "fuzzyqp: error: bad solver flag: tol must be positive and finite"),
+            (["--tol", "nan"], "fuzzyqp: error: bad solver flag: tol must be positive and finite"),
+            (["--max-iter", "0"], "fuzzyqp: error: bad solver flag: max_iter must be >= 1"),
             # alpha 0 has an indefinite endpoint, whose multistart draws from the seed
-            ["--seed", "-1", "--alphas", "0"],
-            ["--alphas", "0:inf:0.1"],
-            ["--input", "{tmp}"],
-            ["--input", "{tmp}/latin-1.json"],
-            ["--output", "{tmp}/missing/out.csv"],
+            (["--seed", "-1", "--alphas", "0"], "fuzzyqp: error: bad solver flag: seed must be >= 0"),
+            (["--alphas", "0:inf:0.1"], "fuzzyqp solve: error: argument --alphas: bad --alphas spec "
+                                        "'0:inf:0.1': alpha must lie in [0, 1], got inf"),
+            (["--input", "{tmp}"], "error: is a directory: {tmp}"),
+            (["--input", "{tmp}/latin-1.json"],
+             "error: 'utf-8' codec can't decode byte 0xfc in position 11: invalid start byte"),
+            (["--output", "{tmp}/missing/out.csv"], "error: no such file or directory: {tmp}/missing/out.csv"),
+            (["--input", "{tmp}/missing.json"], "error: no such file or directory: {tmp}/missing.json"),
+            (["--input", "{tmp}/broken.json"],
+             "error: invalid JSON at line 1, column 2: Expecting property name enclosed in double quotes"),
         ],
         ids=["tol-zero", "tol-nan", "max-iter-zero", "seed-negative", "alphas-stop-inf",
-             "input-directory", "input-not-utf8", "output-missing-dir"],
+             "input-directory", "input-not-utf8", "output-missing-dir", "input-missing", "input-not-json"],
     )
-    def test_bad_value_or_file_is_one_error_line(self, tmp_path, flags):
+    def test_bad_value_or_file_is_one_error_line(self, tmp_path, flags, line):
         # a later --input or --alphas overrides the one given first
         (tmp_path / "latin-1.json").write_bytes('{"name": "Müller"}'.encode("latin-1"))
+        (tmp_path / "broken.json").write_text("{broken", encoding="utf-8")
         flags = [f.format(tmp=tmp_path) for f in flags]
         proc = run_cli("solve", "--input", FIXTURE, "--alphas", "1", *flags)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and proc.stdout == ""
-        assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
-        if flags[0] == "--output":
-            assert f"error: no such file or directory: {flags[1]}" in proc.stderr
+        assert [err for err in proc.stderr.splitlines() if "error:" in err] == [line.format(tmp=tmp_path)]
 
     @pytest.mark.parametrize("fmt, golden", [("csv", GOLDEN_CSV_PATH), ("table", GOLDEN_TABLE_PATH),
                                              ("plot-data", GOLDEN_PLOT_PATH)], ids=["csv", "table", "plot-data"])
@@ -206,18 +210,6 @@ class TestSolve:
         _, coarse_rows = read_csv_rows(coarse.read_text())
         assert int(coarse_rows[0][7]) < int(fine_rows[0][7])
 
-    def test_missing_file(self):
-        proc = run_cli("solve", "--input", "does-not-exist.json", "--alphas", "0,1")
-        assert proc.returncode == 2
-        assert "no such file" in proc.stderr
-
-    def test_malformed_file(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{broken", encoding="utf-8")
-        proc = run_cli("solve", "--input", str(bad), "--alphas", "0,1")
-        assert proc.returncode == 2
-        assert "error" in proc.stderr
-
     def test_projection_beyond_the_float_range_is_one_error_line(self, tmp_path, capsys):
         # the row -5e-324 x <= -1 needs x >= 2e323: the run said "the polyhedron
         # is empty ... b'mu_A = -inf", after an overflow RuntimeWarning
@@ -233,19 +225,6 @@ class TestSolve:
         assert captured.err == (
             "error: lower endpoint QP infeasible at alpha=0: "
             "the projection lies beyond the float range\n"
-        )
-
-    @pytest.mark.parametrize("command", ["solve", "plot-data"])
-    def test_invalid_data_exits_one(self, command, tmp_path, capsys):
-        doc = json.loads(FIXTURE_PATH.read_text())
-        doc["Q"][0][1] = [-4.0, -3.0, -2.0]
-        path = tmp_path / "asym.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main([command, "--input", str(path), "--alphas", "0,1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "invalid: Q[0][1] != Q[1][0]: (-4.0, -3.0, -2.0) vs (-3.0, -2.0, -1.0)\n"
         )
 
 
@@ -315,33 +294,12 @@ class TestPlotData:
 
 
 class TestValidate:
-    def test_fixture_ok(self, capsys):
-        assert main(["validate", "--input", FIXTURE]) == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_asymmetric_q(self, tmp_path, capsys):
-        doc = json.loads(FIXTURE_PATH.read_text())
-        doc["Q"][0][1] = [-4.0, -3.0, -2.0]
-        path = tmp_path / "asym.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["validate", "--input", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "Q[0][1]" in out and "Q[1][0]" in out
-
     def test_symmetrize_flag_repairs(self, tmp_path):
         doc = json.loads(FIXTURE_PATH.read_text())
         doc["Q"][0][1] = [-4.0, -3.0, -2.0]
         path = tmp_path / "asym.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["validate", "--input", str(path), "--symmetrize"]) == 0
-
-    def test_reversed_triple(self, tmp_path, capsys):
-        doc = json.loads(FIXTURE_PATH.read_text())
-        doc["b"][0] = [3.0, 2.0, 1.0]
-        path = tmp_path / "rev.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["validate", "--input", str(path)]) == 1
-        assert "b[0]" in capsys.readouterr().out
 
 
 class TestReadme:

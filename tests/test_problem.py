@@ -1,6 +1,7 @@
 """Problem model: validation, parsing, and canonical serialization."""
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -28,51 +29,6 @@ from fuzzyqp.cli import main
 T = TriangularFuzzyNumber
 
 
-def small_problem(q12=T(-3, -2, -1), q21=T(-3, -2, -1), c0=T(-6, -5, -4)) -> FuzzyQP:
-    return FuzzyQP(
-        c=(c0, T(1, 1.5, 2)),
-        Q=((T(4, 6, 8), q12), (q21, T(2, 4, 6))),
-        A=((T(1, 1, 1), T(0.5, 1, 1.5)), (T(1, 2, 3), T(-2, -1, -0.5))),
-        b=(T(1, 2, 3), T(2, 4, 6)),
-    )
-
-
-class TestValidate:
-    def test_bundled_example_is_valid(self, example_problem):
-        assert validate(example_problem) == []
-
-    def test_asymmetric_q_reported(self):
-        p = small_problem(q21=T(-3, -2, -0.5))
-        violations = validate(p)
-        assert len(violations) == 1
-        assert "Q[0][1]" in violations[0] and "Q[1][0]" in violations[0]
-
-    def test_reversed_triple_reported_on_document(self, fixture_text):
-        doc = json.loads(fixture_text)
-        doc["c"][0] = [3, 2, 1]
-        violations = validate(doc)
-        assert len(violations) == 1
-        assert "c[0]" in violations[0] and "order" in violations[0]
-
-    def test_asymmetry_same_for_problem_and_document(self):
-        for p in small_problem(q21=T(-3, -2, -0.5)), small_problem(c0=T(-math.inf, -5, -4)):
-            violations = validate(p)
-            assert violations
-            assert validate(json.loads(serialize_problem(p))) == violations
-
-    def test_short_triple_reported_on_document(self, fixture_text):
-        doc = json.loads(fixture_text)
-        doc["A"][1][0] = [1, 2]
-        violations = validate(doc)
-        assert len(violations) == 1
-        assert "A[1][0]" in violations[0] and "not a triple" in violations[0]
-
-    def test_dimension_violations(self):
-        doc = json.loads(FIXTURE_PATH.read_text())
-        doc["b"] = doc["b"][:1]
-        assert any("A/b" in v for v in validate(doc))
-
-
 def _set(doc, path, value):
     """Replace the item of doc at path (keys, then indices); return doc."""
     parent = doc
@@ -86,85 +42,153 @@ def _fixture_doc():
     return json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))
 
 
-def _mutated(path, value):
-    return json.dumps(_set(_fixture_doc(), path, value))
+def _edited(path, value, doc=None):
+    """doc, else the fixture's document, with the item at path replaced by value."""
+    return _set(doc or _fixture_doc(), path, value)
 
 
-def _without(key):
-    doc = _fixture_doc()
-    del doc[key]
-    return json.dumps(doc)
+class _Int(int):
+    """An int subclass other than bool, which the per-entry walk accepts."""
 
 
-# Problem texts, each malformed in one field.  1e400 decodes to inf.
-MALFORMED = {
-    "bool-entry": _mutated(["c", 0, 1], True),
-    "numeric-string-entry": _mutated(["c", 0, 0], "-6"),
-    "unknown-field": _mutated(["extra"], 1),
-    "float-n": _mutated(["n"], 2.0),
-    "overflowing-float-entry": FIXTURE_PATH.read_text().replace("-6.0", "1e400"),
-    "non-numeric-entry": _mutated(["Q", 1, 1, 2], "x"),
-    "missing-field": _without("Q"),
-    "scalar-for-triple": _mutated(["b", 1], 4.0),
-    "null-entry": _mutated(["A", 0, 1, 0], None),
-    "overflowing-integer-entry": _mutated(["A", 1, 0, 2], 10**400),
-    "short-triple": _mutated(["A", 1, 0], [1, 2]),
-    "ragged-row": _mutated(["Q", 1], [[2.0, 4.0, 6.0]]),
-    "reversed-triple": _mutated(["b", 0], [3, 2, 1]),
-    "asymmetric-pair": _mutated(["Q", 0, 1], [-4.0, -3.0, -2.0]),
-    "zero-sizes": json.dumps({**_fixture_doc(), "n": 0, "m": 0,
-                              "c": [], "Q": [], "A": [], "b": []}),
+def _with_tuples(doc):
+    """doc with every row and triple of c, Q, A and b as a tuple."""
+    out = dict(doc)
+    out["c"], out["b"] = (tuple(map(tuple, doc[k])) for k in ("c", "b"))
+    out["Q"], out["A"] = (tuple(tuple(map(tuple, row)) for row in doc[k]) for k in ("Q", "A"))
+    return out
+
+
+def _by_hand(doc):
+    """doc's problem built from TriangularFuzzyNumber triples, or None where that is
+    not doc's problem: a field other than the six and a string name, n or m other
+    than the length of c or b, an entry other than an int or a float (which
+    TriangularFuzzyNumber would convert), or a triple TriangularFuzzyNumber refuses."""
+    try:
+        c, Q, A, b = (doc[key] for key in ("c", "Q", "A", "b"))
+        entries = chain.from_iterable([*c, *chain(*Q), *chain(*A), *b])
+        if (set(doc) - {"name"} != {"n", "m", "c", "Q", "A", "b"}
+                or not isinstance(doc.get("name"), (str, type(None)))
+                or [type(doc["n"]), type(doc["m"])] != [int, int] or [doc["n"], doc["m"]] != [len(c), len(b)]
+                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entries)):
+            return None
+        tfns = lambda row: tuple(T(*t) for t in row)
+        return FuzzyQP(tfns(c), tuple(map(tfns, Q)), tuple(map(tfns, A)), tfns(b), doc.get("name"))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+
+
+# Every problem document the entry points read, each judged by test_every_entry_point_agrees:
+# id -> (the document, or a raw text; the class parse_problem raises, or None; what validate
+# reports for it, byte for byte).  1e400 decodes to inf, and NaN to nan.
+_FIXTURE_TEXT = FIXTURE_PATH.read_text(encoding="utf-8")
+_DOCUMENTS = {
+    "fixture": (_fixture_doc(), None, []),
+    "np-float64": (_edited(["c", 1, 1], np.float64(1.5)), None, []),
+    "int-subclass": (_edited(["Q", 0, 0, 1], _Int(6)), None, []),
+    "tuple-rows-and-triples": (_with_tuples(_fixture_doc()), None, []),
+    "tuple-triple": (_edited(["A", 1, 1], (-2.0, -1.0, -0.5)), None, []),
+    "2**53+1": (_edited(["b", 1], [2**53 - 1, 2**53, 2**53 + 1]), None, []),
+    "bad-json": ("{broken", ParseError,
+                 ["invalid JSON at line 1, column 2: Expecting property name enclosed in double quotes"]),
+    "non-object-top-level": ([1, 2, 3], ParseError, ["top-level value must be an object"]),
+    "missing-field": ({k: v for k, v in _fixture_doc().items() if k != "Q"}, ParseError,
+                      ["missing required field 'Q'"]),
+    "unknown-field": (_edited(["extra"], 1), ParseError, ["unknown fields: ['extra']"]),
+    "float-n": (_edited(["n"], 2.0), ParseError, ["n must be an integer, got 2.0"]),
+    "nan-m": (_edited(["m"], math.nan), ParseError, ["m must be an integer, got nan"]),
+    "infinite-name": (_edited(["name"], math.inf), ParseError, ["name must be a string, got inf"]),
+    "zero-sizes": ({**_fixture_doc(), "n": 0, "m": 0, "c": [], "Q": [], "A": [], "b": []}, StructureError,
+                   ["c/Q dimensions disagree with n: n and m must be >= 1, got n=0, m=0"]),
+    "ragged-row": (_edited(["Q", 1], [[2.0, 4.0, 6.0]]), StructureError,
+                   ["c/Q dimensions disagree with n: Q must be 2x2 triples"]),
+    "length-mismatch": (_edited(["A"], _fixture_doc()["A"][:1], _edited(["m"], 1)), StructureError,
+                        ["A/b dimensions disagree with n and m: b has 2 entries, expected m=1"]),
+    "short-triple": (_edited(["A", 1, 0], [1, 2]), ParseError,
+                     ["A[1][0] is not a triple: expected [a1, a2, a3], got [1, 2]"]),
+    "long-triple": (_edited(["b", 0], [1, 2, 3, 4]), ParseError,
+                    ["b[0] is not a triple: expected [a1, a2, a3], got [1, 2, 3, 4]"]),
+    "scalar-for-triple": (_edited(["b", 1], 4.0), ParseError,
+                          ["b[1] is not a triple: expected [a1, a2, a3], got 4.0"]),
+    "dict-of-three": (_edited(["c", 1], {"a": 1, "b": 2, "c": 3}), ParseError,
+                      ["c[1] is not a triple: expected [a1, a2, a3], got {'a': 1, 'b': 2, 'c': 3}"]),
+    "string-of-three": (_edited(["Q", 0, 1], "abc"), ParseError,
+                        ["Q[0][1] is not a triple: expected [a1, a2, a3], got 'abc'"]),
+    "bool-entry": (_edited(["c", 0, 1], True), ParseError, ["c[0]: non-numeric entry True"]),
+    "numeric-string-entry": (_edited(["Q", 1, 0, 2], "-6"), ParseError, ["Q[1][0]: non-numeric entry '-6'"]),
+    "non-numeric-entry": (_edited(["Q", 1, 1, 2], "x"), ParseError, ["Q[1][1]: non-numeric entry 'x'"]),
+    "null-entry": (_edited(["A", 0, 1, 0], None), ParseError, ["A[0][1]: non-numeric entry None"]),
+    # json cannot write a numpy integer, so only validate reads this document
+    "np-int64": (_edited(["b", 1, 0], np.int64(2)), ParseError, [f"b[1]: non-numeric entry {np.int64(2)!r}"]),
+    # every entry is screened before any is converted: the bool is named,
+    # not turned into 1.0 on the way to the overflow's inf
+    "10**400-then-true": (_edited(["Q", 1, 1, 0], True, _edited(["c", 0, 0], -(10**400))), ParseError,
+                          ["Q[1][1]: non-numeric entry True"]),
+    "first-in-label-order": (_edited(["A", 1, 0, 1], "x", _edited(["b", 0, 0], None)), ParseError,
+                             ["A[1][0]: non-numeric entry 'x'"]),
+    "overflowing-float-entry": (_FIXTURE_TEXT.replace("-6.0", "1e400"), ParseError,
+                                ["c[0]: non-finite entry in (inf, -5.0, -4.0)"]),
+    "nan-entry": (_FIXTURE_TEXT.replace("-6.0", "NaN"), ParseError, ["c[0]: non-finite entry in (nan, -5.0, -4.0)"]),
+    "minus-inf-entry": (_edited(["c", 0], [-math.inf, -5, -4]), ParseError,
+                        ["c[0]: non-finite entry in (-inf, -5.0, -4.0)"]),
+    "10**400": (_edited(["A", 1, 0, 2], 10**400), ParseError, ["A[1][0]: non-finite entry in (1.0, 2.0, inf)"]),
+    "-10**400": (_edited(["c", 0, 0], -(10**400)), ParseError, ["c[0]: non-finite entry in (-inf, -5.0, -4.0)"]),
+    "reversed-triple": (_edited(["b", 0], [3, 2, 1]), ValidationError, ["b[0] out of order: (3.0, 2.0, 1.0)"]),
+    "asymmetric-pair": (_edited(["Q", 0, 1], [-4.0, -3.0, -2.0]), ValidationError,
+                        ["Q[0][1] != Q[1][0]: (-4.0, -3.0, -2.0) vs (-3.0, -2.0, -1.0)"]),
+    "reversed-and-asymmetric": (_edited(["Q", 0, 1], [-4.0, -3.0, -2.0], _edited(["b", 0], [3, 2, 1])),
+                                ValidationError, ["b[0] out of order: (3.0, 2.0, 1.0)",
+                                                  "Q[0][1] != Q[1][0]: (-4.0, -3.0, -2.0) vs (-3.0, -2.0, -1.0)"]),
+    # each entry is finite, but a3 - a1 is not: the lower cut end at alpha = 0
+    # came out NaN and at 0.5 the mode, where it lies near 0
+    "overflowing-spread": (_edited(["c", 0], [-1.5e308, 1.5e308, 1.6e308]), ValidationError,
+                           ["c[0] spread is not finite: (-1.5e+308, 1.5e+308, 1.6e+308)"]),
 }
 
 
-def _assert_agreement(doc, text):
-    """validate(doc) reports exactly what parse_problem(text) raises."""
+@pytest.mark.parametrize("case", list(_DOCUMENTS))
+def test_every_entry_point_agrees(case, tmp_path, capsys):
+    """parse_problem raises exactly the row's class with exactly its message (or
+    violations), or returns; validate reports that list for the document, for its
+    decoded text and for its problem built by hand, where lower_qp raises the
+    violations too; each CLI subcommand prints it, one line per message."""
+    doc, error, violations = _DOCUMENTS[case]
+    docs = [] if isinstance(doc, str) else [doc]
     try:
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        docs.append(json.loads(text))
+    except TypeError:  # a numpy integer, which json cannot write
+        text = None
+    except json.JSONDecodeError:
+        pass
+    for d in docs:
+        assert validate(d) == violations
+        if (p := _by_hand(d)) is not None:
+            assert validate(p) == violations
+            if error is ValidationError:
+                with pytest.raises(ValidationError) as err:
+                    lower_qp(p, 0.5)
+                assert err.value.violations == violations
+    if text is None:
+        return
+    if error is None:
         parse_problem(text)
-    except ValidationError as e:
-        assert validate(doc) == e.violations
-    except (ParseError, StructureError) as e:
-        assert validate(doc) == [str(e)]
     else:
-        assert validate(doc) == []
+        with pytest.raises(error) as err:
+            parse_problem(text)
+        assert type(err.value) is error
+        assert (err.value.violations if error is ValidationError else [str(err.value)]) == violations
+    path = tmp_path / "problem.json"
+    path.write_text(text, encoding="utf-8")
+    code = {None: 0, ValidationError: 1}.get(error, 2)
+    shown = "".join(f"{'invalid' if code == 1 else 'error'}: {v}\n" for v in violations) or "ok\n"
+    for command in ("validate", "solve", "plot-data") if code else ("validate",):
+        assert main([command, "--input", str(path)]) == code
+        expected = (shown, "") if command == "validate" and code < 2 else ("", shown)
+        assert tuple(capsys.readouterr()) == expected
 
 
 class TestValidateAgreesWithParse:
-    @pytest.mark.parametrize("case", sorted(MALFORMED))
-    def test_malformed_document(self, case):
-        text = MALFORMED[case]
-        doc = json.loads(text)
-        with pytest.raises((ParseError, StructureError, ValidationError)):
-            parse_problem(json.dumps(doc))
-        assert validate(doc)
-        _assert_agreement(doc, text)
-
-    def test_non_finite_entry_is_named(self, fixture_text):
-        with pytest.raises(ParseError, match=r"^c\[0\]: non-finite"):
-            parse_problem(fixture_text.replace("-6.0", "1e400"))
-        with pytest.raises(ParseError, match=r"^A\[1\]\[0\]: non-finite"):
-            parse_problem(MALFORMED["overflowing-integer-entry"])
-
-    def test_overflowing_spread_is_named(self):
-        # each entry is finite, but a3 - a1 is not: the lower cut end at
-        # alpha = 0 came out NaN and at 0.5 the mode, where it lies near 0
-        doc = _mutated(["c", 0], [-1.5e308, 1.5e308, 1.6e308])
-        with pytest.raises(ValidationError) as err:
-            parse_problem(doc)
-        assert err.value.violations == ["c[0] spread is not finite: (-1.5e+308, 1.5e+308, 1.6e+308)"]
-        assert validate(json.loads(doc)) == err.value.violations
-        d = json.loads(doc)
-        tfns = lambda row: tuple(T(*t) for t in row)
-        p = FuzzyQP(tfns(d["c"]), tuple(map(tfns, d["Q"])), tuple(map(tfns, d["A"])), tfns(d["b"]))
-        assert validate(p) == err.value.violations
-        with pytest.raises(ValidationError):
-            lower_qp(p, 0.5)
-
-    def test_ragged_problem_gets_structure_violation(self):
-        p = small_problem()
-        ragged = FuzzyQP(p.c, p.Q, (p.A[0], p.A[1][:1]), p.b)
-        assert validate(ragged) == ["A/b dimensions disagree with n and m: A must be 2x2 triples"]
-
     def test_ragged_problem_raises_the_structure_error_everywhere(self, example_problem):
         # symmetrized and serialize_problem stacked the arrays unchecked and
         # raised numpy's "cannot reshape array of size 9 into shape (2,2,3)"
@@ -196,93 +220,33 @@ class TestValidateAgreesWithParse:
             parse_problem(json.dumps(doc))
         except ValidationError as e:
             assert validate(doc) == e.violations
-        except (ParseError, StructureError):
-            # json.dumps writes NaN and inf as constants, which parse_problem
-            # rejects with a message of its own; only the verdict must agree.
-            assert validate(doc)
+        except (ParseError, StructureError) as e:
+            assert validate(doc) == [str(e)]
         else:
             assert validate(doc) == []
-
-
-
-class _Int(int):
-    """An int subclass other than bool, which the per-entry walk accepts."""
-
-
-def _with_tuples(doc):
-    """doc with every row and triple of c, Q, A and b as a tuple."""
-    out = dict(doc)
-    out["c"], out["b"] = (tuple(map(tuple, doc[k])) for k in ("c", "b"))
-    out["Q"], out["A"] = (tuple(tuple(map(tuple, row)) for row in doc[k]) for k in ("Q", "A"))
-    return out
-
-
-def _entry_doc(path, value):
-    return _set(_fixture_doc(), path, value)
 
 
 def _bits(arrays):
     return [(a.shape, a.dtype, a.tobytes()) for a in arrays]
 
 
-# One changed entry each, and what validate reports for it, byte for byte.
-ENTRY_CASES = {
-    "true": (_entry_doc(["c", 0, 1], True), ["c[0]: non-numeric entry True"]),
-    "numeric-string": (_entry_doc(["Q", 1, 0, 2], "-6"), ["Q[1][0]: non-numeric entry '-6'"]),
-    "null": (_entry_doc(["A", 0, 1, 0], None), ["A[0][1]: non-numeric entry None"]),
-    "np-int64": (_entry_doc(["b", 1, 0], np.int64(2)),
-                 [f"b[1]: non-numeric entry {np.int64(2)!r}"]),
-    "np-float64": (_entry_doc(["c", 1, 1], np.float64(1.5)), []),
-    "int-subclass": (_entry_doc(["Q", 0, 0, 1], _Int(6)), []),
-    "tuple-rows-and-triples": (_with_tuples(_fixture_doc()), []),
-    "tuple-triple": (_entry_doc(["A", 1, 1], (-2.0, -1.0, -0.5)), []),
-    "2**53+1": (_entry_doc(["b", 1], [2**53 - 1, 2**53, 2**53 + 1]), []),
-    "10**400": (_entry_doc(["A", 1, 0, 2], 10**400),
-                ["A[1][0]: non-finite entry in (1.0, 2.0, inf)"]),
-    "-10**400": (_entry_doc(["c", 0, 0], -(10**400)),
-                 ["c[0]: non-finite entry in (-inf, -5.0, -4.0)"]),
-    # Every entry is screened before any is converted: the bool is named,
-    # not turned into 1.0 on the way to the overflow's inf.
-    "10**400-then-true": (_set(_entry_doc(["c", 0, 0], -(10**400)), ["Q", 1, 1, 0], True),
-                          ["Q[1][1]: non-numeric entry True"]),
-    "first-in-label-order": (_set(_entry_doc(["b", 0, 0], None), ["A", 1, 0, 1], "x"),
-                             ["A[1][0]: non-numeric entry 'x'"]),
-    "dict-of-three": (_entry_doc(["c", 1], {"a": 1, "b": 2, "c": 3}),
-                      ["c[1] is not a triple: expected [a1, a2, a3], got {'a': 1, 'b': 2, 'c': 3}"]),
-    "string-of-three": (_entry_doc(["Q", 0, 1], "abc"),
-                        ["Q[0][1] is not a triple: expected [a1, a2, a3], got 'abc'"]),
-    "long-triple": (_entry_doc(["b", 0], [1, 2, 3, 4]),
-                    ["b[0] is not a triple: expected [a1, a2, a3], got [1, 2, 3, 4]"]),
-}
-
-
 class TestBulkScreen:
     """A parsed document is screened and converted a whole field at a time;
     only a document that fails the screen is walked entry by entry."""
 
-    @pytest.mark.parametrize("case", sorted(ENTRY_CASES))
-    def test_validate_and_parse_agree(self, case):
-        doc, expected = ENTRY_CASES[case]
-        assert validate(doc) == expected
-        if case != "np-int64":  # json.dumps cannot write a numpy integer
-            _assert_agreement(json.loads(json.dumps(doc)), json.dumps(doc))
-            if expected:
-                assert validate(json.loads(json.dumps(doc))) == expected
-
     @pytest.mark.parametrize("case", ["np-float64", "int-subclass", "tuple-rows-and-triples",
                                       "tuple-triple", "2**53+1"])
     def test_accepted_entries_convert_as_plain_numbers(self, case):
-        doc = ENTRY_CASES[case][0]
+        doc = _DOCUMENTS[case][0]
         plain = json.loads(json.dumps(doc))
         got = problem_module._check_document(doc, symmetrize=False)
         assert _bits(got[:4]) == _bits(parse_problem(json.dumps(doc))._arrays)
         assert _bits(got[:4]) == _bits(problem_module._check_document(plain, False)[:4])
 
     def test_big_integer_rounds_as_float_does(self):
-        b = problem_module._check_document(ENTRY_CASES["2**53+1"][0], False)[3]
+        b = problem_module._check_document(_DOCUMENTS["2**53+1"][0], False)[3]
         assert b[1].tolist() == [float(2**53 - 1), float(2**53), float(2**53 + 1)]
         assert b[1, 2] == 2.0**53
-
     def test_screen_converts_as_the_walk_does(self):
         rng = np.random.default_rng(2024)
         ints = lambda size: [int(v) for v in rng.integers(-2**62, 2**62, size)]
@@ -315,12 +279,12 @@ class TestBulkScreen:
         parse_problem(fixture_text)
         parse_problem(fixture_text.replace("-6.0", "-6"))  # ints pass the screen too
         assert validate(_with_tuples(_fixture_doc())) == []
-        assert validate(small_problem()) == []  # the hand-built stack formats no labels
+        assert validate(_by_hand(_fixture_doc())) == []  # the hand-built stack formats no labels
         assert calls == []
-        assert validate(ENTRY_CASES["np-float64"][0]) == []  # fails the screen, so is walked
+        assert validate(_DOCUMENTS["np-float64"][0]) == []  # fails the screen, so is walked
         assert calls.count("_as_triple") == 2 + 4 + 4 + 2 and "_label" not in calls
         with pytest.raises(ParseError, match=r"^c\[0\]: non-numeric entry True$"):
-            parse_problem(MALFORMED["bool-entry"])
+            parse_problem(json.dumps(_DOCUMENTS["bool-entry"][0]))
         assert calls[-2:] == ["_as_triple", "_label"]
 
 
@@ -333,67 +297,9 @@ class TestParse:
         assert p.b[1] == T(2, 4, 6)
         assert p.name == "liu2009-example"
 
-    def test_two_element_triple_is_parse_error(self, fixture_text):
-        doc = json.loads(fixture_text)
-        doc["c"][0] = [-6, -5]
-        with pytest.raises(ParseError, match=r"c\[0\]"):
-            parse_problem(json.dumps(doc))
 
-    def test_length_mismatch_is_structure_error(self, fixture_text):
-        doc = json.loads(fixture_text)
-        doc["m"] = 1
-        doc["A"] = doc["A"][:1]
-        with pytest.raises(StructureError, match="b has 2 entries"):
-            parse_problem(json.dumps(doc))
-
-    def test_reversed_triple_is_validation_error(self, fixture_text):
-        doc = json.loads(fixture_text)
-        doc["b"][0] = [3, 2, 1]
-        with pytest.raises(ValidationError) as err:
-            parse_problem(json.dumps(doc))
-        assert any("b[0]" in v for v in err.value.violations)
-
-    def test_bad_json(self):
-        with pytest.raises(ParseError, match="line 1"):
-            parse_problem("{not json")
-
-    def test_non_object_top_level(self):
-        with pytest.raises(ParseError):
-            parse_problem("[1, 2, 3]")
-
-    def test_missing_field(self, fixture_text):
-        doc = json.loads(fixture_text)
-        del doc["Q"]
-        with pytest.raises(ParseError, match="'Q'"):
-            parse_problem(json.dumps(doc))
-
-    def test_unknown_field(self, fixture_text):
-        doc = json.loads(fixture_text)
-        doc["extra"] = 1
-        with pytest.raises(ParseError, match="extra"):
-            parse_problem(json.dumps(doc))
-
-    def test_non_finite_rejected(self, fixture_text):
-        with pytest.raises(ParseError):
-            parse_problem(fixture_text.replace("-6.0", "NaN"))
-
-    def test_non_numeric_entry(self, fixture_text):
-        with pytest.raises(ParseError, match="non-numeric"):
-            parse_problem(fixture_text.replace("-6.0", '"x"'))
-
-    def test_nonpositive_sizes(self, fixture_text):
-        doc = json.loads(fixture_text)
-        doc.update(n=0, m=0, c=[], Q=[], A=[], b=[])
-        with pytest.raises(StructureError):
-            parse_problem(json.dumps(doc))
-
-    def test_symmetrize_flag(self, fixture_text):
-        doc = json.loads(fixture_text)
-        doc["Q"][0][1] = [-4.0, -3.0, -2.0]
-        text = json.dumps(doc)
-        with pytest.raises(ValidationError):
-            parse_problem(text)
-        p = parse_problem(text, symmetrize=True)
+    def test_symmetrize_flag(self):
+        p = parse_problem(json.dumps(_DOCUMENTS["asymmetric-pair"][0]), symmetrize=True)
         assert p.Q[0][1] == p.Q[1][0] == T(-3.5, -2.5, -1.5)
 
 
@@ -415,11 +321,10 @@ class TestSerialize:
         assert text.count("1.25, 1.25, 1.25") == 4
         assert parse_problem(text) == p
 
-    def test_empty_name_omitted(self):
-        p = small_problem()
-        assert '"name"' not in serialize_problem(p)
-        named = FuzzyQP(p.c, p.Q, p.A, p.b, name="")
-        assert '"name"' not in serialize_problem(named)
+    def test_empty_name_omitted(self, example_problem):
+        p = example_problem
+        for name in (None, ""):
+            assert '"name"' not in serialize_problem(FuzzyQP(p.c, p.Q, p.A, p.b, name))
 
     def test_awkward_floats_survive(self):
         vals = (0.1, 1 / 3, 2 / 3)
@@ -435,7 +340,7 @@ class TestFuzzyQP:
         assert example_problem.m == 2
 
     def test_symmetrized(self):
-        p = small_problem(q12=T(-4, -3, -2), q21=T(-2, -1, 0))
+        p = _by_hand(_edited(["Q", 1, 0], [-2, -1, 0], _edited(["Q", 0, 1], [-4, -3, -2])))
         s = p.symmetrized()
         assert s.Q[0][1] == s.Q[1][0] == T(-3, -2, -1)
         assert validate(s) == []
@@ -467,7 +372,7 @@ class TestFuzzyQP:
             real = getattr(problem_module, name)
             monkeypatch.setattr(problem_module, name,
                                 lambda *args, name=name, real=real: calls.append(name) or real(*args))
-        p = small_problem()
+        p = _by_hand(_fixture_doc())
         assert validate(p) == []
         lower_qp(p, 0.5)
         upper_qp(p, 0.5)
