@@ -40,6 +40,21 @@ def run_python(code):
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
 
 
+def edited_fixture(tmp_path, path, value):
+    """Write the fixture with the item at path (a key, then indices) set to value; return the file."""
+    doc = json.loads(FIXTURE_PATH.read_text())
+    item = doc
+    for key in path[:-1]:
+        item = item[key]
+    item[path[-1]] = value
+    out = tmp_path / "edited.json"
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    return str(out)
+
+
+ASYMMETRIC_LINE = "invalid: Q[0][1] != Q[1][0]: (-4.0, -3.0, -2.0) vs (-3.0, -2.0, -1.0)\n"
+
+
 def read_csv_rows(text):
     lines = text.strip().splitlines()
     header = lines[0].split(",")
@@ -133,6 +148,12 @@ class TestSolve:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and proc.stdout == ""
         assert [err for err in proc.stderr.splitlines() if "error:" in err] == [line.format(tmp=tmp_path)]
+
+    @pytest.mark.parametrize("command", ["solve", "plot-data"])
+    def test_invalid_data_exits_one(self, command, tmp_path, capsys):
+        path = edited_fixture(tmp_path, ["Q", 0, 1], [-4.0, -3.0, -2.0])
+        assert main([command, "--input", path, "--alphas", "0,1"]) == 1
+        assert tuple(capsys.readouterr()) == ("", ASYMMETRIC_LINE)
 
     @pytest.mark.parametrize("fmt, golden", [("csv", GOLDEN_CSV_PATH), ("table", GOLDEN_TABLE_PATH),
                                              ("plot-data", GOLDEN_PLOT_PATH)], ids=["csv", "table", "plot-data"])
@@ -294,12 +315,21 @@ class TestPlotData:
 
 
 class TestValidate:
+    def test_fixture_ok(self, capsys):
+        assert main(["validate", "--input", FIXTURE]) == 0
+        assert tuple(capsys.readouterr()) == ("ok\n", "")
+
+    def test_asymmetric_q(self, tmp_path, capsys):
+        assert main(["validate", "--input", edited_fixture(tmp_path, ["Q", 0, 1], [-4.0, -3.0, -2.0])]) == 1
+        assert tuple(capsys.readouterr()) == (ASYMMETRIC_LINE, "")
+
     def test_symmetrize_flag_repairs(self, tmp_path):
-        doc = json.loads(FIXTURE_PATH.read_text())
-        doc["Q"][0][1] = [-4.0, -3.0, -2.0]
-        path = tmp_path / "asym.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["validate", "--input", str(path), "--symmetrize"]) == 0
+        path = edited_fixture(tmp_path, ["Q", 0, 1], [-4.0, -3.0, -2.0])
+        assert main(["validate", "--input", path, "--symmetrize"]) == 0
+
+    def test_reversed_triple(self, tmp_path, capsys):
+        assert main(["validate", "--input", edited_fixture(tmp_path, ["b", 0], [3.0, 2.0, 1.0])]) == 1
+        assert tuple(capsys.readouterr()) == ("invalid: b[0] out of order: (3.0, 2.0, 1.0)\n", "")
 
 
 class TestReadme:

@@ -146,21 +146,38 @@ _DOCUMENTS = {
 }
 
 
-@pytest.mark.parametrize("case", list(_DOCUMENTS))
-def test_every_entry_point_agrees(case, tmp_path, capsys):
-    """parse_problem raises exactly the row's class with exactly its message (or
-    violations), or returns; validate reports that list for the document, for its
-    decoded text and for its problem built by hand, where lower_qp raises the
-    violations too; each CLI subcommand prints it, one line per message."""
+def _text(case):
+    """Row case's document as JSON text, or None for a numpy integer, which json cannot write."""
+    doc = _DOCUMENTS[case][0]
+    try:
+        return doc if isinstance(doc, str) else json.dumps(doc)
+    except TypeError:
+        return None
+
+
+def _assert_parse(case):
+    """parse_problem raises exactly row case's class with exactly its message (or
+    violations), or returns."""
+    _, error, violations = _DOCUMENTS[case]
+    if error is None:
+        parse_problem(_text(case))
+        return
+    with pytest.raises(error) as err:
+        parse_problem(_text(case))
+    assert type(err.value) is error
+    assert (err.value.violations if error is ValidationError else [str(err.value)]) == violations
+
+
+def _assert_validate(case):
+    """validate reports row case's list for its document, for its decoded text and
+    for its problem built by hand, where lower_qp raises the violations too."""
     doc, error, violations = _DOCUMENTS[case]
     docs = [] if isinstance(doc, str) else [doc]
-    try:
-        text = doc if isinstance(doc, str) else json.dumps(doc)
-        docs.append(json.loads(text))
-    except TypeError:  # a numpy integer, which json cannot write
-        text = None
-    except json.JSONDecodeError:
-        pass
+    if _text(case) is not None:
+        try:
+            docs.append(json.loads(_text(case)))
+        except json.JSONDecodeError:
+            pass
     for d in docs:
         assert validate(d) == violations
         if (p := _by_hand(d)) is not None:
@@ -169,17 +186,25 @@ def test_every_entry_point_agrees(case, tmp_path, capsys):
                 with pytest.raises(ValidationError) as err:
                     lower_qp(p, 0.5)
                 assert err.value.violations == violations
-    if text is None:
+
+
+def _assert_agreement(case):
+    """validate and parse_problem both give row case's outcome, exactly."""
+    _assert_validate(case)
+    if _text(case) is not None:
+        _assert_parse(case)
+
+
+@pytest.mark.parametrize("case", list(_DOCUMENTS))
+def test_every_entry_point_agrees(case, tmp_path, capsys):
+    """Row case's outcome, exactly, at parse_problem and validate, and at each CLI
+    subcommand, which prints it one line per message."""
+    _assert_agreement(case)
+    _, error, violations = _DOCUMENTS[case]
+    if _text(case) is None:
         return
-    if error is None:
-        parse_problem(text)
-    else:
-        with pytest.raises(error) as err:
-            parse_problem(text)
-        assert type(err.value) is error
-        assert (err.value.violations if error is ValidationError else [str(err.value)]) == violations
     path = tmp_path / "problem.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(_text(case), encoding="utf-8")
     code = {None: 0, ValidationError: 1}.get(error, 2)
     shown = "".join(f"{'invalid' if code == 1 else 'error'}: {v}\n" for v in violations) or "ok\n"
     for command in ("validate", "solve", "plot-data") if code else ("validate",):
@@ -188,16 +213,58 @@ def test_every_entry_point_agrees(case, tmp_path, capsys):
         assert tuple(capsys.readouterr()) == expected
 
 
+# The tests below judge one entry point each, at rows of _DOCUMENTS.
+class TestValidate:
+    def test_bundled_example_is_valid(self):
+        _assert_validate("fixture")
+
+    def test_asymmetric_q_reported(self):
+        _assert_validate("asymmetric-pair")
+
+    def test_reversed_triple_reported_on_document(self):
+        _assert_validate("reversed-triple")
+
+    def test_asymmetry_same_for_problem_and_document(self):
+        _assert_validate("asymmetric-pair")
+        _assert_validate("minus-inf-entry")
+
+    def test_short_triple_reported_on_document(self):
+        _assert_validate("short-triple")
+
+    def test_dimension_violations(self):
+        _assert_validate("length-mismatch")
+
+
+def _ragged(p):
+    return FuzzyQP(p.c, p.Q, (p.A[0], p.A[1][:1]), p.b)
+
+
 class TestValidateAgreesWithParse:
+    # earlier case names, each with the row that judges it
+    @pytest.mark.parametrize("case", [
+        "asymmetric-pair", "bool-entry", "float-n", "missing-field", "non-numeric-entry", "null-entry",
+        "numeric-string-entry", "overflowing-float-entry", "overflowing-integer-entry", "ragged-row",
+        "reversed-triple", "scalar-for-triple", "short-triple", "unknown-field", "zero-sizes"])
+    def test_malformed_document(self, case):
+        _assert_agreement({"overflowing-integer-entry": "10**400"}.get(case, case))
+
+    def test_non_finite_entry_is_named(self):
+        _assert_parse("overflowing-float-entry")
+        _assert_parse("10**400")
+
+    def test_overflowing_spread_is_named(self):
+        _assert_agreement("overflowing-spread")
+
+    def test_ragged_problem_gets_structure_violation(self, example_problem):
+        assert validate(_ragged(example_problem)) == ["A/b dimensions disagree with n and m: A must be 2x2 triples"]
+
     def test_ragged_problem_raises_the_structure_error_everywhere(self, example_problem):
         # symmetrized and serialize_problem stacked the arrays unchecked and
         # raised numpy's "cannot reshape array of size 9 into shape (2,2,3)"
-        p = example_problem
-        ragged = FuzzyQP(p.c, p.Q, (p.A[0], p.A[1][:1]), p.b)
+        ragged = _ragged(example_problem)
         for read in ragged.symmetrized, lambda: serialize_problem(ragged):
             with pytest.raises(StructureError, match=r"^A/b dimensions disagree with n and m: A must be 2x2 triples$"):
                 read()
-        assert validate(ragged) == ["A/b dimensions disagree with n and m: A must be 2x2 triples"]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -233,6 +300,15 @@ def _bits(arrays):
 class TestBulkScreen:
     """A parsed document is screened and converted a whole field at a time;
     only a document that fails the screen is walked entry by entry."""
+
+    # earlier case names, each with the row that judges it
+    @pytest.mark.parametrize("case", [
+        "-10**400", "10**400", "10**400-then-true", "2**53+1", "dict-of-three", "first-in-label-order",
+        "int-subclass", "long-triple", "np-float64", "np-int64", "null", "numeric-string",
+        "string-of-three", "true", "tuple-rows-and-triples", "tuple-triple"])
+    def test_validate_and_parse_agree(self, case):
+        renamed = {"true": "bool-entry", "null": "null-entry", "numeric-string": "numeric-string-entry"}
+        _assert_agreement(renamed.get(case, case))
 
     @pytest.mark.parametrize("case", ["np-float64", "int-subclass", "tuple-rows-and-triples",
                                       "tuple-triple", "2**53+1"])
@@ -297,6 +373,35 @@ class TestParse:
         assert p.b[1] == T(2, 4, 6)
         assert p.name == "liu2009-example"
 
+    def test_two_element_triple_is_parse_error(self):
+        _assert_parse("short-triple")
+
+    def test_length_mismatch_is_structure_error(self):
+        _assert_parse("length-mismatch")
+
+    def test_reversed_triple_is_validation_error(self):
+        _assert_parse("reversed-triple")
+
+    def test_bad_json(self):
+        _assert_parse("bad-json")
+
+    def test_non_object_top_level(self):
+        _assert_parse("non-object-top-level")
+
+    def test_missing_field(self):
+        _assert_parse("missing-field")
+
+    def test_unknown_field(self):
+        _assert_parse("unknown-field")
+
+    def test_non_finite_rejected(self):
+        _assert_parse("nan-entry")
+
+    def test_non_numeric_entry(self):
+        _assert_parse("non-numeric-entry")
+
+    def test_nonpositive_sizes(self):
+        _assert_parse("zero-sizes")
 
     def test_symmetrize_flag(self):
         p = parse_problem(json.dumps(_DOCUMENTS["asymmetric-pair"][0]), symmetrize=True)
