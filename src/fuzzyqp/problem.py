@@ -62,9 +62,12 @@ class FuzzyQP:
     c holds the n cost triples, Q the symmetric n x n quadratic triples, A the
     m x n constraint triples and b the m right-hand sides.  The package reads
     only the read-only float arrays of these data (see _shaped), with (a1, a2,
-    a3) on the last axis.  A problem built from TriangularFuzzyNumber tuples
-    stacks them once, on first use; a parsed or symmetrized problem stores only
-    the arrays and builds its c, Q, A and b tuples the first time they are read.
+    a3) on the last axis.  A problem built by hand is read once, on first use,
+    as parse_problem reads its document (_document), so each entry may be a
+    TriangularFuzzyNumber or an [a1, a2, a3] sequence, an empty name is None,
+    and a malformed field or name raises the document's ParseError or
+    StructureError.  A parsed or symmetrized problem stores only the arrays
+    and builds its c, Q, A and b tuples the first time they are read.
     """
 
     c: TfnRow
@@ -76,6 +79,8 @@ class FuzzyQP:
     def __post_init__(self):
         for key, value in zip(_KEYS, (self.c, self.Q, self.A, self.b)):
             object.__setattr__(self, key, tuple(map(tuple, value) if key in ("Q", "A") else value))
+        if isinstance(self.name, str) and not self.name:  # as parse_problem reads it
+            object.__setattr__(self, "name", None)
 
     @classmethod
     def _from_arrays(cls, c, Q, A, b, name=None) -> "FuzzyQP":
@@ -100,9 +105,17 @@ class FuzzyQP:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        fields = self.c, self.Q, self.A, self.b
-        _check_sizes(self.n, self.m, *fields)
-        return _read_only(*_stack(fields, lambda t, *label: (t.a1, t.a2, t.a3)))
+        return _read_only(*_read(self._document()))
+
+    def _document(self) -> dict:
+        """The problem as parse_problem's document, with n, m and any name: each field a
+        list, a TriangularFuzzyNumber entry written [a1, a2, a3] and any other as it is."""
+        entry = lambda t: [t.a1, t.a2, t.a3] if isinstance(t, TriangularFuzzyNumber) else t
+        c, Q, A, b = (f.tolist() if isinstance(f, np.ndarray) else f for f in self._stored())
+        rows = lambda f: [list(map(entry, row)) for row in f]
+        doc = {"n": len(c), "m": len(b), "c": list(map(entry, c)), "Q": rows(Q), "A": rows(A),
+               "b": list(map(entry, b))}
+        return doc if self.name is None else {**doc, "name": self.name}
 
     def _stored(self):
         """(c, Q, A, b) as stored: the TFN tuples, nested as given (ragged or
@@ -113,7 +126,7 @@ class FuzzyQP:
 
     @cached_property
     def _violation_list(self) -> tuple[str, ...]:
-        """validate(self), computed once (the instance is immutable); _arrays checks the sizes."""
+        """validate(self), computed once (the instance is immutable); _arrays reads the document."""
         try:
             _check_values(self._arrays)
         except ProblemError as e:
@@ -260,14 +273,15 @@ def validate(problem) -> list[str]:
     Accepts either a FuzzyQP or a raw problem document (mapping with keys
     n, m, c, Q, A, b) and runs exactly the checks of parse_problem: the
     first malformed or mis-sized field on its own, otherwise every
-    out-of-order triple and asymmetric Q pair: for a document, what
-    parse_problem raises for it, message for message.  A FuzzyQP is
-    checked once; later calls return a copy of the cached list.
+    out-of-order triple and asymmetric Q pair: what parse_problem raises
+    for the document, message for message.  A FuzzyQP is checked as its
+    document (FuzzyQP._document), name included, and once; later calls
+    return a copy of the cached list.
     """
     if isinstance(problem, FuzzyQP):
         return list(problem._violation_list)
     try:
-        _check_document(problem, symmetrize=False)
+        _check_values(_read(problem))
     except ProblemError as e:
         return _messages(e)
     return []
@@ -319,15 +333,15 @@ def _bulk(fields):
         return None
 
 
-def _stack(fields, triple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(c, Q, A, b) triple arrays of triple(entry, key, *idx) for every entry in label order,
-    all before any converts; the label key[i][j] is formatted only if triple reports it."""
+def _stack(fields) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(c, Q, A, b) triple arrays of _as_triple(entry, key, *idx) for every entry in label
+    order, all before any converts; the label key[i][j] is formatted only for a bad entry."""
     c, Q, A, b = fields
     return _shaped((
-        [triple(t, "c", j) for j, t in enumerate(c)],
-        [triple(t, "Q", i, j) for i, row in enumerate(Q) for j, t in enumerate(row)],
-        [triple(t, "A", i, j) for i, row in enumerate(A) for j, t in enumerate(row)],
-        [triple(t, "b", i) for i, t in enumerate(b)],
+        [_as_triple(t, "c", j) for j, t in enumerate(c)],
+        [_as_triple(t, "Q", i, j) for i, row in enumerate(Q) for j, t in enumerate(row)],
+        [_as_triple(t, "A", i, j) for i, row in enumerate(A) for j, t in enumerate(row)],
+        [_as_triple(t, "b", i) for i, t in enumerate(b)],
     ), len(c), len(b))
 
 
@@ -353,10 +367,10 @@ def _float(v) -> float:
         return math.inf if v > 0 else -math.inf
 
 
-def _check_document(doc, symmetrize: bool):
-    """Every check of a decoded problem document, as parse_problem documents
-    them; returns (c, Q, A, b, name) with an empty name as None.  The entries are
-    screened in bulk (_bulk) and walked (_stack with _as_triple) only when that fails:
+def _read(doc):
+    """(c, Q, A, b) triple arrays of a decoded problem document, after every check of
+    parse_problem but the value checks (_check_values): types, name, sizes and entries.
+    The entries are screened in bulk (_bulk) and walked (_stack) only when that fails:
     to name the first bad entry, or to convert a float subclass or an int past float range."""
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
@@ -378,8 +392,7 @@ def _check_document(doc, symmetrize: bool):
         if key in ("Q", "A") and not all(isinstance(row, _ARRAY) for row in field):
             raise ParseError(f"{key} must be an array of arrays")
     _check_sizes(doc["n"], doc["m"], *fields)
-    arrays = _bulk(fields) or _stack(fields, _as_triple)
-    return (*_check_values(arrays, symmetrize), name or None)
+    return _bulk(fields) or _stack(fields)
 
 
 def _check_sizes(n, m, c, Q, A, b) -> None:
@@ -428,18 +441,17 @@ def parse_problem(text: str, symmetrize: bool = False) -> FuzzyQP:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    *arrays, name = _check_document(doc, symmetrize)
-    p = FuzzyQP._from_arrays(*arrays, name=name)
+    arrays = _check_values(_read(doc), symmetrize)
+    p = FuzzyQP._from_arrays(*arrays, name=doc.get("name") or None)
     object.__setattr__(p, "_violation_list", ())  # the check above, on the same arrays
     return p
 
 
 def serialize_problem(p: FuzzyQP) -> str:
-    """Canonical text form: sorted keys one per line, floats in repr form (shortest
-    round-trip decimals), an empty or missing name omitted.  parse_problem of it
-    reconstructs p exactly."""
-    doc = {"n": p.n, "m": p.m, **dict(zip(_KEYS, (a.tolist() for a in p._arrays)))}
-    if p.name:
-        doc["name"] = p.name
-    body = ",\n".join(f'  "{key}": {json.dumps(value)}' for key, value in sorted(doc.items()))
+    """Canonical text form of p's document (FuzzyQP._document): sorted keys one per
+    line, floats in repr form (shortest round-trip decimals), a missing name omitted.
+    For a valid p of TriangularFuzzyNumber entries parse_problem of it reconstructs p
+    exactly; a malformed p raises the ParseError or StructureError of its document."""
+    p._arrays  # read first: a malformed problem raises its document's error
+    body = ",\n".join(f'  "{key}": {json.dumps(value)}' for key, value in sorted(p._document().items()))
     return "{\n" + body + "\n}\n"

@@ -128,6 +128,7 @@ class TestIntervalArithmetic:
         assert Interval(1, 2) + Interval(3, 4) == Interval(4, 6)
         assert Interval(0, 0) + Interval(3, 4) == Interval(3, 4)
         assert Interval(-6, -4) + Interval(1, 2) == Interval(-5, -2)
+        assert (Interval(-6, -4) + Interval(1, 2)).width == 3.0
 
     def test_scale(self):
         assert 2 * Interval(1, 3) == Interval(2, 6)

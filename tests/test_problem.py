@@ -61,14 +61,13 @@ def _with_tuples(doc):
 
 def _by_hand(doc):
     """doc's problem built from TriangularFuzzyNumber triples, or None where that is
-    not doc's problem: a field other than the six and a string name, n or m other
-    than the length of c or b, an entry other than an int or a float (which
+    not doc's problem: a field other than the six and the name, n or m other than
+    the length of c or b, an entry other than an int or a float (which
     TriangularFuzzyNumber would convert), or a triple TriangularFuzzyNumber refuses."""
     try:
         c, Q, A, b = (doc[key] for key in ("c", "Q", "A", "b"))
         entries = chain.from_iterable([*c, *chain(*Q), *chain(*A), *b])
         if (set(doc) - {"name"} != {"n", "m", "c", "Q", "A", "b"}
-                or not isinstance(doc.get("name"), (str, type(None)))
                 or [type(doc["n"]), type(doc["m"])] != [int, int] or [doc["n"], doc["m"]] != [len(c), len(b)]
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entries)):
             return None
@@ -315,12 +314,12 @@ class TestBulkScreen:
     def test_accepted_entries_convert_as_plain_numbers(self, case):
         doc = _DOCUMENTS[case][0]
         plain = json.loads(json.dumps(doc))
-        got = problem_module._check_document(doc, symmetrize=False)
-        assert _bits(got[:4]) == _bits(parse_problem(json.dumps(doc))._arrays)
-        assert _bits(got[:4]) == _bits(problem_module._check_document(plain, False)[:4])
+        got = problem_module._read(doc)
+        assert _bits(got) == _bits(parse_problem(json.dumps(doc))._arrays)
+        assert _bits(got) == _bits(problem_module._read(plain))
 
     def test_big_integer_rounds_as_float_does(self):
-        b = problem_module._check_document(_DOCUMENTS["2**53+1"][0], False)[3]
+        b = problem_module._read(_DOCUMENTS["2**53+1"][0])[3]
         assert b[1].tolist() == [float(2**53 - 1), float(2**53), float(2**53 + 1)]
         assert b[1, 2] == 2.0**53
     def test_screen_converts_as_the_walk_does(self):
@@ -341,8 +340,8 @@ class TestBulkScreen:
             A = [[next(triples) for _ in range(n)] for _ in range(m)]
             b = [next(triples) for _ in range(m)]
             doc = {"n": n, "m": m, "c": c, "Q": Q, "A": A, "b": b}
-            got = problem_module._check_document(doc, symmetrize=False)[:4]
-            walked = problem_module._stack((c, Q, A, b), problem_module._as_triple)
+            got = problem_module._read(doc)
+            walked = problem_module._stack((c, Q, A, b))
             assert _bits(got) == _bits(walked)
             assert any(type(v) is int for v in mixed)
 
@@ -355,7 +354,7 @@ class TestBulkScreen:
         parse_problem(fixture_text)
         parse_problem(fixture_text.replace("-6.0", "-6"))  # ints pass the screen too
         assert validate(_with_tuples(_fixture_doc())) == []
-        assert validate(_by_hand(_fixture_doc())) == []  # the hand-built stack formats no labels
+        assert validate(_by_hand(_fixture_doc())) == []  # its document passes the screen too
         assert calls == []
         assert validate(_DOCUMENTS["np-float64"][0]) == []  # fails the screen, so is walked
         assert calls.count("_as_triple") == 2 + 4 + 4 + 2 and "_label" not in calls
@@ -429,7 +428,9 @@ class TestSerialize:
     def test_empty_name_omitted(self, example_problem):
         p = example_problem
         for name in (None, ""):
-            assert '"name"' not in serialize_problem(FuzzyQP(p.c, p.Q, p.A, p.b, name))
+            hand_built = FuzzyQP(p.c, p.Q, p.A, p.b, name)
+            assert '"name"' not in serialize_problem(hand_built)
+            assert parse_problem(serialize_problem(hand_built)) == hand_built
 
     def test_awkward_floats_survive(self):
         vals = (0.1, 1 / 3, 2 / 3)
@@ -471,9 +472,9 @@ class TestFuzzyQP:
         assert len(built) == 2 + 4 + 4 + 2
         assert p.Q is Q and p.c is p.c and len(built) == 12
 
-    def test_hand_built_problem_is_stacked_once_and_not_type_checked(self, monkeypatch):
+    def test_hand_built_problem_is_read_once_and_never_walked(self, monkeypatch):
         calls = []
-        for name in ("_as_triple", "_stack"):
+        for name in ("_as_triple", "_read"):
             real = getattr(problem_module, name)
             monkeypatch.setattr(problem_module, name,
                                 lambda *args, name=name, real=real: calls.append(name) or real(*args))
@@ -482,7 +483,69 @@ class TestFuzzyQP:
         lower_qp(p, 0.5)
         upper_qp(p, 0.5)
         assert validate(p) == []
-        assert calls == ["_stack"]
+        assert calls == ["_read"]
+
+
+def _fixture_with(c0=None, name="liu2009-example", ragged_q=False):
+    """The fixture's problem built by hand, with c[0] replaced by c0 if given, named
+    name, and with the last entry of Q dropped if ragged_q."""
+    p = parse_problem(_FIXTURE_TEXT)
+    Q = (p.Q[0], p.Q[1][:1]) if ragged_q else p.Q
+    return FuzzyQP((p.c[0] if c0 is None else c0, *p.c[1:]), Q, p.A, p.b, name)
+
+
+class TestHandBuiltProblem:
+    """A FuzzyQP built by hand meets the rules of its document at every reader."""
+
+    @pytest.mark.parametrize("edit, error, message", [
+        ({"name": 7}, ParseError, "name must be a string, got 7"),
+        # a float or a triple other than a TriangularFuzzyNumber raised AttributeError
+        ({"c0": 1.0}, ParseError, "c[0] is not a triple: expected [a1, a2, a3], got 1.0"),
+        ({"ragged_q": True}, StructureError, "c/Q dimensions disagree with n: Q must be 2x2 triples"),
+    ], ids=["int-name", "float-entry", "ragged-q"])
+    def test_malformed_problem_raises_its_document_error(self, edit, error, message):
+        p = _fixture_with(**edit)
+        assert validate(p) == [message]
+        with pytest.raises(ValidationError) as err:
+            lower_qp(p, 0.5)
+        assert err.value.violations == [message]
+        for read in p.symmetrized, lambda: serialize_problem(p):
+            with pytest.raises(error) as err:
+                read()
+            assert type(err.value) is error and str(err.value) == message
+
+    def test_plain_triple_is_read_as_the_document_reads_it(self):
+        p = _fixture_with(c0=(1.0, 2.0, 3.0))
+        assert validate(p) == []
+        assert lower_qp(p, 0.5).c.tolist() == [1.5, 1.25]
+        assert p.symmetrized().c[0] == T(1, 2, 3)
+        assert parse_problem(serialize_problem(p)) == _fixture_with(c0=T(1, 2, 3))
+
+    def test_non_finite_entry(self):
+        p = _fixture_with(c0=T(-math.inf, -5, -4))
+        message = "c[0]: non-finite entry in (-inf, -5.0, -4.0)"
+        assert validate(p) == [message]
+        with pytest.raises(ValidationError) as err:
+            lower_qp(p, 0.5)
+        assert err.value.violations == [message]
+        assert validate(p.symmetrized()) == [message]
+        with pytest.raises(ParseError) as err:
+            parse_problem(serialize_problem(p))
+        assert str(err.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_validate_never_raises(self, data):
+        number = st.floats() | st.integers(-9, 9)
+        entries = (st.builds(lambda v: T(*sorted(v)), st.lists(st.floats(-9, 9), min_size=3, max_size=3))
+                   | st.floats() | st.none() | st.text(max_size=3)
+                   | st.lists(number, min_size=2, max_size=4).map(tuple))
+        n, m = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        row = lambda k: st.lists(entries, min_size=k, max_size=k).map(tuple)
+        p = FuzzyQP(data.draw(row(n)), data.draw(st.lists(row(n), min_size=n, max_size=n)),
+                    data.draw(st.lists(row(n), min_size=m, max_size=m)), data.draw(row(m)))
+        violations = validate(p)
+        assert isinstance(violations, list) and all(isinstance(v, str) for v in violations)
 
 
 class TestCrispQP:

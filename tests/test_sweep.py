@@ -57,7 +57,7 @@ class TestSolveFqp:
             assert r.lower_diag.iterations >= 1
 
     def test_coincides_at_top_only(self, example_curve):
-        assert example_curve.coincidence_alpha == 1.0
+        assert example_curve.coincidence_alpha == 1.0 and example_curve.coincided
         assert abs(example_curve.z_lower[-1] - example_curve.z_upper[-1]) <= 1e-6
 
     def test_branch_monotone_and_bracketing(self, example_curve):
