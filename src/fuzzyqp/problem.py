@@ -77,8 +77,11 @@ class FuzzyQP:
     name: str | None = None
 
     def __post_init__(self):
+        # a list becomes a tuple, in a field and in a row of Q or A; _read names anything else
+        rows = lambda f: (tuple(r) if isinstance(r, _ARRAY) else r for r in f)
         for key, value in zip(_KEYS, (self.c, self.Q, self.A, self.b)):
-            object.__setattr__(self, key, tuple(map(tuple, value) if key in ("Q", "A") else value))
+            if isinstance(value, _ARRAY):
+                object.__setattr__(self, key, tuple(rows(value) if key in ("Q", "A") else value))
         if isinstance(self.name, str) and not self.name:  # as parse_problem reads it
             object.__setattr__(self, "name", None)
 
@@ -112,9 +115,11 @@ class FuzzyQP:
         list, a TriangularFuzzyNumber entry written [a1, a2, a3] and any other as it is."""
         entry = lambda t: [t.a1, t.a2, t.a3] if isinstance(t, TriangularFuzzyNumber) else t
         c, Q, A, b = (f.tolist() if isinstance(f, np.ndarray) else f for f in self._stored())
-        rows = lambda f: [list(map(entry, row)) for row in f]
-        doc = {"n": len(c), "m": len(b), "c": list(map(entry, c)), "Q": rows(Q), "A": rows(A),
-               "b": list(map(entry, b))}
+        items = lambda f: list(map(entry, f)) if isinstance(f, _ARRAY) else f
+        rows = lambda f: list(map(items, f)) if isinstance(f, _ARRAY) else f
+        # any n and m for a c or b that is no array: _read names the field first
+        size = lambda f: len(f) if isinstance(f, _ARRAY) else 0
+        doc = {"n": size(c), "m": size(b), "c": items(c), "Q": rows(Q), "A": rows(A), "b": items(b)}
         return doc if self.name is None else {**doc, "name": self.name}
 
     def _stored(self):
@@ -448,10 +453,12 @@ def parse_problem(text: str, symmetrize: bool = False) -> FuzzyQP:
 
 
 def serialize_problem(p: FuzzyQP) -> str:
-    """Canonical text form of p's document (FuzzyQP._document): sorted keys one per
-    line, floats in repr form (shortest round-trip decimals), a missing name omitted.
-    For a valid p of TriangularFuzzyNumber entries parse_problem of it reconstructs p
-    exactly; a malformed p raises the ParseError or StructureError of its document."""
-    p._arrays  # read first: a malformed problem raises its document's error
-    body = ",\n".join(f'  "{key}": {json.dumps(value)}' for key, value in sorted(p._document().items()))
+    """Canonical text form of p's document (FuzzyQP._document) with every entry the
+    floats its reading gave (p._arrays): sorted keys one per line, floats in repr form
+    (shortest round-trip decimals), a missing name omitted.  For a valid p
+    parse_problem of it reconstructs p exactly, an [a1, a2, a3] entry as the
+    TriangularFuzzyNumber it reads as; a malformed p raises the ParseError or
+    StructureError of its document."""
+    doc = {**p._document(), **{key: t.tolist() for key, t in zip(_KEYS, p._arrays)}}
+    body = ",\n".join(f'  "{key}": {json.dumps(value)}' for key, value in sorted(doc.items()))
     return "{\n" + body + "\n}\n"

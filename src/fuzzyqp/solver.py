@@ -19,6 +19,14 @@ so a step makes as few numpy calls as give the same bits:
     the rounding slack 1e-12 max(|x|, |y|)) returns a point that meets the
     rows, and one _scan for divergence and convergence; faces are built on
     demand.
+  - A sweep's endpoints do not depend on each other, so their runs step in
+    lock-step (_pg_lanes): one iterate of every run takes a few numpy calls
+    on stacks, each product a stacked np.matmul, which gives every lane's
+    _product bytes, and the same decisions on the stacked values; only a
+    run whose step leaves the polyhedron takes its own projector call.
+    solve_pg and the sweep set a run up (_setup, _start) and judge its
+    runs (_finish) by one code path, so a sweep's records are solve_pg's
+    bytes.
 
 An indefinite Q runs 9 starts: the origin and the 8 rows of
 numpy.random.default_rng(seed).uniform(0, max(1, max|b|), (8, n)), drawn
@@ -28,6 +36,7 @@ version.  The enumeration oracle that checks solve_pg is fuzzyqp.oracle.
 """
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from math import frexp, isfinite, ldexp
 from typing import Callable
@@ -41,6 +50,7 @@ from .projector import UnboundedError, _max, _Projector
 UNBOUNDED_LIMIT = 1e8
 # Objectives within _TIE of the least one tie; the smallest x wins (_least).
 _TIE = 1e-12
+_all, _any = np.logical_and.reduce, np.logical_or.reduce
 
 
 @dataclass(frozen=True)
@@ -271,6 +281,41 @@ def _pg_run(q, x0, step, opts, callback, warm):
     return x, opts.max_iter, False
 
 
+def _setup(q: CrispQP, opts: SolverOptions) -> tuple:
+    """A solve's set-up: (step, convex, warm, starts), with warm the projector
+    its runs share and starts the points they start from, not yet projected
+    (_start): the multistart points, or the origin and, for an indefinite Q,
+    the 8 default ones; a convex Q keeps the first only."""
+    step, convex = _step_rule(q)
+    if opts.multistart is not None:
+        starts = opts.multistart
+    elif convex:
+        starts = [np.zeros(q.n)]  # the first default start; the random ones serve indefinite Q
+    else:
+        starts = _default_starts(q, opts)
+    return step, convex, _Projector(q.A, q.b), starts[:1] if convex else starts
+
+
+def _start(q: CrispQP, x0, warm: _Projector) -> np.ndarray:
+    """A run's start: x0 projected from the empty face, which leaves warm
+    holding the face it ended on, so no run's bits depend on the run before."""
+    warm._held = None
+    return project(_vector(x0, q.c.shape, "start point"), q.A, q.b, _warm=warm)
+
+
+def _finish(q: CrispQP, runs: list, step: float, convex: bool, warm: _Projector) -> QpSolution:
+    """A solve's verdict on its runs, each (x, iterations, converged, the face
+    its projector held at the end): the tie rule (_least) over the converged
+    runs, or over all if none converged, and the winner's stationarity, taken
+    from the face its own run ended on."""
+    runs = [(x, objective(q, x), *rest) for x, *rest in runs]
+    x, z, iters, converged, warm._held = _least([run for run in runs if run[3]] or runs)
+    return QpSolution(
+        x=x, z=z, iterations=iters, converged=converged,
+        stationarity=_stationarity(q, x, step, warm), convex=convex,
+    )
+
+
 def solve_pg(
     q: CrispQP,
     opts: SolverOptions | None = None,
@@ -287,31 +332,104 @@ def solve_pg(
     converged flag, never hidden.
     """
     opts = opts or SolverOptions()
-    step, convex = _step_rule(q)
-
-    if opts.multistart is not None:
-        starts = opts.multistart
-    elif convex:
-        starts = [np.zeros(q.n)]  # the first default start; the random ones serve indefinite Q
-    else:
-        starts = _default_starts(q, opts)
-    if convex:
-        starts = starts[:1]
-
-    warm = _Projector(q.A, q.b)
+    step, convex, warm, starts = _setup(q, opts)
     runs = []
     for x0 in starts:
-        warm._held = None  # from the empty face: no run's bits depend on the run before
-        x0 = project(_vector(x0, q.c.shape, "start point"), q.A, q.b, _warm=warm)
-        x, iters, converged = _pg_run(q, x0, step, opts, callback, warm)
-        runs.append((x, objective(q, x), iters, converged, warm._held))
+        x, iters, converged = _pg_run(q, _start(q, x0, warm), step, opts, callback, warm)
+        runs.append((x, iters, converged, warm._held))
+    return _finish(q, runs, step, convex, warm)
 
-    # the winner's stationarity is taken from the face its own run ended on
-    x, z, iters, converged, warm._held = _least([run for run in runs if run[3]] or runs)
-    return QpSolution(
-        x=x, z=z, iterations=iters, converged=converged,
-        stationarity=_stationarity(q, x, step, warm), convex=convex,
-    )
+
+def _pg_lanes(endpoints: list, opts: SolverOptions) -> list:
+    """_pg_run on every start of every endpoint at once, in lock-step and bit
+    for bit: a sweep's solves (fuzzyqp.sweep), callback None.
+
+    endpoints holds (q, _setup(q, opts)) per crisp QP of one n and m, the
+    set-up None where it raised.  Each start is a lane: its start by _start
+    and a copy of the endpoint's projector, which holds its own face and
+    shares the endpoint's face store, so each face is still built once per
+    endpoint.  One iterate over the active lanes takes y = x - step (c + Qx)
+    and G y - top, each product a stacked np.matmul on C-ordered (lanes, r,
+    n) stacks, which gives problem._product's bytes lane for lane
+    (tests/test_kernels.py).  A lane whose y fails the projector's one feasibility rule on that stack, every
+    row within its top or else within the slack 1e-12 max|y| (_meets, with
+    _slack), takes its projector's _solve; a shifted projector (b near the
+    float range) takes the whole call.  The divergence and convergence tests
+    are _scan's on the stack, and a lane past UNBOUNDED_LIMIT or holding a
+    NaN takes _scan itself.  A lane leaves the stacks when it converges or
+    reaches max_iter, as _pg_run returns.
+
+    Returns, per endpoint, its runs (x, iterations, converged, the face its
+    projector held at the end) in start order, or None where its set-up or
+    any of its starts or runs raised.
+    """
+    out, lanes, rows = [], [], []  # lanes (endpoint, run, projector), rows their stacked data
+    for e, (q, set_up) in enumerate(endpoints):
+        out.append(None)
+        if set_up is None:
+            continue
+        step, _, warm, starts = set_up
+        try:
+            mine = [(_start(q, x0, warm), copy(warm)) for x0 in starts]
+        except Exception:
+            continue
+        out[e] = [None] * len(mine)
+        for i, (x0, w) in enumerate(mine):
+            lanes.append((e, i, w))
+            rows.append((x0, q.c, q.Q, [step], w.G, w._top, w._j != 0, e))
+    if not lanes:
+        return out
+    X, C, Q, S, G, top, shifted, owner = map(np.array, zip(*rows))
+    tol = float(opts.tol)
+    for k in range(opts.max_iter):
+        # one lane's overflow warns for no other; an endpoint that fails is solved again (sweep)
+        with np.errstate(all="ignore"):
+            Y = X - S * (C + np.matmul(Q, X[:, :, None])[:, :, 0])
+            D = np.matmul(G, Y[:, :, None])[:, :, 0] - top
+            meets = _all(D <= 0.0, axis=1)
+            if not _all(meets):
+                slack = 1e-12 * _max(np.abs(Y), axis=1)
+                meets |= np.isfinite(slack) & _all(D <= slack[:, None], axis=1)
+        failed = set()
+        for l in (~meets | shifted).nonzero()[0].tolist():
+            e, _, warm = lanes[l]
+            if e not in failed:
+                try:
+                    y = Y[l].copy()  # a fresh vector, as _pg_run's y is
+                    Y[l] = warm(y) if warm._j else warm._solve(y)
+                except Exception:
+                    failed.add(e)
+        with np.errstate(invalid="ignore"):
+            fine = _all(np.abs(Y) <= UNBOUNDED_LIMIT, axis=1)
+            done = _all(np.abs(Y - X) <= tol, axis=1)
+        if not _all(fine):
+            for l in (~fine).nonzero()[0].tolist():
+                beyond, done[l] = _scan(Y[l].tolist(), X[l].tolist(), UNBOUNDED_LIMIT, tol)
+                if beyond:
+                    failed.add(lanes[l][0])
+        for e in failed:
+            out[e] = None
+        last = k + 1 == opts.max_iter
+        if last or failed or _any(done):
+            for l in range(len(lanes)) if last else done.nonzero()[0].tolist():
+                e, i, warm = lanes[l]
+                if out[e] is not None:  # as _pg_run returns, with the face the run ended on
+                    iters = k + 1 if done[l] else opts.max_iter
+                    out[e][i] = (Y[l].copy(), iters, bool(done[l]), warm._held)
+            if last:
+                break
+            keep = ~done
+            if failed:
+                keep &= ~np.isin(owner, list(failed))
+            kept = keep.nonzero()[0]
+            if not len(kept):
+                break
+            X, C, Q, S, G, top, shifted, owner = (
+                a[kept] for a in (Y, C, Q, S, G, top, shifted, owner))
+            lanes = [lanes[l] for l in kept.tolist()]
+        else:
+            X = Y
+    return out
 
 
 def _least(candidates: list) -> tuple:

@@ -6,6 +6,15 @@ coincide; the coincidence level is reported as a flag so downstream
 consumers still see the whole curve.  At alpha = 1 both endpoints are one
 instance, the crisp core (cuts), solved once for both bounds, which there
 coincide exactly.
+
+The levels do not depend on each other, so the runs of every endpoint are
+stepped side by side (solver._pg_lanes), in blocks of levels whose stacked
+lane data stays within LANE_BLOCK_BYTES, and each endpoint is judged as
+solve_pg judges its runs (solver._finish): every record has the bytes of
+solve_pg on its endpoint.  An endpoint whose set-up, runs or judgement
+raised is solved again by solve_pg (_solve_endpoint), the first such in
+level order, lower before upper, so a sweep raises what solving the
+endpoints one at a time would.
 """
 from __future__ import annotations
 
@@ -18,9 +27,11 @@ from .cuts import lower_qp, upper_qp
 from .fuzzy import check_alpha
 from .problem import CrispQP, FuzzyQP
 from .projector import InfeasibleError, UnboundedError
-from .solver import QpSolution, SolverOptions, solve_pg
+from .solver import QpSolution, SolverOptions, _finish, _pg_lanes, _setup, solve_pg
 
 COINCIDENCE_TOL = 1e-6
+# The stacked lane data of one block of a sweep's endpoints (_levels), in bytes.
+LANE_BLOCK_BYTES = 1 << 22
 
 
 class CurveShapeError(ValueError):
@@ -87,15 +98,7 @@ def solve_fqp(
 
     records = []
     coincidence_alpha = None
-    for alpha in grid:
-        lo_q = lower_qp(p, alpha)
-        lo = _solve_endpoint(lo_q, opts, "lower", alpha)
-        up_q = upper_qp(p, alpha)
-        if up_q is lo_q:
-            # its own x, so that writing to one side's argmin leaves the other's
-            up = replace(lo, x=lo.x.copy())
-        else:
-            up = _solve_endpoint(up_q, opts, "upper", alpha)
+    for alpha, lo, up in _levels(p, grid, opts):
         record = AlphaRecord(
             alpha=alpha,
             z_lower=lo.z,
@@ -109,6 +112,66 @@ def solve_fqp(
             coincidence_alpha = alpha
         records.append(record)
     return MembershipCurve(records=tuple(records), coincidence_alpha=coincidence_alpha)
+
+
+def _levels(p: FuzzyQP, grid: list, opts: SolverOptions):
+    """(alpha, lower solution, upper solution) for each level of grid in turn.
+
+    The endpoints are set up level by level (_setup) and solved a block at a
+    time, every run of a block side by side (_pg_lanes); a block's stacked
+    lane data stays within LANE_BLOCK_BYTES, one endpoint at least.
+    """
+    block, size = [], 0
+    for alpha in grid:
+        lo_q = lower_qp(p, alpha)
+        up_q = upper_qp(p, alpha)
+        level = (alpha, [_set_up(q, opts) for q in ((lo_q,) if up_q is lo_q else (lo_q, up_q))])
+        cost = sum(_lane_bytes(*endpoint) for endpoint in level[1])
+        if block and size + cost > LANE_BLOCK_BYTES:
+            yield from _solve_block(block, opts)
+            block, size = [], 0
+        block.append(level)
+        size += cost
+    yield from _solve_block(block, opts)
+
+
+def _set_up(q: CrispQP, opts: SolverOptions) -> tuple:
+    """(q, _setup(q, opts)), the set-up None where it raises."""
+    try:
+        return q, _setup(q, opts)
+    except Exception:
+        return q, None
+
+
+def _lane_bytes(q: CrispQP, set_up) -> int:
+    """The bytes of an endpoint's lanes in _pg_lanes' stacks: per start, Q,
+    G = [A; -I] and its tops, and c, x and y."""
+    n, r = q.n, q.m + q.n
+    return 0 if set_up is None else 8 * len(set_up[3]) * (n * n + r * (n + 1) + 3 * n)
+
+
+def _solve_block(block: list, opts: SolverOptions):
+    """_levels' solutions of a block of levels, each (alpha, endpoints): every
+    run side by side, then each endpoint judged (_finish).  An endpoint whose
+    set-up, runs or judgement raised is solved again, in order, by
+    _solve_endpoint, which raises as a one-at-a-time sweep would."""
+    runs = iter(_pg_lanes([endpoint for _, level in block for endpoint in level], opts))
+    for alpha, level in block:
+        solutions = []
+        for name, (q, set_up) in zip(("lower", "upper"), level):
+            solution, ran = None, next(runs)
+            if ran is not None:  # None where the set-up or a run raised
+                try:
+                    solution = _finish(q, ran, *set_up[:3])
+                except Exception:
+                    pass
+            if solution is None:
+                solution = _solve_endpoint(q, opts, name, alpha)
+            solutions.append(solution)
+        lo = solutions[0]
+        # the core's upper side takes its own x, so that writing to one argmin leaves the other
+        up = solutions[1] if len(solutions) == 2 else replace(lo, x=lo.x.copy())
+        yield alpha, lo, up
 
 
 def _solve_endpoint(q: CrispQP, opts: SolverOptions, endpoint: str, alpha: float) -> QpSolution:

@@ -5,7 +5,10 @@ their inputs, and gradient, objective and solve_pg's start points copy an x
 of any other layout.  So no result depends on a caller's memory layout, and
 every matrix-vector product is taken on C-ordered arrays, through ndarray.dot
 from two columns on (problem._product), where dot gives M @ v byte for byte.
-Whether dot and matmul reach the same kernel is numpy's to change, so the
+A sweep takes every lane's products at once by a stacked np.matmul, which
+must give each lane's problem._product bytes (TestStackedProducts).
+Whether dot and matmul reach the same kernel, and whether a stacked matmul
+takes each lane as one matrix-vector product, are numpy's to change, so the
 file's tests are marked numpy_contract, which CI runs with a larger example
 budget on every numpy leg.
 """
@@ -102,6 +105,52 @@ class TestKernelRule:
                 for v in vectors:
                     v = np.resize(np.array(v), M.shape[1])
                     assert _bytes(product(v)) == _bytes(M @ v), (M, v)
+
+
+@st.composite
+def _stacks(draw):
+    """(M, X): a C-ordered (lanes, r, n) stack of matrices and a (lanes, n) stack
+    of vectors, entries from SPECIAL or moderate floats, n = 1 included."""
+    lanes, r, n = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    values = st.one_of(_entries, st.floats(-1e3, 1e3))
+    M, X = (np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=float)
+            for size in (lanes * r * n, lanes * n))
+    return M.reshape(lanes, r, n), X.reshape(lanes, n)
+
+
+def _lane_products(M: np.ndarray, X: np.ndarray) -> list:
+    """solver._pg_lanes' products np.matmul(M, X[:, :, None])[:, :, 0], and each
+    lane's own product problem._product(M_l)(x_l) on fresh copies, as bytes."""
+    with np.errstate(all="ignore"):  # inf * 0 in matmul's loop
+        got = np.matmul(M, X[:, :, None])[:, :, 0]
+        return [(_bytes(got[l]), _bytes(_product(M[l].copy())(X[l].copy()))) for l in range(len(M))]
+
+
+class TestStackedProducts:
+    """A sweep steps the runs of all its endpoints in lock-step (solver._pg_lanes),
+    taking every lane's products Qx and Gy at once as a stacked np.matmul on
+    C-ordered (lanes, r, n) and (lanes, n) stacks.  Lane for lane that gives the
+    bytes of the product solve_pg takes, problem._product: @ on one column, dot
+    from two on.  A gemm over the stack, such as X @ Q.T, does not."""
+
+    @given(_stacks())
+    @example((np.array([[[1.0]], [[0.0]]]), np.array([[-0.0], [-5e-324]])))  # @ gives +0.0
+    @example((np.array([[[0.0], [5e-324]]]), np.array([[-5e-324]])))  # dot's axpy can fuse
+    @example((np.array([[[-0.0, 5e-324], [1.0, -1.0]]]), np.array([[-5e-324, -0.0]])))
+    def test_each_lane_is_its_own_product(self, stacks):
+        for got, want in _lane_products(*stacks):
+            assert got == want
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 80])
+    def test_seeded_stacks(self, n):
+        # the sizes the benchmark sweeps run (n = 2 to 80), r = m + n rows of G
+        rng = np.random.default_rng(n)
+        for _ in range(40):
+            lanes, r = int(rng.integers(1, 10)), int(rng.integers(1, 2 * n + 2))
+            M = rng.normal(size=(lanes, r, n)) * 10.0 ** rng.integers(-3, 4, size=(lanes, r, n))
+            X = rng.normal(size=(lanes, n)) * 10.0 ** rng.integers(-3, 4, size=(lanes, n))
+            for got, want in _lane_products(M, X):
+                assert got == want
 
 
 class TestSignedZeros:

@@ -432,6 +432,14 @@ class TestSerialize:
             assert '"name"' not in serialize_problem(hand_built)
             assert parse_problem(serialize_problem(hand_built)) == hand_built
 
+    def test_every_entry_is_written_as_floats(self):
+        # an int triple was written [1, 2, 3], unlike every other entry
+        t = T(1, 2, 3)
+        text = serialize_problem(FuzzyQP(((1, 2, 3),), ((t,),), (([1, 2.0, 3],),), (t,)))
+        assert text.count("[1.0, 2.0, 3.0]") == 4 and "[1, " not in text
+        assert parse_problem(text) == FuzzyQP((t,), ((t,),), ((t,),), (t,))
+        assert serialize_problem(parse_problem(text)) == text
+
     def test_awkward_floats_survive(self):
         vals = (0.1, 1 / 3, 2 / 3)
         t = T(*vals)
@@ -486,11 +494,12 @@ class TestFuzzyQP:
         assert calls == ["_read"]
 
 
-def _fixture_with(c0=None, name="liu2009-example", ragged_q=False):
+def _fixture_with(c0=None, name="liu2009-example", ragged_q=False, q1=None):
     """The fixture's problem built by hand, with c[0] replaced by c0 if given, named
-    name, and with the last entry of Q dropped if ragged_q."""
+    name, with the last entry of Q dropped if ragged_q, and with Q[1] replaced by q1
+    if given."""
     p = parse_problem(_FIXTURE_TEXT)
-    Q = (p.Q[0], p.Q[1][:1]) if ragged_q else p.Q
+    Q = (p.Q[0], p.Q[1][:1] if ragged_q else p.Q[1] if q1 is None else q1)
     return FuzzyQP((p.c[0] if c0 is None else c0, *p.c[1:]), Q, p.A, p.b, name)
 
 
@@ -502,7 +511,9 @@ class TestHandBuiltProblem:
         # a float or a triple other than a TriangularFuzzyNumber raised AttributeError
         ({"c0": 1.0}, ParseError, "c[0] is not a triple: expected [a1, a2, a3], got 1.0"),
         ({"ragged_q": True}, StructureError, "c/Q dimensions disagree with n: Q must be 2x2 triples"),
-    ], ids=["int-name", "float-entry", "ragged-q"])
+        # a row that is no array raised TypeError: 'float' object is not iterable, in the constructor
+        ({"q1": 1.0}, ParseError, "Q must be an array of arrays"),
+    ], ids=["int-name", "float-entry", "ragged-q", "q-row-not-an-array"])
     def test_malformed_problem_raises_its_document_error(self, edit, error, message):
         p = _fixture_with(**edit)
         assert validate(p) == [message]

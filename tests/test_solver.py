@@ -1016,8 +1016,9 @@ class TestChecks:
 
 class TestTracedNames:
     """perfbench counts solver.project_calls and solver.gradient_calls by
-    wrapping the module attributes project and gradient, so the PG loop
-    must call them by those names."""
+    wrapping the module attributes project and gradient, so solve_pg's loop
+    (_pg_run) must call them by those names.  A sweep's lock-step loop
+    (_pg_lanes) takes its products stacked and calls neither per iterate."""
 
     @pytest.mark.parametrize("case", ["convex", "indefinite", "long"])
     def test_one_project_and_gradient_call_per_iteration(self, monkeypatch, example_problem, case):

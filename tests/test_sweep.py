@@ -1,6 +1,10 @@
 """Alpha-grid sweep and membership curve inversion."""
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     TABLE_ALPHAS,
@@ -21,14 +25,17 @@ from fuzzyqp import (
     InfeasibleError,
     MembershipCurve,
     QpSolution,
+    SolverOptions,
     TriangularFuzzyNumber,
     UnboundedError,
     membership_of_objective,
+    parse_problem,
     solve_fqp,
     solve_oracle,
     lower_qp,
     upper_qp,
 )
+import fuzzyqp.sweep as sweep_module
 
 T = TriangularFuzzyNumber
 
@@ -224,13 +231,13 @@ class TestCoreSolvedOnce:
     """At alpha = 1 the lower and upper instance are one, so one solve serves both."""
 
     def test_solve_count(self, example_problem, monkeypatch):
-        import fuzzyqp.sweep as sweep_module
-
-        solved = []
-        real = sweep_module.solve_pg
-        monkeypatch.setattr(sweep_module, "solve_pg", lambda q, opts: solved.append(q) or real(q, opts))
+        # each endpoint's set-up takes one eigvalsh (no Q of the fixture is 0):
+        # two endpoints at each level below 1, and the core once
+        set_ups = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda Q: set_ups.append(Q) or real(Q))
         curve = solve_fqp(example_problem, [0.0, 0.5, 1.0])
-        assert len(solved) == 5
+        assert len(set_ups) == 5
         top = curve.records[-1]
         assert top.alpha == 1.0
         assert top.z_lower == top.z_upper
@@ -311,3 +318,129 @@ class TestSetUpPaidOnce:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [want] * len(threads)
+
+
+def _key(s: QpSolution) -> tuple:
+    """Every field of a solution, as bytes where it is a float."""
+    return s.x.tobytes(), np.array([s.z, s.stationarity]).tobytes(), s.iterations, s.converged, s.convex
+
+
+def _outcome(solve):
+    """solve()'s records as (alpha, lower key, upper key), or the type, message and
+    certificate of what it raised."""
+    try:
+        return [(r.alpha, _key(r.lower_diag), _key(r.upper_diag)) for r in solve()]
+    except Exception as e:
+        certificate = getattr(e, "certificate", None)
+        return type(e), str(e), None if certificate is None else certificate.tobytes()
+
+
+def _one_at_a_time(p, alphas, opts):
+    """A sweep's records as solving one endpoint after another gives them: solve_pg
+    on lower_qp(p, alpha), then on upper_qp(p, alpha) unless it is the same core,
+    an error naming the level and endpoint (sweep._solve_endpoint)."""
+    records = []
+    for alpha in sorted(set(alphas)):
+        lo_q, up_q = lower_qp(p, alpha), upper_qp(p, alpha)
+        lo = sweep_module._solve_endpoint(lo_q, opts, "lower", alpha)
+        up = lo if up_q is lo_q else sweep_module._solve_endpoint(up_q, opts, "upper", alpha)
+        records.append(AlphaRecord(alpha, lo.z, up.z, lo.x, up.x, lo, up))
+    return records
+
+
+def _with_block_bytes(block_bytes, solve):
+    """_outcome(solve) with LANE_BLOCK_BYTES = block_bytes."""
+    saved, sweep_module.LANE_BLOCK_BYTES = sweep_module.LANE_BLOCK_BYTES, block_bytes
+    try:
+        return _outcome(solve)
+    finally:
+        sweep_module.LANE_BLOCK_BYTES = saved
+
+
+@st.composite
+def _sweeps(draw):
+    """(p, alphas, opts): a fuzzy QP of n <= 3 variables whose endpoints are convex,
+    indefinite or have Q = 0, bounded by a box row or not, with a zero row of A or a
+    b near 2^1000 (so the projector shifts b) drawn in; and a grid with options that
+    run explicit starts (of the wrong length too), another seed, or a max_iter
+    small enough to end runs unconverged."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["convex", "indefinite", "zero"]))
+    M = rng.normal(size=(n, n))
+    Q = {"convex": M @ M.T + 0.1 * np.eye(n), "indefinite": M + M.T, "zero": np.zeros((n, n))}[kind]
+    spread = lambda a, s: np.stack([a - s * rng.random(a.shape), a, a + s * rng.random(a.shape)], -1)
+    Q = spread(Q, 0.0 if kind == "zero" else 0.3)
+    A, b = rng.normal(size=(m, n)), rng.uniform(0.5, 3.0, size=m)
+    if draw(st.booleans()):
+        A[draw(st.integers(0, m - 1))] = 0.0
+    if draw(st.booleans()):
+        b[0] = 2.0 ** 1001
+    if draw(st.booleans()):
+        A, b = np.vstack([A, np.ones(n)]), np.append(b, 4.0)
+    doc = {"n": n, "m": len(b), "c": spread(rng.normal(size=n), 0.5).tolist(),
+           "Q": (0.5 * (Q + Q.transpose(1, 0, 2))).tolist(), "A": spread(A, 0.2).tolist(),
+           "b": spread(b, 0.2).tolist()}
+    alphas = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=5))
+    opts = draw(st.sampled_from([  # max_iter 200: a run that cycles ends soon
+        SolverOptions(max_iter=200), SolverOptions(max_iter=200, seed=draw(st.integers(1, 10 ** 6))),
+        SolverOptions(max_iter=draw(st.integers(1, 6))),
+        SolverOptions(max_iter=200, multistart=((1.0,) * n, (0.0,) * n, (3.0,) * n)),
+        SolverOptions(multistart=((1.0,) * (n + 1),)),
+    ]))
+    return parse_problem(json.dumps(doc)), alphas, opts
+
+
+class TestSideBySide:
+    """solve_fqp steps the runs of every endpoint side by side
+    (solver._pg_lanes) and gives each record the bytes of solving its
+    endpoints one after another, every error as that would raise it."""
+
+    @pytest.mark.numpy_contract
+    @given(_sweeps())
+    @settings(deadline=None)
+    def test_every_record_is_its_endpoints_solve_pg(self, case):
+        p, alphas, opts = case
+        assert _outcome(lambda: solve_fqp(p, alphas, opts).records) == _outcome(
+            lambda: _one_at_a_time(p, alphas, opts))
+
+    @pytest.mark.numpy_contract
+    @given(_sweeps())
+    @settings(deadline=None, max_examples=50)
+    def test_block_budget_never_changes_the_result(self, case):
+        p, alphas, opts = case
+        solve = lambda: solve_fqp(p, alphas, opts).records
+        assert _with_block_bytes(1, solve) == _with_block_bytes(sweep_module.LANE_BLOCK_BYTES, solve)
+
+    def test_fixture_in_blocks(self, example_problem):
+        # one endpoint a block, about five, and all 41 levels in one
+        solve = lambda: solve_fqp(example_problem, [k / 40 for k in range(41)]).records
+        want = _outcome(lambda: _one_at_a_time(example_problem, [k / 40 for k in range(41)], SolverOptions()))
+        for block_bytes in (1, 2000, sweep_module.LANE_BLOCK_BYTES):
+            assert _with_block_bytes(block_bytes, solve) == want
+
+    def test_first_of_two_failing_endpoints(self):
+        # both lower endpoints diverge, the one at alpha = 0.5 in fewer iterates
+        # (about 70) than the one at 0 (about 190): the one at 0 is raised
+        p = FuzzyQP(c=(T(-0.5, 0.5, 1), T(0.5, 0.5, 2)),
+                    Q=((T(0.5, 0.5, 0.5), T(1, 1, 1)), (T(1, 1, 1), T(-1, -0.5, 0))),
+                    A=((T(0, 2, 2), T(-2, -0.5, 0.5)),), b=(T(-0.5, 0, 1),))
+        with pytest.raises(UnboundedError) as err:
+            solve_fqp(p, [0.5, 0.0])
+        assert str(err.value) == ("lower endpoint QP unbounded at alpha=0: iterate magnitude "
+                                  "exceeded 1e+08; instance appears unbounded below")
+        assert _outcome(lambda: solve_fqp(p, [0.5, 0.0]).records) == _outcome(
+            lambda: _one_at_a_time(p, [0.5, 0.0], SolverOptions()))
+
+    def test_run_failure_before_a_later_set_up_failure(self):
+        # the lower endpoint at 0 diverges in its runs; at 0.5 its polyhedron is
+        # empty, found when its start is projected, before any run
+        p = FuzzyQP(c=(T(-2, -1, 2), T(-2, 0, 0.5)),
+                    Q=((T(-1, -1, 2), T(-0.5, 0, 2)), (T(-0.5, 0, 2), T(-2, -0.5, 2))),
+                    A=((T(-0.5, 1, 2), T(-0.5, 0.5, 2)),), b=(T(-2, 1, 2),))
+        with pytest.raises(InfeasibleError, match="lower endpoint QP infeasible at alpha=0.5: "):
+            solve_fqp(p, [0.5])
+        with pytest.raises(UnboundedError) as err:
+            solve_fqp(p, [0.0, 0.5])
+        assert str(err.value) == ("lower endpoint QP unbounded at alpha=0: iterate magnitude "
+                                  "exceeded 1e+08; instance appears unbounded below")
