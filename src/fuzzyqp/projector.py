@@ -81,6 +81,27 @@ def _slack(v: list, x: np.ndarray | None = None) -> float:
     return 1e-12 * max(map(abs, v if x is None else chain(v, x.tolist())))
 
 
+def _row_stacks(A: np.ndarray, b: np.ndarray) -> tuple:
+    """The rows of _Projector(A[l], b[l]) for every l of C-ordered stacks A
+    (L, m, n) and b (L, m), built at once and unshifted (j = 0): (k, norms,
+    G, h, top), each stacked over l.  Row i of A and b[i] are taken times
+    2^k[i], exact, which puts max|a_ij| in [0.5, 1), so no finite row's norm
+    overflows or underflows and only an all-zero row has norm 0; the row norms
+    are one einsum over the stack, which gives each element's bytes
+    (tests/test_kernels.py)."""
+    L, m, n = A.shape
+    k = -np.frexp(_max(np.abs(A), axis=2, initial=0.0))[1]
+    A = np.ldexp(A, k[:, :, None])
+    norms = np.sqrt(np.einsum("lij,lij->li", A, A))
+    norms[norms == 0.0] = 1.0  # an all-zero row is the row 0 <= b
+    G, h = np.empty((L, m + n, n)), np.zeros((L, m + n))
+    np.divide(A, norms[:, :, None], out=G[:, :m])
+    G[:, m:] = -np.eye(n)  # -0.0 off the diagonal
+    with np.errstate(over="ignore", invalid="ignore"):  # b or h beyond the float range is +-inf
+        np.divide(np.ldexp(b, k), norms, out=h[:, :m])
+        return k, norms, G, h, h + 1e-12 * (1.0 + np.abs(h))  # met while (Gy)_i - top[i] <= _slack
+
+
 class _Projector:
     """Projection onto {y: Ay <= b, y >= 0} for one (A, b), warm across calls.
 
@@ -131,29 +152,24 @@ class _Projector:
     _caller_units is their one way back to the caller's units.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray):
-        m, n = A.shape
-        # Row i of A and b[i] times 2^k[i], exact, puts max|a_ij| in [0.5, 1): no
-        # finite row's norm overflows or underflows; only an all-zero row has norm 0.
-        self._shift = k = -np.frexp(_max(np.abs(A), axis=1, initial=0.0))[1]
-        A = np.ldexp(A, k[:, None])
-        self._norms = norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-        norms[norms == 0.0] = 1.0  # an all-zero row is the row 0 <= b
-        self.first_bound = m  # rows of G from here on are the bounds -y <= 0
-        self.G, self.h = np.empty((m + n, n)), np.zeros(m + n)
-        np.divide(A, norms[:, None], out=self.G[:m])
-        self.G[m:] = -np.eye(n)  # -0.0 off the diagonal
+    def __init__(self, A: np.ndarray, b: np.ndarray, rows: tuple | None = None):
+        """rows, where a block's projectors were built at once, is this (A, b)'s
+        element of _row_stacks; else the rows are built as a stack of one."""
+        self._shift, self._norms, self.G, self.h, self._top = rows or (
+            r[0] for r in _row_stacks(A[None], b[None]))
+        self.first_bound = m = len(self._shift)  # rows of G from here on are the bounds -y <= 0
         self._j = 0  # b, h and each x are times 2^j, results 2^-j; 0 unless some |h| reaches 2^1000
-        with np.errstate(over="ignore", invalid="ignore"):  # b or h beyond the float range is +-inf
-            np.divide(np.ldexp(b, k), norms, out=self.h[:m])
-            if _max(np.abs(self.h), initial=0.0) >= 2.0 ** 1000:
+        if _max(np.abs(self.h), initial=0.0) >= 2.0 ** 1000:  # b or h beyond the float range is +-inf
+            k, norms = self._shift, self._norms
+            with np.errstate(over="ignore", invalid="ignore"):
                 # shift by max|h|'s exponent, read on b far down, where no h overflows
                 self._j = _range_shift(frexp(float(_max(np.abs(np.ldexp(b, k - 1100)) / norms)))[1] + 1100)
+                self.h = self.h.copy()  # its own, not a view of a block's stack
                 np.divide(np.ldexp(b, k + self._j), norms, out=self.h[:m])
                 if self.h.min() <= -2.0 ** 1000:  # so j = -64, and no float y meets that row
                     raise InfeasibleError("the projection lies beyond the float range")
-            self._top = self.h + 1e-12 * (2.0 ** self._j + np.abs(self.h))  # met while (Gy)_i - top[i] <= _slack
-            self._tops = self._top.tolist()
+                self._top = self.h + 1e-12 * (2.0 ** self._j + np.abs(self.h))
+        self._tops = self._top.tolist()
         self._Gy = _product(self.G)  # every row of [A; -I], as _meets and the exchanges read them
         self._held = None  # the empty face until a call ends on another
         self._faces: dict[tuple[int, ...], tuple] = {}  # P -> its record, by _face

@@ -7,14 +7,17 @@ consumers still see the whole curve.  At alpha = 1 both endpoints are one
 instance, the crisp core (cuts), solved once for both bounds, which there
 coincide exactly.
 
-The levels do not depend on each other, so the runs of every endpoint are
-stepped side by side (solver._pg_lanes), in blocks of levels whose stacked
-lane data stays within LANE_BLOCK_BYTES, and each endpoint is judged as
-solve_pg judges its runs (solver._finish): every record has the bytes of
-solve_pg on its endpoint.  An endpoint whose set-up, runs or judgement
-raised is solved again by solve_pg (_solve_endpoint), the first such in
-level order, lower before upper, so a sweep raises what solving the
-endpoints one at a time would.
+The levels do not depend on each other, so they are solved in blocks of
+levels: the endpoints of a block are set up at once (solver._setups), the
+runs of every endpoint are stepped side by side (solver._pg_lanes), and
+each endpoint is judged as solve_pg judges its runs (solver._finish): every
+record has the bytes of solve_pg on its endpoint.  A block holds at most
+LANE_BLOCK_BYTES, each endpoint's whole footprint counted: its crisp QP,
+its set-up and its lanes (_footprint); an endpoint's set-up is released as
+soon as it is judged.  An endpoint whose set-up, runs or judgement raised
+is solved again by solve_pg (_solve_endpoint), the first such in level
+order, lower before upper, so a sweep raises what solving the endpoints one
+at a time would.
 """
 from __future__ import annotations
 
@@ -27,10 +30,11 @@ from .cuts import lower_qp, upper_qp
 from .fuzzy import check_alpha
 from .problem import CrispQP, FuzzyQP
 from .projector import InfeasibleError, UnboundedError
-from .solver import QpSolution, SolverOptions, _finish, _pg_lanes, _setup, solve_pg
+from .solver import QpSolution, SolverOptions, _finish, _pg_lanes, _setups, solve_pg
 
 COINCIDENCE_TOL = 1e-6
-# The stacked lane data of one block of a sweep's endpoints (_levels), in bytes.
+# The bytes one block of a sweep's endpoints may hold: each one's crisp QP,
+# set-up and lanes (_footprint).
 LANE_BLOCK_BYTES = 1 << 22
 
 
@@ -117,16 +121,16 @@ def solve_fqp(
 def _levels(p: FuzzyQP, grid: list, opts: SolverOptions):
     """(alpha, lower solution, upper solution) for each level of grid in turn.
 
-    The endpoints are set up level by level (_setup) and solved a block at a
-    time, every run of a block side by side (_pg_lanes); a block's stacked
-    lane data stays within LANE_BLOCK_BYTES, one endpoint at least.
+    The endpoints are solved a block of levels at a time (_solve_block), a
+    block holding as many levels as fit in LANE_BLOCK_BYTES, each endpoint
+    counted with one lane (_footprint), one level at least.
     """
     block, size = [], 0
     for alpha in grid:
         lo_q = lower_qp(p, alpha)
         up_q = upper_qp(p, alpha)
-        level = (alpha, [_set_up(q, opts) for q in ((lo_q,) if up_q is lo_q else (lo_q, up_q))])
-        cost = sum(_lane_bytes(*endpoint) for endpoint in level[1])
+        level = (alpha, (lo_q,) if up_q is lo_q else (lo_q, up_q))
+        cost = sum(_footprint(q, 1) for q in level[1])
         if block and size + cost > LANE_BLOCK_BYTES:
             yield from _solve_block(block, opts)
             block, size = [], 0
@@ -135,43 +139,63 @@ def _levels(p: FuzzyQP, grid: list, opts: SolverOptions):
     yield from _solve_block(block, opts)
 
 
-def _set_up(q: CrispQP, opts: SolverOptions) -> tuple:
-    """(q, _setup(q, opts)), the set-up None where it raises."""
-    try:
-        return q, _setup(q, opts)
-    except Exception:
-        return q, None
-
-
-def _lane_bytes(q: CrispQP, set_up) -> int:
-    """The bytes of an endpoint's lanes in _pg_lanes' stacks: per start, Q,
-    G = [A; -I] and its tops, and c, x and y."""
-    n, r = q.n, q.m + q.n
-    return 0 if set_up is None else 8 * len(set_up[3]) * (n * n + r * (n + 1) + 3 * n)
+def _footprint(q: CrispQP, lanes: int) -> int:
+    """The bytes an endpoint holds in a block, with the given number of lanes:
+    its crisp QP's c, Q, A and b, its set-up's G = [A; -I], h and tops, and
+    per lane, in _pg_lanes' stacks, Q, G, the tops and the rows' excesses, and
+    c, x and y."""
+    n, m = q.n, q.m
+    r = m + n
+    return 8 * (n + n * n + m * n + m + r * (n + 2) + lanes * (n * n + r * (n + 2) + 3 * n))
 
 
 def _solve_block(block: list, opts: SolverOptions):
-    """_levels' solutions of a block of levels, each (alpha, endpoints): every
-    run side by side, then each endpoint judged (_finish).  An endpoint whose
-    set-up, runs or judgement raised is solved again, in order, by
-    _solve_endpoint, which raises as a one-at-a-time sweep would."""
-    runs = iter(_pg_lanes([endpoint for _, level in block for endpoint in level], opts))
-    for alpha, level in block:
-        solutions = []
-        for name, (q, set_up) in zip(("lower", "upper"), level):
-            solution, ran = None, next(runs)
+    """_levels' solutions of a block of levels, each (alpha, endpoints).
+
+    Every endpoint is set up at once (_setups), and its runs are stepped side
+    by side (_pg_lanes) with those of the endpoints next to it, in groups
+    (_groups) whose lanes keep the block within LANE_BLOCK_BYTES.  Each
+    endpoint is judged (_finish) once its group has run, and its set-up is
+    then released.  An endpoint whose set-up, runs or judgement raised is
+    solved again, in order, by _solve_endpoint, which raises as a
+    one-at-a-time sweep would.
+    """
+    qs = [q for _, level in block for q in level]
+    set_ups = _setups(qs, opts)
+    tags = [(name, alpha) for alpha, level in block for name, _ in zip(("lower", "upper"), level)]
+    solutions = []
+    for group in _groups(qs, set_ups):
+        for e, ran in zip(group, _pg_lanes([(qs[e], set_ups[e]) for e in group], opts)):
+            solution = None
             if ran is not None:  # None where the set-up or a run raised
                 try:
-                    solution = _finish(q, ran, *set_up[:3])
+                    solution = _finish(qs[e], ran, *set_ups[e][:3])
                 except Exception:
                     pass
-            if solution is None:
-                solution = _solve_endpoint(q, opts, name, alpha)
-            solutions.append(solution)
-        lo = solutions[0]
+            solutions.append(solution or _solve_endpoint(qs[e], opts, *tags[e]))
+            set_ups[e] = None
+    solutions = iter(solutions)
+    for alpha, level in block:
+        lo = next(solutions)
         # the core's upper side takes its own x, so that writing to one argmin leaves the other
-        up = solutions[1] if len(solutions) == 2 else replace(lo, x=lo.x.copy())
+        up = next(solutions) if len(level) == 2 else replace(lo, x=lo.x.copy())
         yield alpha, lo, up
+
+
+def _groups(qs: list, set_ups: list) -> list:
+    """The indices of a block's endpoints in runs of neighbours whose lanes, one
+    per start, fit in LANE_BLOCK_BYTES beside every endpoint's crisp QP and
+    set-up (_footprint), one endpoint at least."""
+    size = base = sum(_footprint(q, 0) for q in qs)
+    groups = [[]]
+    for e, (q, set_up) in enumerate(zip(qs, set_ups)):
+        cost = _footprint(q, len(set_up[3]) if set_up else 0) - _footprint(q, 0)
+        if groups[-1] and size + cost > LANE_BLOCK_BYTES:
+            groups.append([])
+            size = base
+        groups[-1].append(e)
+        size += cost
+    return groups
 
 
 def _solve_endpoint(q: CrispQP, opts: SolverOptions, endpoint: str, alpha: float) -> QpSolution:

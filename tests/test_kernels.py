@@ -6,7 +6,9 @@ of any other layout.  So no result depends on a caller's memory layout, and
 every matrix-vector product is taken on C-ordered arrays, through ndarray.dot
 from two columns on (problem._product), where dot gives M @ v byte for byte.
 A sweep takes every lane's products at once by a stacked np.matmul, which
-must give each lane's problem._product bytes (TestStackedProducts).
+must give each lane's problem._product bytes (TestStackedProducts), and
+sets up and reads its settled lanes by stacked eigvalsh, einsum and matmul
+calls that must give each element's bytes (TestStackedPrimitives).
 Whether dot and matmul reach the same kernel, and whether a stacked matmul
 takes each lane as one matrix-vector product, are numpy's to change, so the
 file's tests are marked numpy_contract, which CI runs with a larger example
@@ -151,6 +153,55 @@ class TestStackedProducts:
             X = rng.normal(size=(lanes, n)) * 10.0 ** rng.integers(-3, 4, size=(lanes, n))
             for got, want in _lane_products(M, X):
                 assert got == want
+
+
+def _seeded(rng, shape) -> np.ndarray:
+    """Normal entries scaled by 10^-3..10^3, as TestStackedProducts draws them."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+
+
+class TestStackedPrimitives:
+    """A sweep sets up a block's endpoints at once (solver._setups) and reads the
+    settled lanes of one face size at once (solver._project_lanes); each stacked
+    call must give every element the bytes of the call solve_pg takes on it:
+    eigvalsh over a stack of Q (solver._spectra) that of each matrix, the row
+    norms einsum("lij,lij->li") over a stack of A (projector._row_stacks) the
+    2-D einsum("ij,ij->i"), and G_P' mu, taken on a transposed view of a
+    C-ordered (lanes, p, n) stack of G_P, a face's Gt @ mu, where Gt is the
+    transpose of the C-ordered G_P.  A C-ordered copy of the transposes does
+    not: it gave other bytes in 437 of 860 seeded draws at these sizes
+    (numpy 2.4, OpenBLAS), as a gemm does in TestStackedProducts."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 80])
+    def test_stacked_eigvalsh(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10 if n == 80 else 40):
+            M = _seeded(rng, (int(rng.integers(1, 10)), n, n))
+            S = M + M.transpose(0, 2, 1)
+            got = np.linalg.eigvalsh(S)
+            for l in range(len(S)):
+                assert _bytes(got[l]) == _bytes(np.linalg.eigvalsh(S[l].copy()))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 80])
+    def test_stacked_row_norms(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(40):
+            A = _seeded(rng, (int(rng.integers(1, 10)), int(rng.integers(1, 2 * n + 2)), n))
+            got = np.einsum("lij,lij->li", A, A)
+            for l in range(len(A)):
+                a = A[l].copy()
+                assert _bytes(got[l]) == _bytes(np.einsum("ij,ij->i", a, a))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 80])
+    def test_transposed_view_products(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(40):
+            lanes, p = int(rng.integers(1, 10)), int(rng.integers(1, n + 1))
+            G_P, mu = _seeded(rng, (lanes, p, n)), _seeded(rng, (lanes, p))
+            got = np.matmul(G_P.transpose(0, 2, 1), mu[:, :, None])[:, :, 0]
+            for l in range(lanes):
+                Gt = G_P[l].copy().T  # a face's Gt, as _Projector._face builds it
+                assert _bytes(got[l]) == _bytes(Gt @ mu[l].copy())
 
 
 class TestSignedZeros:

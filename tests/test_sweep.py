@@ -1,5 +1,7 @@
 """Alpha-grid sweep and membership curve inversion."""
+import importlib.util
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    REPO_ROOT,
     TABLE_ALPHAS,
     TABLE_Z_LOWER,
     TABLE_Z_UPPER,
@@ -35,6 +38,7 @@ from fuzzyqp import (
     lower_qp,
     upper_qp,
 )
+import fuzzyqp.solver as solver_module
 import fuzzyqp.sweep as sweep_module
 
 T = TriangularFuzzyNumber
@@ -231,13 +235,15 @@ class TestCoreSolvedOnce:
     """At alpha = 1 the lower and upper instance are one, so one solve serves both."""
 
     def test_solve_count(self, example_problem, monkeypatch):
-        # each endpoint's set-up takes one eigvalsh (no Q of the fixture is 0):
-        # two endpoints at each level below 1, and the core once
-        set_ups = []
+        # each endpoint's set-up decomposes its Q once (no Q of the fixture is 0),
+        # in one eigvalsh over the block's stack: two endpoints at each level
+        # below 1, and the core once
+        decomposed = []
         real = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda Q: set_ups.append(Q) or real(Q))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda Q: decomposed.extend(Q.reshape(-1, *Q.shape[-2:])) or real(Q))
         curve = solve_fqp(example_problem, [0.0, 0.5, 1.0])
-        assert len(set_ups) == 5
+        assert len(decomposed) == 5
         top = curve.records[-1]
         assert top.alpha == 1.0
         assert top.z_lower == top.z_upper
@@ -260,17 +266,21 @@ class TestSetUpPaidOnce:
         from fuzzyqp import parse_problem
         from fuzzyqp.cli import parse_alpha_spec
 
-        calls = {"qr": 0, "eigvalsh": 0, "post_init": 0}
+        calls = {"qr": 0, "eigvalsh": 0, "post_init": 0, "_solve": 0}
 
-        def counting(name, fn):
+        def counting(name, fn, count=lambda *args: 1):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name] += count(*args)
                 return fn(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(np.linalg, "qr", counting("qr", np.linalg.qr))
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        # the matrices decomposed, one call taking a whole stack
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting(
+            "eigvalsh", np.linalg.eigvalsh, lambda Q: len(Q.reshape(-1, *Q.shape[-2:]))))
         monkeypatch.setattr(CrispQP, "__post_init__", counting("post_init", CrispQP.__post_init__))
+        monkeypatch.setattr(projector_module._Projector, "_solve",
+                            counting("_solve", projector_module._Projector._solve))
         projector_module._bound_face.cache_clear()
         p = parse_problem(fixture_text)
         curve = solve_fqp(p, parse_alpha_spec("0:1:0.01"))
@@ -278,6 +288,9 @@ class TestSetUpPaidOnce:
         assert calls["qr"] == 70  # one per face that holds a row of A; 272 when every face took a QR
         assert calls["eigvalsh"] == 201  # one per distinct crisp QP: the core is solved once
         assert calls["post_init"] == 0  # the cut ends of a validated problem are trusted
+        # a lane whose step only re-reads the face it holds is read with others
+        # of its face size (solver._project_lanes); a call for each would be 2,654
+        assert calls["_solve"] <= 600
 
     def test_cached_and_trusted_arrays_are_read_only(self, example_problem):
         q, core = lower_qp(example_problem, 0.3), lower_qp(example_problem, 1.0)
@@ -357,13 +370,23 @@ def _with_block_bytes(block_bytes, solve):
         sweep_module.LANE_BLOCK_BYTES = saved
 
 
+def _with_stack_min(stack_min, solve):
+    """_outcome(solve) with solver._STACK_MIN = stack_min."""
+    saved, solver_module._STACK_MIN = solver_module._STACK_MIN, stack_min
+    try:
+        return _outcome(solve)
+    finally:
+        solver_module._STACK_MIN = saved
+
+
 @st.composite
 def _sweeps(draw):
     """(p, alphas, opts): a fuzzy QP of n <= 3 variables whose endpoints are convex,
     indefinite or have Q = 0, bounded by a box row or not, with a zero row of A or a
-    b near 2^1000 (so the projector shifts b) drawn in; and a grid with options that
-    run explicit starts (of the wrong length too), another seed, or a max_iter
-    small enough to end runs unconverged."""
+    b near 2^1000 (so the projector shifts b) drawn in; and a grid of up to 21
+    levels k/20, whose up to 41 endpoints can hold more lanes of one face size than
+    solver._STACK_MIN, with options that run explicit starts (of the wrong length
+    too), another seed, or a max_iter small enough to end runs unconverged."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["convex", "indefinite", "zero"]))
@@ -381,7 +404,7 @@ def _sweeps(draw):
     doc = {"n": n, "m": len(b), "c": spread(rng.normal(size=n), 0.5).tolist(),
            "Q": (0.5 * (Q + Q.transpose(1, 0, 2))).tolist(), "A": spread(A, 0.2).tolist(),
            "b": spread(b, 0.2).tolist()}
-    alphas = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=5))
+    alphas = draw(st.lists(st.sampled_from([k / 20 for k in range(21)]), min_size=1, max_size=21))
     opts = draw(st.sampled_from([  # max_iter 200: a run that cycles ends soon
         SolverOptions(max_iter=200), SolverOptions(max_iter=200, seed=draw(st.integers(1, 10 ** 6))),
         SolverOptions(max_iter=draw(st.integers(1, 6))),
@@ -412,12 +435,23 @@ class TestSideBySide:
         solve = lambda: solve_fqp(p, alphas, opts).records
         assert _with_block_bytes(1, solve) == _with_block_bytes(sweep_module.LANE_BLOCK_BYTES, solve)
 
+    @pytest.mark.numpy_contract
+    @given(_sweeps())
+    @settings(deadline=None, max_examples=50)
+    def test_group_threshold_never_changes_the_result(self, case):
+        # every group of settled lanes read at once, or every lane by its own _solve
+        p, alphas, opts = case
+        solve = lambda: solve_fqp(p, alphas, opts).records
+        assert _with_stack_min(1, solve) == _with_stack_min(10 ** 9, solve)
+
     def test_fixture_in_blocks(self, example_problem):
         # one endpoint a block, about five, and all 41 levels in one
         solve = lambda: solve_fqp(example_problem, [k / 40 for k in range(41)]).records
         want = _outcome(lambda: _one_at_a_time(example_problem, [k / 40 for k in range(41)], SolverOptions()))
         for block_bytes in (1, 2000, sweep_module.LANE_BLOCK_BYTES):
             assert _with_block_bytes(block_bytes, solve) == want
+        for stack_min in (1, 10 ** 9):
+            assert _with_stack_min(stack_min, solve) == want
 
     def test_first_of_two_failing_endpoints(self):
         # both lower endpoints diverge, the one at alpha = 0.5 in fewer iterates
@@ -444,3 +478,42 @@ class TestSideBySide:
             solve_fqp(p, [0.0, 0.5])
         assert str(err.value) == ("lower endpoint QP unbounded at alpha=0: iterate magnitude "
                                   "exceeded 1e+08; instance appears unbounded below")
+
+
+def _workloads():
+    """The benchmark's problem generators (perfbench/workloads.py)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+class TestBlockBudget:
+    """A block of a sweep's endpoints counts each one's whole footprint against
+    LANE_BLOCK_BYTES: its crisp QP, its set-up and its lanes (sweep._footprint)."""
+
+    def test_a_wide_sweep_peaks_within_two_blocks(self):
+        # n = 80 over 401 levels: 12.5 MB if a block counted its lane stacks alone
+        p = parse_problem(json.dumps(_workloads().wide_interior_problem(501)))
+        tracemalloc.start()
+        try:
+            curve = solve_fqp(p, [k / 400 for k in range(401)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(curve.records) == 401
+        assert peak < 2 * sweep_module.LANE_BLOCK_BYTES
+
+    def test_every_benchmark_sweep_is_one_block(self, example_problem, monkeypatch):
+        workloads = _workloads()
+        blocks = []
+        set_ups = sweep_module._setups
+        monkeypatch.setattr(sweep_module, "_setups",
+                            lambda qs, opts: blocks.append(len(qs)) or set_ups(qs, opts))
+        solve_fqp(example_problem, [k / 100 for k in range(101)])
+        solve_fqp(parse_problem(json.dumps(workloads.wide_interior_problem(501))), [0.0, 0.5, 1.0])
+        for index in range(len(workloads.CONVEX_SIZES)):  # each size of convex-grow
+            p = parse_problem(json.dumps(workloads.convex_grow_problem(index)))
+            solve_fqp(p, workloads.CONVEX_LEVELS)
+        assert blocks == [201, 5] + [5] * len(workloads.CONVEX_SIZES)
