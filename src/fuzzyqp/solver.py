@@ -24,16 +24,16 @@ so a step makes as few numpy calls as give the same bits:
     every element the bytes of the call solve_pg takes on it
     (tests/test_kernels.py).  A block of endpoints is set up at once
     (_setups: one eigvalsh over the stack of nonzero Q, every projector's
-    rows by _row_stacks), and their runs step in lock-step (_pg_lanes):
-    one iterate of every run takes a few numpy calls on stacks, each
-    product a stacked np.matmul, and the same decisions on the stacked
-    values.  The starts and each step are projected at once where they
-    meet every row, and a run whose step only re-reads the face it holds
-    is read with the others of its face size as one stacked affine map
-    (_project_lanes); only a face change, or a group under _STACK_MIN
-    runs, takes a run's own projector call.  solve_pg and the sweep set a
-    run up (_setup) and judge its runs (_finish) by one code path, so a
-    sweep's records are solve_pg's bytes.
+    rows by _row_stacks), and the runs of its plain endpoints step in
+    lock-step (_pg_lanes): one iterate of every run takes a few numpy
+    calls on stacks, each product a stacked np.matmul, the same decisions
+    on the stacked values, and one projection of every step at once (the
+    projector's _project_lanes).  A plain endpoint has an unshifted
+    projector and starts that are vectors of its n; solve_pg solves every
+    other one, and every one whose set-up, runs or judgement raised
+    (fuzzyqp.sweep).  solve_pg and the sweep set a run up (_setup) and
+    judge its runs (_finish) by one code path, so a sweep's records are
+    solve_pg's bytes.
 
 An indefinite Q runs 9 starts: the origin and the 8 rows of
 numpy.random.default_rng(seed).uniform(0, max(1, max|b|), (8, n)), drawn
@@ -51,12 +51,12 @@ import numpy as np
 
 from ._pcg64 import uniform
 from .problem import CrispQP, _rows, check_finite
-from .projector import UnboundedError, _max, _Projector, _row_stacks
+from .projector import UnboundedError, _all, _max, _project_lanes, _Projector, _row_stacks
 
 UNBOUNDED_LIMIT = 1e8
 # Objectives within _TIE of the least one tie; the smallest x wins (_least).
 _TIE = 1e-12
-_all, _any = np.logical_and.reduce, np.logical_or.reduce
+_any = np.logical_or.reduce
 
 
 @dataclass(frozen=True)
@@ -185,9 +185,13 @@ def _spectrum(Q) -> tuple[float, bool]:
     _spectra's one-element case.
 
     The zero matrix takes no eigvalsh: K = 0.0, and it counts as convex.
-    This is the one zero test of Q; callers read K = 0 as Q = 0.
+    This is the one zero test of Q; callers read K = 0 as Q = 0.  A Q that
+    is not a square matrix raises ValueError.
     """
-    return _spectra(np.asarray(Q, dtype=float)[None])[0]
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValueError(f"Q must be a square matrix, got shape {Q.shape}")
+    return _spectra(Q[None])[0]
 
 
 def _spectra(Qs: np.ndarray) -> list:
@@ -316,19 +320,23 @@ def _setup(q: CrispQP, opts: SolverOptions, spectrum: tuple | None = None,
 
 
 def _setups(qs: list, opts: SolverOptions) -> list:
-    """_setup of each crisp QP of one n and m, None where it raises, taken as
-    stacks: one eigvalsh over the nonzero Q (_spectra) and every projector's
-    rows at once (_row_stacks).  Should the stacked eigvalsh raise, each set-up
-    takes its own, and raises as solve_pg would."""
+    """_setup of each crisp QP of one n and m, its starts as vectors of its n,
+    taken as stacks: one eigvalsh over the nonzero Q (_spectra) and every
+    projector's rows at once (_row_stacks).  None marks an endpoint that the
+    lanes (_pg_lanes) do not serve: one whose set-up raised, whose projector
+    is shifted or whose starts are not vectors of its n, and every one should
+    the stacked eigvalsh raise; solve_pg solves it (fuzzyqp.sweep)."""
     try:
         spectra = _spectra(np.array([q.Q for q in qs]))
     except np.linalg.LinAlgError:
-        spectra = [None] * len(qs)
+        return [None] * len(qs)
     rows = _row_stacks(np.array([q.A for q in qs]), np.array([q.b for q in qs]))
     out = []
     for l, (q, spectrum) in enumerate(zip(qs, spectra)):
         try:
-            out.append(_setup(q, opts, spectrum, tuple(r[l] for r in rows)))
+            step, convex, warm, starts = _setup(q, opts, spectrum, tuple(r[l] for r in rows))
+            starts = [_vector(x0, q.c.shape, "start point") for x0 in starts]
+            out.append(None if warm._j else (step, convex, warm, starts))
         except Exception:  # solve_pg raises it again (fuzzyqp.sweep)
             out.append(None)
     return out
@@ -382,50 +390,44 @@ def _pg_lanes(endpoints: list, opts: SolverOptions) -> list:
     """_pg_run on every start of every endpoint at once, in lock-step and bit
     for bit: a sweep's solves (fuzzyqp.sweep), callback None.
 
-    endpoints holds (q, _setup(q, opts)) per crisp QP of one n and m, the
-    set-up None where it raised.  Each start is a lane, which carries the face
-    it holds; the lanes of one endpoint share its projector, each face built
-    once, and swap their faces in and out around a call of it.  The starts
-    are projected at once (_project_lanes), each from the empty face as
-    _start projects it, so only a start outside the polyhedron takes its
-    projector's call.  One iterate
-    over the active lanes takes y = x - step (c + Qx), each product a stacked
-    np.matmul on C-ordered (lanes, r, n) stacks, which gives
-    problem._product's bytes lane for lane (tests/test_kernels.py), and
-    projects every y at once (_project_lanes).  The divergence and
-    convergence tests are _scan's on the stack, and a lane past
-    UNBOUNDED_LIMIT or holding a NaN takes _scan itself.  A lane leaves the
-    stacks when it converges or reaches max_iter, as _pg_run returns.
+    endpoints holds (q, _setups' set-up of q) per crisp QP of one n and m,
+    the set-up None where the lanes do not serve q.  Each start is a lane,
+    which carries the face it holds; the lanes of one endpoint share its
+    projector.  The starts are projected at once, each from the empty face
+    as _start projects it.  One iterate over the active lanes takes
+    y = x - step (c + Qx), each product a stacked np.matmul on C-ordered
+    (lanes, r, n) stacks, which gives problem._product's bytes lane for lane
+    (tests/test_kernels.py), and projects every y at once (the projector's
+    _project_lanes).  A lane whose y is then not within UNBOUNDED_LIMIT
+    fails its endpoint, which solve_pg solves again, and the convergence test
+    is _scan's on the stack.  A lane leaves the stacks when it converges or
+    reaches max_iter, as _pg_run returns.
 
     Returns, per endpoint, its runs (x, iterations, converged, the face its
-    lane held at the end) in start order, or None where its set-up or any of
-    its starts or runs raised.
+    lane held at the end) in start order, or None where it was not served or
+    any of its starts or runs raised.
     """
-    out, lanes, rows = [], [], []  # lanes [endpoint, run, held face], rows their stacked data
+    out, lanes, warms, rows = [], [], [], []  # lanes (endpoint, run), rows their stacked data
     for e, (q, set_up) in enumerate(endpoints):
         out.append(None)
         if set_up is None:
             continue
         step, _, warm, starts = set_up
-        try:
-            starts = [_vector(x0, q.c.shape, "start point") for x0 in starts]
-        except ValueError:
-            continue
         out[e] = [None] * len(starts)
         for i, x0 in enumerate(starts):
-            lanes.append([e, i, None])
-            rows.append((x0, q.c, q.Q, [step], warm.G, warm._top, warm._j != 0))
+            lanes.append((e, i))
+            warms.append(warm)
+            rows.append((x0, q.c, q.Q, [step], warm.G, warm._top))
     if not lanes:
         return out
-    projectors = [set_up and set_up[2] for _, set_up in endpoints]
-    X, C, Q, S, G, top, shifted = map(np.array, zip(*rows))
+    faces = [None] * len(lanes)  # each lane's held face, the empty face at first
+    X, C, Q, S, G, top = map(np.array, zip(*rows))
     tol = float(opts.tol)
     for k in range(-1, opts.max_iter):  # k = -1 projects the starts
         # one lane's overflow warns for no other; an endpoint that fails is solved again (sweep)
         with np.errstate(all="ignore"):
             Y = X if k < 0 else X - S * (C + np.matmul(Q, X[:, :, None])[:, :, 0])
-            D = np.matmul(G, Y[:, :, None])[:, :, 0] - top
-        failed = _project_lanes(Y, D, lanes, projectors, G, top, shifted)
+        failed = {lanes[l][0] for l in _project_lanes(Y, warms, faces, G, top)}
         if k < 0:
             done = np.zeros(len(lanes), dtype=bool)
         else:
@@ -433,124 +435,29 @@ def _pg_lanes(endpoints: list, opts: SolverOptions) -> list:
                 fine = _all(np.abs(Y) <= UNBOUNDED_LIMIT, axis=1)
                 done = _all(np.abs(Y - X) <= tol, axis=1)
             if not _all(fine):
-                for l in (~fine).nonzero()[0].tolist():
-                    beyond, done[l] = _scan(Y[l].tolist(), X[l].tolist(), UNBOUNDED_LIMIT, tol)
-                    if beyond:
-                        failed.add(lanes[l][0])
+                failed.update(lanes[l][0] for l in (~fine).nonzero()[0].tolist())
         for e in failed:
             out[e] = None
         last = k + 1 == opts.max_iter
         if last or failed or _any(done):
             for l in range(len(lanes)) if last else done.nonzero()[0].tolist():
-                e, i, face = lanes[l]
+                e, i = lanes[l]
                 if out[e] is not None:  # as _pg_run returns, with the face the run ended on
                     iters = k + 1 if done[l] else opts.max_iter
-                    out[e][i] = (Y[l].copy(), iters, bool(done[l]), face)
+                    out[e][i] = (Y[l].copy(), iters, bool(done[l]), faces[l])
             if last:
                 break
             keep = ~done
             if failed:
-                keep &= [lane[0] not in failed for lane in lanes]
+                keep &= [e not in failed for e, _ in lanes]
             kept = keep.nonzero()[0]
             if not len(kept):
                 break
-            X, C, Q, S, G, top, shifted = (a[kept] for a in (Y, C, Q, S, G, top, shifted))
-            lanes = [lanes[l] for l in kept.tolist()]
+            X, C, Q, S, G, top = (a[kept] for a in (Y, C, Q, S, G, top))
+            lanes, warms, faces = ([a[l] for l in kept.tolist()] for a in (lanes, warms, faces))
         else:
             X = Y
     return out
-
-
-# A group of at least _STACK_MIN lanes that hold faces of one size takes
-# _project_lanes' stacked pass; a smaller one costs less as each lane's own
-# _solve.  Measured per settled lane, stacked against each lane's _solve, on
-# lanes that each hold a bound face of one size (2-vCPU Xeon, numpy 2.4): at
-# n = 2, 8.0 against 7.3 us at 8 lanes, 7.0 against 7.0 at 10 and 5.8
-# against 7.0 at 12; at n = 12, 9.2 against 9.3, 8.6 against 8.7 and 7.7
-# against 9.9; one lane alone 47 against 23 us.
-_STACK_MIN = 10
-
-
-def _meet(D: np.ndarray, *points: np.ndarray) -> np.ndarray:
-    """Per lane, whether v meets every row by the projector's one feasibility
-    rule (_Projector._meets, with _slack), given D = G v - top: every row
-    within its top, or else within the slack 1e-12 max|p| over the points p
-    (v and any v was reached from), that slack finite."""
-    meets = _all(D <= 0.0, axis=1)
-    if not _all(meets):
-        slack = 1e-12 * _max([_max(np.abs(p), axis=1) for p in points], axis=0)
-        meets |= np.isfinite(slack) & _all(D <= slack[:, None], axis=1)
-    return meets
-
-
-def _project_lanes(Y: np.ndarray, D: np.ndarray, lanes: list, projectors: list,
-                   G: np.ndarray, top: np.ndarray, shifted: np.ndarray) -> set:
-    """Project each lane's y (row of Y) in place as its projector's call does,
-    the lane holding its face, and return the endpoints whose call raised.
-
-    D is G y - top on the stacks, and a y that meets every row by the
-    projector's one feasibility rule (_meet) is its own projection.  Of the
-    others, the lanes whose faces P are of one nonempty size are read at once
-    where at least _STACK_MIN of them are: mu = K y - k and y' = y - G_P' mu
-    with the pinned variables set to 0, each product a stacked np.matmul
-    (G_P' on a transposed view of a C-ordered (lanes, p, n) stack of G_P,
-    which gives G_P' @ mu's bytes), and the rule on G y'.  A lane takes y'
-    where _solve would return it from its face unchanged: every mu >= 0, y'
-    finite before its pins (so y, every mu and each step of _solve were
-    finite too), and y' meets the rule, its slack taken over y and y'.  Every
-    other lane, and each one of a shifted projector (b near the float range),
-    takes its projector's own call on a fresh copy of y, the exchanges (_add)
-    included.
-    """
-    need = (~_meet(D, Y) | shifted).nonzero()[0].tolist()
-    if not need:
-        return set()
-    groups, solo = {}, []
-    if len(need) < _STACK_MIN:  # no group can reach it
-        solo = need
-    else:
-        for l in need:
-            e, _, face = lanes[l]
-            if face and face[5] and not projectors[e]._j:
-                groups.setdefault(len(face[5]), []).append(l)
-            else:
-                solo.append(l)
-    for group in groups.values():
-        if len(group) < _STACK_MIN:
-            solo += group
-            continue
-        faces = [lanes[l][2] for l in group]
-        y = Y[group]
-        K, k, G_P = (np.array(a) for a in zip(*[(f[0], f[1], f[2].T) for f in faces]))
-        with np.errstate(all="ignore"):
-            mu = np.matmul(K, y[:, :, None])[:, :, 0] - k
-            v = y - np.matmul(G_P.transpose(0, 2, 1), mu[:, :, None])[:, :, 0]
-            settled = _all(mu >= 0.0, axis=1) & _all(np.isfinite(v), axis=1)
-            pins = [(i, j) for i, f in enumerate(faces) for j in f[3]]
-            if pins:
-                v[tuple(zip(*pins))] = 0.0
-            D = np.matmul(G[group], v[:, :, None])[:, :, 0] - top[group]
-            settled = (settled & _meet(D, v, y)).tolist()
-        if all(settled):
-            Y[group] = v
-        else:
-            Y[np.compress(settled, group)] = v[settled]
-            solo += [l for l, ok in zip(group, settled) if not ok]
-    failed = set()
-    for l in sorted(solo):
-        lane = lanes[l]
-        e = lane[0]
-        if e in failed:
-            continue
-        warm = projectors[e]
-        warm._held = lane[2]
-        try:
-            y = Y[l].copy()  # a fresh vector, as _pg_run's y is
-            Y[l] = warm(y) if warm._j else warm._solve(y)
-        except Exception:
-            failed.add(e)
-        lane[2] = warm._held
-    return failed
 
 
 def _least(candidates: list) -> tuple:

@@ -14,10 +14,11 @@ each endpoint is judged as solve_pg judges its runs (solver._finish): every
 record has the bytes of solve_pg on its endpoint.  A block holds at most
 LANE_BLOCK_BYTES, each endpoint's whole footprint counted: its crisp QP,
 its set-up and its lanes (_footprint); an endpoint's set-up is released as
-soon as it is judged.  An endpoint whose set-up, runs or judgement raised
-is solved again by solve_pg (_solve_endpoint), the first such in level
-order, lower before upper, so a sweep raises what solving the endpoints one
-at a time would.
+soon as it is judged.  solve_pg (_solve_endpoint) solves each endpoint
+that the lanes do not serve, one whose b lies near the float range, whose
+starts are not vectors of its n or whose set-up raised, and each one whose
+runs or judgement raised, in level order, lower before upper, so a sweep
+raises what solving the endpoints one at a time would.
 """
 from __future__ import annotations
 
@@ -156,9 +157,9 @@ def _solve_block(block: list, opts: SolverOptions):
     by side (_pg_lanes) with those of the endpoints next to it, in groups
     (_groups) whose lanes keep the block within LANE_BLOCK_BYTES.  Each
     endpoint is judged (_finish) once its group has run, and its set-up is
-    then released.  An endpoint whose set-up, runs or judgement raised is
-    solved again, in order, by _solve_endpoint, which raises as a
-    one-at-a-time sweep would.
+    then released.  An endpoint that the lanes do not serve (_setups gave
+    None), or whose runs or judgement raised, is solved, in order, by
+    _solve_endpoint, which raises as a one-at-a-time sweep would.
     """
     qs = [q for _, level in block for q in level]
     set_ups = _setups(qs, opts)
@@ -167,7 +168,7 @@ def _solve_block(block: list, opts: SolverOptions):
     for group in _groups(qs, set_ups):
         for e, ran in zip(group, _pg_lanes([(qs[e], set_ups[e]) for e in group], opts)):
             solution = None
-            if ran is not None:  # None where the set-up or a run raised
+            if ran is not None:  # None where the lanes did not serve it or a run raised
                 try:
                     solution = _finish(qs[e], ran, *set_ups[e][:3])
                 except Exception:

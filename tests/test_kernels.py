@@ -162,7 +162,7 @@ def _seeded(rng, shape) -> np.ndarray:
 
 class TestStackedPrimitives:
     """A sweep sets up a block's endpoints at once (solver._setups) and reads the
-    settled lanes of one face size at once (solver._project_lanes); each stacked
+    settled lanes of one face size at once (projector._project_lanes); each stacked
     call must give every element the bytes of the call solve_pg takes on it:
     eigvalsh over a stack of Q (solver._spectra) that of each matrix, the row
     norms einsum("lij,lij->li") over a stack of A (projector._row_stacks) the

@@ -43,6 +43,23 @@ def test_solver_imports_the_oracle_once_last():
     assert [a.name for a in tree.body[-1].names] == ["solve_oracle"]
 
 
+def _defined(module: str) -> set:
+    """The names a module's top level defines: its functions, classes and assignments."""
+    names = set()
+    for node in _tree(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for target in node.targets for t in ast.walk(target) if isinstance(t, ast.Name))
+    return names
+
+
+def test_the_projector_owns_the_feasibility_rule_and_the_group_threshold():
+    owned = {"_meet", "_STACK_MIN"}
+    assert owned <= _defined("projector")
+    assert not owned & _defined("solver")
+
+
 def test_every_member_the_projector_builds_is_read():
     """A projector keeps only the members a call reads: each attribute that
     _Projector.__init__ assigns is read somewhere in the package outside it,

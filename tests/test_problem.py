@@ -94,6 +94,8 @@ _DOCUMENTS = {
     "missing-field": ({k: v for k, v in _fixture_doc().items() if k != "Q"}, ParseError,
                       ["missing required field 'Q'"]),
     "unknown-field": (_edited(["extra"], 1), ParseError, ["unknown fields: ['extra']"]),
+    "field-not-an-array": (_edited(["c"], 5), ParseError, ["c must be an array"]),
+    "rows-not-arrays": (_edited(["A"], [1, 2]), ParseError, ["A must be an array of arrays"]),
     "float-n": (_edited(["n"], 2.0), ParseError, ["n must be an integer, got 2.0"]),
     "nan-m": (_edited(["m"], math.nan), ParseError, ["m must be an integer, got nan"]),
     "infinite-name": (_edited(["name"], math.inf), ParseError, ["name must be a string, got inf"]),

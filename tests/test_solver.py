@@ -137,6 +137,15 @@ class TestLipschitz:
         assert lipschitz_constant(np.zeros((4, 4))) == 1.0
         assert is_convex(np.zeros((4, 4))) is True
 
+    @pytest.mark.parametrize("Q", [[0.0, 0.0], [1.0, 2.0], 3.0, [[1.0, 2.0]], [[[2.0]]]],
+                             ids=["zero-vector", "vector", "scalar", "one-by-two", "three-d"])
+    def test_a_q_that_is_not_a_square_matrix_raises(self, Q):
+        # a zero vector read as Q = 0 (1.0 and True); the others failed inside numpy
+        shape = re.escape(str(np.shape(Q)))
+        for spectral in (lipschitz_constant, is_convex):
+            with pytest.raises(ValueError, match=f"^Q must be a square matrix, got shape {shape}$"):
+                spectral(Q)
+
     def test_step_rule_matches_spectrum(self):
         rng = np.random.default_rng(21)
         matrices = [np.zeros((3, 3)), np.eye(3), np.diag([1e-300, 0.0, 0.0]),

@@ -38,6 +38,7 @@ from fuzzyqp import (
     lower_qp,
     upper_qp,
 )
+import fuzzyqp.projector as projector_module
 import fuzzyqp.solver as solver_module
 import fuzzyqp.sweep as sweep_module
 
@@ -289,7 +290,7 @@ class TestSetUpPaidOnce:
         assert calls["eigvalsh"] == 201  # one per distinct crisp QP: the core is solved once
         assert calls["post_init"] == 0  # the cut ends of a validated problem are trusted
         # a lane whose step only re-reads the face it holds is read with others
-        # of its face size (solver._project_lanes); a call for each would be 2,654
+        # of its face size (projector._project_lanes); a call for each would be 2,654
         assert calls["_solve"] <= 600
 
     def test_cached_and_trusted_arrays_are_read_only(self, example_problem):
@@ -371,12 +372,12 @@ def _with_block_bytes(block_bytes, solve):
 
 
 def _with_stack_min(stack_min, solve):
-    """_outcome(solve) with solver._STACK_MIN = stack_min."""
-    saved, solver_module._STACK_MIN = solver_module._STACK_MIN, stack_min
+    """_outcome(solve) with projector._STACK_MIN = stack_min."""
+    saved, projector_module._STACK_MIN = projector_module._STACK_MIN, stack_min
     try:
         return _outcome(solve)
     finally:
-        solver_module._STACK_MIN = saved
+        projector_module._STACK_MIN = saved
 
 
 @st.composite
@@ -385,7 +386,7 @@ def _sweeps(draw):
     indefinite or have Q = 0, bounded by a box row or not, with a zero row of A or a
     b near 2^1000 (so the projector shifts b) drawn in; and a grid of up to 21
     levels k/20, whose up to 41 endpoints can hold more lanes of one face size than
-    solver._STACK_MIN, with options that run explicit starts (of the wrong length
+    projector._STACK_MIN, with options that run explicit starts (of the wrong length
     too), another seed, or a max_iter small enough to end runs unconverged."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -478,6 +479,74 @@ class TestSideBySide:
             solve_fqp(p, [0.0, 0.5])
         assert str(err.value) == ("lower endpoint QP unbounded at alpha=0: iterate magnitude "
                                   "exceeded 1e+08; instance appears unbounded below")
+
+
+class TestFallbacks:
+    """solver._pg_lanes steps only the endpoints that solver._setups hands over
+    as plain, and sweep._solve_block solves every other one, and every one
+    whose runs or judgement raised, by solve_pg: each record still has the
+    bytes of solving the endpoints one at a time."""
+
+    @pytest.mark.parametrize("multistart", [None, ((1.0,) * 3,)], ids=["b-near-the-float-range", "long-start"])
+    def test_lanes_take_no_shifted_projector_and_no_misshapen_start(self, multistart, monkeypatch):
+        # b = 2^1001 at one endpoint of alpha = 0 shifts its projector; a start
+        # of 3 entries for n = 2 fits no endpoint
+        p = FuzzyQP(c=(T(-2, -1, 0), T(-2, -1, 0)),
+                    Q=((T(1, 2, 3), T(0, 0, 0)), (T(0, 0, 0), T(1, 2, 3))),
+                    A=((T(1, 1, 1), T(1, 1, 1)), (T(1, 1, 1), T(0, 0, 0))),
+                    b=(T(1, 2, 2.0 ** 1001), T(3, 4, 5)))
+        opts, alphas = SolverOptions(multistart=multistart), [0.0, 0.5, 1.0]
+        received, pg_lanes = [], solver_module._pg_lanes
+        monkeypatch.setattr(sweep_module, "_pg_lanes",
+                            lambda endpoints, opts: received.extend(endpoints) or pg_lanes(endpoints, opts))
+        assert _outcome(lambda: solve_fqp(p, alphas, opts).records) == _outcome(
+            lambda: _one_at_a_time(p, alphas, opts))
+        served = [(q, set_up) for q, set_up in received if set_up is not None]
+        assert len(received) == 5 and len(served) == (4 if multistart is None else 0)
+        for q, (_, _, warm, starts) in served:
+            assert warm._j == 0
+            assert all(isinstance(x0, np.ndarray) and x0.shape == (q.n,) for x0 in starts)
+
+    def test_a_judgement_that_raises(self, monkeypatch):
+        # one iterate ends inside the float range; _finish's stationarity
+        # projection then leaves it
+        crisp = lambda v: T(v, v, v)
+        p = FuzzyQP(c=(crisp(-1.587316110376669e299), crisp(-3.736037558505018e299)),
+                    Q=((crisp(-1.1635006255829691e306), crisp(7.524000967991355e306)),
+                       (crisp(7.524000967991355e306), crisp(-1.2592151208784772e307))),
+                    A=((crisp(0.6029065332890343), crisp(-0.9796984254453097)),),
+                    b=(crisp(11.523375562332435),))
+        opts = SolverOptions(max_iter=1)
+        raised, finish = [], sweep_module._finish
+
+        def judged(*args):
+            try:
+                return finish(*args)
+            except Exception as e:
+                raised.append(type(e))
+                raise
+        monkeypatch.setattr(sweep_module, "_finish", judged)
+        with np.errstate(all="ignore"):  # the suite turns numpy's overflow warnings into errors
+            got = _outcome(lambda: solve_fqp(p, [0.0], opts).records)
+            assert got == _outcome(lambda: _one_at_a_time(p, [0.0], opts))
+        assert raised == [UnboundedError]
+        assert got[:2] == (UnboundedError, "lower endpoint QP unbounded at alpha=0: the iterates left "
+                           "the float range; instance appears unbounded below")
+
+    def test_a_stacked_eigvalsh_that_raises(self, example_problem, monkeypatch):
+        # every endpoint of the block is then solved by solve_pg, whose eigvalsh takes one matrix
+        stacks, real = [], np.linalg.eigvalsh
+
+        def eigvalsh(Q):
+            if Q.ndim > 2 and len(Q) > 1:
+                stacks.append(len(Q))
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(Q)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        alphas = [k / 10 for k in range(11)]
+        assert _outcome(lambda: solve_fqp(example_problem, alphas).records) == _outcome(
+            lambda: _one_at_a_time(example_problem, alphas, SolverOptions()))
+        assert stacks == [21]
 
 
 def _workloads():
